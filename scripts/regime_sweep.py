@@ -11,30 +11,25 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from fractalkin.geometry import builtin
 from fractalkin.kinematics import ParticleContext, verify_bounds
-from fractalkin.measures import classify_ds, gamma, gamma_exact_critical
+from fractalkin.measures import REGIME_CRITICAL, gamma, gamma_exact_critical, regime_bounds
 
 
 def sweep_gamma(rho_values, ds_values, k_max):
+    """With L0 = 1 the bounds on dx_k dL_k are the bounds on gamma."""
     violations = []
     for rho in rho_values:
         for ds in ds_values:
-            regime = classify_ds(ds)
+            bound = regime_bounds(ds, 1.0)
             for k in range(1, k_max + 1):
-                if regime == "classical":
-                    ok = gamma(k, float(rho), ds) == 0.0
-                elif regime == "critical":
+                if bound.regime == REGIME_CRITICAL:
+                    # 1 - rho^-k rounds to 1.0 at large k; decide it exactly
                     g = gamma_exact_critical(k, float(rho))
-                    ok = Fraction(1, 2) <= g < 1
-                elif regime == "sub":
-                    g = gamma(k, float(rho), ds)
-                    ok = 0.0 < g < 1.0
                 else:
-                    ok = gamma(k, float(rho), ds) > 0.5
-                if not ok:
+                    g = gamma(k, float(rho), ds)
+                if not bound.contains(g):
                     violations.append({"rho": rho, "ds": ds, "k": k})
     return violations
 

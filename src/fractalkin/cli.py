@@ -140,8 +140,7 @@ def generate(ctx, generator, angle, level, l0, out, config):
     if out is not None and out.endswith(".svg"):
         _emit(render.render_svg(poly), out)
     else:
-        text = json.dumps(serialize.polyline_to_dict(poly), indent=2) + "\n"
-        _emit(text, out)
+        _emit(serialize.json_text(serialize.polyline_to_dict(poly)), out)
 
 
 @main.command()
@@ -185,28 +184,8 @@ def analyze(ctx, generator, angle, k_max, mass, dt, l0, fmt, out, config):
         if k_max >= 1
         else None
     )
-    bundle = {
-        "spec": serialize.spec_to_dict(spec),
-        "similarity_dimension": spec.ds,
-        "context": {
-            "m": ctxp.m, "dt": ctxp.dt, "L0": ctxp.L0,
-            "V0": ctxp.V0, "E0": ctxp.E0, "eta0": ctxp.eta0,
-        },
-        "regime": {
-            "regime": regime.regime,
-            "lower": regime.lower,
-            "upper": None if regime.upper == float("inf") else regime.upper,
-            "lower_strict": regime.lower_strict,
-            "upper_strict": regime.upper_strict,
-        },
-        "scales": serialize.scale_rows_to_records(rows),
-        "uncertainty": [
-            {"k": r.k, "dV_k": r.dV_k, "dP_k": r.dP_k, "regime": r.regime}
-            for r in table
-        ],
-        "bounds": None if bounds is None else serialize.bounds_report_to_dict(bounds),
-    }
-    _emit(json.dumps(bundle, indent=2) + "\n", out)
+    bundle = serialize.analysis_to_dict(spec, ctxp, regime, rows, table, bounds)
+    _emit(serialize.json_text(bundle), out)
 
 
 def _parse_scales(text: str) -> list[int]:
@@ -261,7 +240,7 @@ def measure(ctx, input_path, scales, rho, method, fit, fmt, out, config):
     if fmt == "csv":
         _emit(serialize.measurement_to_csv(result), out)
     else:
-        _emit(json.dumps(serialize.measurement_to_dict(result), indent=2) + "\n", out)
+        _emit(serialize.json_text(serialize.measurement_to_dict(result)), out)
 
 
 @main.command()
@@ -286,8 +265,7 @@ def brownian(ctx, n, seed, step_std, out, config):
         raise click.UsageError("--step-std must be positive")
     poly = estimator.brownian_path(n, seed, step_std)
     meta = estimator.brownian_metadata(n, seed, step_std)
-    text = json.dumps(serialize.polyline_to_dict(poly, metadata=meta), indent=2) + "\n"
-    _emit(text, out)
+    _emit(serialize.json_text(serialize.polyline_to_dict(poly, metadata=meta)), out)
 
 
 if __name__ == "__main__":

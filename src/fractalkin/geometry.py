@@ -83,6 +83,8 @@ class Polyline:
         v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
+        if not np.isfinite(v).all():
+            raise ValueError("vertices must be finite")
         if len(v) < 2:
             raise ValueError("a polyline needs at least 2 vertices")
         if np.any(np.all(v[1:] == v[:-1], axis=1)):

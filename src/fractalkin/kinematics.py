@@ -8,21 +8,17 @@ in units of the base action eta0 = E0 * dt.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .geometry import GeneratorSpec
 from .measures import (
-    REGIME_CLASSICAL,
-    REGIME_CRITICAL,
-    REGIME_SUB,
-    REGIME_SUPER,
     RegimeBound,
     classify_ds,
     delta_area,
     gamma_exact,
+    regime_interval,
 )
 
 
@@ -135,34 +131,11 @@ def uncertainty_product_exact(
 
 
 def classify_regime(ds: float, ctx: ParticleContext) -> RegimeBound:
-    """Bounds on dx_k * dp_k in action units.
+    """Bounds on dx_k * dp_k in action units: the regime table with unit eta0.
 
-    super (D_s > 2):      eta0 < product < inf
-    critical (D_s = 2):   eta0 <= product < 2 eta0
-    sub (1 < D_s < 2):    0 < product < 2 eta0
-    classical (D_s = 1):  product = 0
+    For example eta0 <= product < 2 eta0 on the D_s = 2 line.
     """
-    regime = classify_ds(ds)
-    eta0 = ctx.eta0
-    if regime == REGIME_SUPER:
-        return RegimeBound(regime, eta0, math.inf, True, True)
-    if regime == REGIME_CRITICAL:
-        return RegimeBound(regime, eta0, 2.0 * eta0, False, True)
-    if regime == REGIME_SUB:
-        return RegimeBound(regime, 0.0, 2.0 * eta0, True, True)
-    return RegimeBound(regime, 0.0, 0.0, False, False)
-
-
-def _exact_regime_bound(bound: RegimeBound, ctx: ParticleContext) -> RegimeBound:
-    eta0 = ctx.eta0_exact()
-    mapping = {
-        REGIME_SUPER: (eta0, math.inf),
-        REGIME_CRITICAL: (eta0, 2 * eta0),
-        REGIME_SUB: (Fraction(0), 2 * eta0),
-        REGIME_CLASSICAL: (Fraction(0), Fraction(0)),
-    }
-    lower, upper = mapping[bound.regime]
-    return RegimeBound(bound.regime, lower, upper, bound.lower_strict, bound.upper_strict)
+    return regime_interval(ds, ctx.eta0)
 
 
 def uncertainty_table(
@@ -192,32 +165,23 @@ def verify_bounds(
         raise ValueError("bound checking applies to k >= 1 only")
     bound = classify_regime(spec.ds, ctx)
     exact = spec.has_integer_scaling()
-    rows = []
     if exact:
-        exact_bound = _exact_regime_bound(bound, ctx)
-        for k in ks:
-            product = uncertainty_product_exact(k, spec, ctx)
-            rows.append(
-                BoundsRow(
-                    k=k,
-                    product=float(product),
-                    lower=bound.lower,
-                    upper=bound.upper,
-                    passed=exact_bound.contains(product),
-                )
-            )
+        judge = regime_interval(spec.ds, ctx.eta0_exact())
+        product_at = uncertainty_product_exact
     else:
-        for k in ks:
-            product = uncertainty_product(k, spec, ctx)
-            rows.append(
-                BoundsRow(
-                    k=k,
-                    product=product,
-                    lower=bound.lower,
-                    upper=bound.upper,
-                    passed=bound.contains(product),
-                )
+        judge, product_at = bound, uncertainty_product
+    rows = []
+    for k in ks:
+        product = product_at(k, spec, ctx)
+        rows.append(
+            BoundsRow(
+                k=k,
+                product=float(product),
+                lower=bound.lower,
+                upper=bound.upper,
+                passed=judge.contains(product),
             )
+        )
     return BoundsReport(
         spec_name=spec.name,
         ds=spec.ds,

@@ -197,28 +197,37 @@ def classify_ds(ds: float) -> str:
     return REGIME_SUB if ds < 2.0 else REGIME_SUPER
 
 
+def regime_interval(ds: float, unit) -> RegimeBound:
+    """The regime table, with endpoints in multiples of `unit`.
+
+    super (D_s > 2):      unit < x < inf
+    critical (D_s = 2):   unit <= x < 2 unit
+    sub (1 < D_s < 2):    0 < x < 2 unit
+    classical (D_s = 1):  x = 0
+    `unit` may be a float or an exact Fraction; the finite endpoints keep
+    its type.  The lower bounds of the first two regimes assume k >= 1 and
+    rho >= 2.
+    """
+    regime = classify_ds(ds)
+    zero, full = 0 * unit, 2 * unit
+    if regime == REGIME_SUPER:
+        return RegimeBound(regime, unit, math.inf, True, True)
+    if regime == REGIME_CRITICAL:
+        return RegimeBound(regime, unit, full, False, True)
+    if regime == REGIME_SUB:
+        return RegimeBound(regime, zero, full, True, True)
+    return RegimeBound(regime, zero, zero, False, False)
+
+
 def regime_bounds(ds: float, l0: float) -> RegimeBound:
     """Bounds on dx_k * dL_k implied by the similarity dimension.
 
-    super (D_s > 2):      L0^2/2 < dx_k dL_k < inf
-    critical (D_s = 2):   L0^2/2 <= dx_k dL_k < L0^2
-    sub (1 < D_s < 2):    0 < dx_k dL_k < L0^2
-    classical (D_s = 1):  dx_k dL_k = 0
-    The lower bounds of the first two regimes additionally assume k >= 1
-    and rho >= 2.
+    The regime table with unit L0^2/2: for example L0^2/2 <= dx_k dL_k < L0^2
+    on the D_s = 2 line.  With l0 = 1 these are the bounds on gamma.
     """
     if not l0 > 0.0:
         raise ValueError("l0 must be positive")
-    regime = classify_ds(ds)
-    half = 0.5 * l0 * l0
-    full = l0 * l0
-    if regime == REGIME_SUPER:
-        return RegimeBound(regime, half, math.inf, True, True)
-    if regime == REGIME_CRITICAL:
-        return RegimeBound(regime, half, full, False, True)
-    if regime == REGIME_SUB:
-        return RegimeBound(regime, 0.0, full, True, True)
-    return RegimeBound(regime, 0.0, 0.0, False, False)
+    return regime_interval(ds, 0.5 * l0 * l0)
 
 
 def scale_table(

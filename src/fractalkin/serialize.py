@@ -1,9 +1,10 @@
 """JSON/CSV serialization for every report and data type.
 
-Numbers are written with 17 significant digits so float64 values
-round-trip exactly; output contains no timestamps or random ids, making
-every writer byte-deterministic.  An infinite bound serializes as JSON
-null (JSON has no Infinity literal).
+JSON numbers use Python's shortest round-trip repr and CSV numbers 17
+significant digits (`fnum`), so float64 values round-trip exactly either
+way; output contains no timestamps or random ids, making every writer
+byte-deterministic.  JSON text is laid out by `json_text`.  An infinite
+bound serializes as JSON null (JSON has no Infinity literal).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .estimator import DimensionFit, MeasurementResult, MeasurementRow
 from .geometry import GeneratorSpec, Polyline
-from .kinematics import BoundsReport, BoundsRow
-from .measures import ScaleRow
+from .kinematics import BoundsReport, BoundsRow, ParticleContext, UncertaintyRow
+from .measures import RegimeBound, ScaleRow
 
 SCALE_CSV_HEADER = "k,dx_k,N_k,L_k,A_k,v_k,gamma,dA_k0,dL_k"
 MEASUREMENT_CSV_HEADER = "k,dx,count,length"
@@ -27,6 +28,16 @@ MEASUREMENT_CSV_HEADER = "k,dx,count,length"
 def fnum(x: float) -> str:
     """Decimal text with 17 significant digits (lossless for float64)."""
     return format(float(x), ".17g")
+
+
+def json_text(obj) -> str:
+    """The JSON text of every JSON output: two-space indent, final newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _endpoint(x: float) -> float | None:
+    """An interval endpoint on the wire: null when unbounded."""
+    return None if math.isinf(x) else x
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +187,13 @@ def bounds_report_to_dict(report: BoundsReport) -> dict:
                 "k": r.k,
                 "product": r.product,
                 "lower": r.lower,
-                "upper": None if math.isinf(r.upper) else r.upper,
+                "upper": _endpoint(r.upper),
                 "pass": r.passed,
             }
             for r in report.rows
         ],
         "preconditions": {"k_min": report.k_min, "rho_ge_2": report.rho_ge_2},
+        "exact": report.exact,
     }
 
 
@@ -203,9 +215,40 @@ def bounds_report_from_dict(data: dict) -> BoundsReport:
         rows=rows,
         k_min=int(data["preconditions"]["k_min"]),
         rho_ge_2=bool(data["preconditions"]["rho_ge_2"]),
-        # arithmetic mode is provenance, not part of the wire schema
-        exact=False,
+        exact=bool(data["exact"]),
     )
+
+
+def analysis_to_dict(
+    spec: GeneratorSpec,
+    ctx: ParticleContext,
+    regime: RegimeBound,
+    scale_rows: Sequence[ScaleRow],
+    uncertainty: Sequence[UncertaintyRow],
+    bounds: BoundsReport | None,
+) -> dict:
+    """The `analyze` bundle; `bounds` is None when no scale k >= 1 was asked for."""
+    return {
+        "spec": spec_to_dict(spec),
+        "similarity_dimension": spec.ds,
+        "context": {
+            "m": ctx.m, "dt": ctx.dt, "L0": ctx.L0,
+            "V0": ctx.V0, "E0": ctx.E0, "eta0": ctx.eta0,
+        },
+        "regime": {
+            "regime": regime.regime,
+            "lower": regime.lower,
+            "upper": _endpoint(regime.upper),
+            "lower_strict": regime.lower_strict,
+            "upper_strict": regime.upper_strict,
+        },
+        "scales": scale_rows_to_records(scale_rows),
+        "uncertainty": [
+            {"k": r.k, "dV_k": r.dV_k, "dP_k": r.dP_k, "regime": r.regime}
+            for r in uncertainty
+        ],
+        "bounds": None if bounds is None else bounds_report_to_dict(bounds),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +257,7 @@ def bounds_report_from_dict(data: dict) -> BoundsReport:
 
 def dump_json(obj, path: Path | str) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    path.write_text(json_text(obj))
     return path
 
 

@@ -171,6 +171,15 @@ def test_measure_runtime_error_is_exit_1(runner, tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_measure_non_finite_vertex_message(runner, tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text('{"level": null, "vertices": [[0, 0], [%s, 1], [2, 0]]}' % bad)
+    res = runner.invoke(main, ["measure", "--input", str(path)])
+    assert res.exit_code == 1
+    assert "vertices must be finite" in res.output
+
+
 def test_brownian_deterministic_files(runner, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["brownian", "--n", "1000", "--seed", "7", "--step-std", "1.0"]

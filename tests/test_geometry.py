@@ -191,6 +191,12 @@ def test_polyline_validation():
         Polyline(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polyline_rejects_non_finite_vertices(bad):
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        Polyline(np.array([[0.0, 0.0], [bad, 1.0], [2.0, 0.0]]))
+
+
 def test_polyline_is_immutable():
     poly = base_segment(1.0)
     with pytest.raises(ValueError):

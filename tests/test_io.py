@@ -85,14 +85,19 @@ def test_measurement_round_trip_and_csv():
 
 
 def test_bounds_report_schema_and_round_trip():
-    report = verify_bounds(builtin("peano"), UNIT_CTX, range(1, 6))
-    data = bounds_report_to_dict(report)
-    assert set(data) == {"spec", "ds", "eta0", "rows", "preconditions"}
-    assert data["preconditions"] == {"k_min": 1, "rho_ge_2": True}
-    assert all(set(r) == {"k", "product", "lower", "upper", "pass"} for r in data["rows"])
-    back = bounds_report_from_dict(json.loads(json.dumps(data)))
-    assert back.rows == report.rows
-    assert back.spec_name == report.spec_name
+    # peano is checked in exact arithmetic, cesaro (irrational rho) in float
+    for spec, exact in ((builtin("peano"), True), (builtin("cesaro", angle_deg=85.0), False)):
+        report = verify_bounds(spec, UNIT_CTX, range(1, 6))
+        assert report.exact is exact
+        data = bounds_report_to_dict(report)
+        assert set(data) == {"spec", "ds", "eta0", "rows", "preconditions", "exact"}
+        assert data["preconditions"] == {"k_min": 1, "rho_ge_2": True}
+        assert data["exact"] is exact
+        assert all(set(r) == {"k", "product", "lower", "upper", "pass"} for r in data["rows"])
+        back = bounds_report_from_dict(json.loads(json.dumps(data)))
+        assert back.rows == report.rows
+        assert back.spec_name == report.spec_name
+        assert back.exact == report.exact
 
 
 def test_bounds_report_infinite_upper_serializes_null():
@@ -113,6 +118,7 @@ def test_bounds_report_infinite_upper_serializes_null():
     assert all(r["upper"] is None for r in data["rows"])
     back = bounds_report_from_dict(data)
     assert all(math.isinf(r.upper) for r in back.rows)
+    assert back.exact == report.exact
 
 
 def test_write_report_scale_table_only(tmp_path):
