@@ -8,7 +8,6 @@ anything is out of bounds.
 """
 
 import argparse
-import json
 import sys
 import time
 
@@ -63,14 +62,13 @@ def main() -> int:
         )
 
     if args.out:
-        from fractalkin.serialize import bounds_report_to_dict
+        from fractalkin.serialize import bounds_report_to_dict, dump_json
 
         payload = {
             "gamma_violations": violations,
             "bounds": {name: bounds_report_to_dict(r) for name, r in reports.items()},
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        dump_json(payload, args.out)
         print(f"wrote {args.out}")
 
     bad = bool(violations) or not all(r.all_passed for r in reports.values())

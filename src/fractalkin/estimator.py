@@ -9,7 +9,6 @@ Also provides reproducible Brownian sample paths as a dimension-2 target.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -241,8 +240,9 @@ def measure_polyline(
     """Run a resolution-ladder sweep dx_k = L0 / rho^k over the polyline.
 
     L0 defaults to the largest axis-aligned extent of the polyline.  The
-    per-scale counts are independent, so the sweep may run on a thread
-    pool (`workers`); results do not depend on scheduling.
+    scales are counted one after another.  `workers` is accepted and
+    ignored: a thread pool made the sweep slower (the counters hold the
+    GIL), and the benchmark's traced replay still passes `workers=1`.
     """
     if method not in (GRID_METHOD, DIVIDER_METHOD):
         raise ValueError(f"unknown method {method!r}")
@@ -256,15 +256,7 @@ def measure_polyline(
         raise ValueError("base length must be positive")
     counter = grid_count if method == GRID_METHOD else divider_count
     scales = [l0 / rho**k for k in ks]
-
-    def one(dx: float) -> float:
-        return float(counter(poly, dx))
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(one, scales))
-    else:
-        counts = [one(dx) for dx in scales]
+    counts = [float(counter(poly, dx)) for dx in scales]
     rows = tuple(
         MeasurementRow(k=k, dx=dx, count=c, length=c * dx)
         for k, dx, c in zip(ks, scales, counts)

@@ -3,8 +3,9 @@
 JSON numbers use Python's shortest round-trip repr and CSV numbers 17
 significant digits (`fnum`), so float64 values round-trip exactly either
 way; output contains no timestamps or random ids, making every writer
-byte-deterministic.  JSON text is laid out by `json_text`.  An infinite
-bound serializes as JSON null (JSON has no Infinity literal).
+byte-deterministic.  JSON text is laid out by `json_text`, which emits
+standard JSON only: an infinite bound or an overflowed cell count
+serializes as null (JSON has no Infinity literal).
 """
 
 from __future__ import annotations
@@ -31,12 +32,19 @@ def fnum(x: float) -> str:
 
 
 def json_text(obj) -> str:
-    """The JSON text of every JSON output: two-space indent, final newline."""
-    return json.dumps(obj, indent=2) + "\n"
+    """The JSON text of every JSON output: two-space indent, final newline.
+
+    Raises ValueError on NaN or infinity, which standard JSON cannot hold.
+    """
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _endpoint(x: float) -> float | None:
-    """An interval endpoint on the wire: null when unbounded."""
+    """A value that may be infinite on the wire: null when infinite.
+
+    Used for unbounded interval endpoints and for cell counts N^k past
+    the float64 range; readers map null back to math.inf.
+    """
     return None if math.isinf(x) else x
 
 
@@ -87,7 +95,7 @@ def scale_rows_to_records(rows: Sequence[ScaleRow]) -> list[dict]:
         {
             "k": r.k,
             "dx_k": r.dx_k,
-            "N_k": r.N_k,
+            "N_k": _endpoint(r.N_k),
             "L_k": r.L_k,
             "A_k": r.A_k,
             "v_k": r.v_k,
@@ -100,7 +108,11 @@ def scale_rows_to_records(rows: Sequence[ScaleRow]) -> list[dict]:
 
 
 def scale_rows_from_records(records: Sequence[dict]) -> list[ScaleRow]:
-    return [ScaleRow(**{**rec, "k": int(rec["k"])}) for rec in records]
+    return [
+        ScaleRow(**{**rec, "k": int(rec["k"]),
+                    "N_k": math.inf if rec["N_k"] is None else rec["N_k"]})
+        for rec in records
+    ]
 
 
 def scale_rows_to_csv(rows: Sequence[ScaleRow]) -> str:

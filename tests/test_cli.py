@@ -7,7 +7,12 @@ from click.testing import CliRunner
 
 from fractalkin.cli import main
 from fractalkin.geometry import base_segment, builtin, refine
-from fractalkin.serialize import polyline_to_dict
+from fractalkin.measures import scale_table
+from fractalkin.serialize import (
+    polyline_to_dict,
+    scale_rows_from_records,
+    scale_rows_to_records,
+)
 
 LOG3_4 = math.log(4.0) / math.log(3.0)
 
@@ -19,6 +24,14 @@ def runner():
 
 def invoke(runner, args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
+
+
+def split_runner():
+    """A runner whose result.stdout holds stdout alone."""
+    try:
+        return CliRunner(mix_stderr=False)  # click 8.1 mixes stderr in by default
+    except TypeError:
+        return CliRunner()  # click >= 8.2 always keeps the streams apart
 
 
 def test_generate_koch_level3_file(runner, tmp_path):
@@ -90,6 +103,21 @@ def test_analyze_csv_row_count(runner):
     assert len(lines) == 12  # header + 11 data rows
 
 
+def test_analyze_overflowed_counts_are_standard_json(runner):
+    args = ["analyze", "--generator", "peano", "--k-max", "330"]
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    scales = json.loads(invoke(runner, args).output, parse_constant=reject)["scales"]
+    assert [r["k"] for r in scales if r["N_k"] is None] == list(range(324, 331))
+    rows = scale_rows_from_records(scales)
+    assert rows == scale_table(builtin("peano"), 1.0, 1.0, 330)
+    assert scale_rows_to_records(rows) == scales
+    last = invoke(runner, args + ["--format", "csv"]).output.strip().split("\n")[-1]
+    assert last.split(",")[2] == "inf"
+
+
 def test_measure_koch_level6(runner, tmp_path):
     poly = refine(base_segment(1.0), builtin("koch"), 6)
     src = tmp_path / "k6.json"
@@ -148,20 +176,6 @@ def test_measure_divider_csv(runner, tmp_path):
     lines = res.output.strip().split("\n")
     assert lines[0] == "k,dx,count,length"
     assert len(lines) == 5
-
-
-def test_measure_respects_fk_threads(runner, tmp_path, monkeypatch):
-    poly = refine(base_segment(1.0), builtin("koch"), 5)
-    src = tmp_path / "k5.json"
-    src.write_text(json.dumps(polyline_to_dict(poly)))
-    args = ["measure", "--input", str(src), "--scales", "1..4"]
-    monkeypatch.setenv("FK_THREADS", "1")
-    serial = invoke(runner, args).output
-    monkeypatch.setenv("FK_THREADS", "4")
-    threaded = invoke(runner, args).output
-    assert serial == threaded
-    monkeypatch.setenv("FK_THREADS", "soup")
-    assert runner.invoke(main, args).exit_code == 2
 
 
 def test_measure_runtime_error_is_exit_1(runner, tmp_path):
@@ -230,3 +244,39 @@ def test_config_flat_section(runner, tmp_path):
 def test_generate_requires_level(runner):
     res = runner.invoke(main, ["generate", "--generator", "koch"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("text", [
+    None,  # missing file
+    "[1, 2]",
+    '{"generate": [1]}',
+    '{"level": "abc"}',
+    '{"level": -1}',
+    '{"level": null}',
+])
+def test_config_errors_are_usage_errors(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    res = split_runner().invoke(main, ["generate", "--generator", "koch",
+                                       "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+
+
+def test_config_satisfies_required_options(runner, tmp_path):
+    src = tmp_path / "k3.json"
+    assert invoke(runner, ["generate", "--generator", "koch", "--level", "3",
+                           "--out", str(src)]).exit_code == 0
+    cases = [
+        (["analyze", "--k-max", "2"], {"generator": "koch"}),
+        (["measure", "--scales", "1..3"], {"input_path": str(src)}),
+        (["brownian"], {"n": 5}),
+    ]
+    for args, config in cases:
+        assert runner.invoke(main, args).exit_code == 2
+        cfg = tmp_path / f"{args[0]}.json"
+        cfg.write_text(json.dumps(config))
+        res = invoke(runner, args + ["--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        json.loads(res.output)

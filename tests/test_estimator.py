@@ -195,13 +195,6 @@ def test_divider_dimension_on_koch():
     assert abs(result.fit.ds_hat - LOG3_4) < 0.01
 
 
-def test_measure_polyline_workers_deterministic():
-    poly = koch_level(5)
-    serial = measure_polyline(poly, range(1, 5), rho=3.0)
-    threaded = measure_polyline(poly, range(1, 5), rho=3.0, workers=4)
-    assert serial == threaded
-
-
 def test_measure_polyline_validation():
     poly = koch_level(2)
     with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from fractalkin.serialize import (
     bounds_report_from_dict,
     bounds_report_to_dict,
     fnum,
+    json_text,
     measurement_from_dict,
     measurement_to_csv,
     measurement_to_dict,
@@ -29,6 +34,7 @@ from fractalkin.serialize import (
 )
 
 UNIT_CTX = ParticleContext(m=1.0, dt=1.0, L0=1.0)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_fnum_round_trips_floats():
@@ -72,6 +78,12 @@ def test_scale_rows_round_trip_and_csv():
     cells = lines[4].split(",")
     assert float(cells[1]) == rows[3].dx_k
     assert float(cells[6]) == rows[3].gamma
+
+
+def test_json_text_rejects_non_finite_numbers():
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            json_text({"x": x})
 
 
 def test_measurement_round_trip_and_csv():
@@ -217,3 +229,14 @@ def test_render_rejects_degenerate_extent():
 def test_render_panels_requires_input():
     with pytest.raises(ValueError):
         render_panels([])
+
+
+def test_regime_sweep_report_uses_json_text(tmp_path):
+    out = tmp_path / "sweep.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "regime_sweep.py"),
+                    "--k-max", "3", "--out", str(out)], env=env, check=True,
+                   capture_output=True)
+    text = out.read_text()
+    assert text == json_text(json.loads(text))
