@@ -1,8 +1,9 @@
 """CLI outputs pinned byte for byte against files in tests/data.
 
 A change that alters one of these files on purpose regenerates it with
-the command in its row (add ``--out tests/data/<file>``) and names every
-changed byte in its change notes.
+the command in its row (add ``--out tests/data/<file>``; a `measure` row
+first writes its input polyline with the row's `generate` or `brownian`
+command) and names every changed byte in its change notes.
 """
 
 from pathlib import Path
@@ -30,5 +31,32 @@ GOLDEN = [
 def test_cli_output_matches_golden_bytes(tmp_path, name, args):
     out = tmp_path / name
     res = CliRunner().invoke(main, args + ["--out", str(out)], catch_exceptions=False)
+    assert res.exit_code == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+MEASURE_GOLDEN = [
+    ("measure_koch_l6_grid.json",
+     ["generate", "--generator", "koch", "--level", "6"],
+     ["--method", "grid", "--scales", "0..6"]),
+    ("measure_brownian3000_grid.csv",
+     ["brownian", "--n", "3000", "--seed", "7"],
+     ["--method", "grid", "--format", "csv", "--rho", "2", "--scales", "2..8"]),
+    ("measure_koch_l4_divider.csv",
+     ["generate", "--generator", "koch", "--level", "4"],
+     ["--method", "divider", "--format", "csv", "--scales", "1..3"]),
+]
+
+
+@pytest.mark.parametrize("name,make,args", MEASURE_GOLDEN,
+                         ids=[name for name, _, _ in MEASURE_GOLDEN])
+def test_measure_output_matches_golden_bytes(tmp_path, name, make, args):
+    runner = CliRunner()
+    poly = tmp_path / "input.json"
+    res = runner.invoke(main, make + ["--out", str(poly)], catch_exceptions=False)
+    assert res.exit_code == 0
+    out = tmp_path / name
+    res = runner.invoke(main, ["measure", "--input", str(poly)] + args
+                        + ["--out", str(out)], catch_exceptions=False)
     assert res.exit_code == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
