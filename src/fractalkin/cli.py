@@ -48,7 +48,7 @@ def _runtime_errors(f):
             return f(*args, **kwargs)
         except click.ClickException:
             raise
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, OverflowError) as exc:
             raise click.ClickException(str(exc))
 
     return wrapper
@@ -82,8 +82,8 @@ _generator_option = click.option(
     help="Built-in generator family (flag or config file).",
 )
 _angle_option = click.option(
-    "--angle", type=float, default=None,
-    help="Opening angle in degrees (cesaro only, open interval 0..90).",
+    "--angle", type=click.FloatRange(0, 90, min_open=True, max_open=True),
+    default=None, help="Opening angle in degrees (cesaro only).",
 )
 
 

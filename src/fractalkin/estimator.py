@@ -57,39 +57,49 @@ class MeasurementResult:
 # grid counting
 
 
-def _segment_cells(ax, ay, bx, by, cell, cells: set) -> None:
-    """Add every cell whose half-open square the segment meets.
+#: segments per array pass of grid_count: deduplicating cells per chunk bounds
+#: the arrays alive at once on long walks at fine scales
+_GRID_CHUNK = 1 << 13
 
-    The segment is cut at its gridline crossings; each open piece lies in
-    exactly one cell (taken from its midpoint), and each cut point
-    contributes the floor cell it belongs to, which is what picks up
-    zero-measure corner touches.
-    """
-    dx = bx - ax
-    dy = by - ay
-    ts = {0.0, 1.0}
-    if dx != 0.0:
-        xlo, xhi = (ax, bx) if ax <= bx else (bx, ax)
-        for i in range(math.ceil(xlo / cell), math.floor(xhi / cell) + 1):
-            t = (i * cell - ax) / dx
-            if 0.0 < t < 1.0:
-                ts.add(t)
-    if dy != 0.0:
-        ylo, yhi = (ay, by) if ay <= by else (by, ay)
-        for j in range(math.ceil(ylo / cell), math.floor(yhi / cell) + 1):
-            t = (j * cell - ay) / dy
-            if 0.0 < t < 1.0:
-                ts.add(t)
-    params = sorted(ts)
-    for t0, t1 in zip(params, params[1:]):
-        tm = 0.5 * (t0 + t1)
-        cells.add(
-            (math.floor((ax + tm * dx) / cell), math.floor((ay + tm * dy) / cell))
-        )
-    for t in params:
-        cells.add(
-            (math.floor((ax + t * dx) / cell), math.floor((ay + t * dy) / cell))
-        )
+
+def _unique_rows(ij: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, 2) array of cell indices."""
+    ij = ij[np.lexsort((ij[:, 1], ij[:, 0]))]
+    keep = np.ones(len(ij), dtype=bool)
+    keep[1:] = (ij[1:] != ij[:-1]).any(axis=1)
+    return ij[keep]
+
+
+def _axis_crossings(a: np.ndarray, b: np.ndarray, cell: float):
+    """Segment indices and parameters t in (0, 1) where the segments a -> b
+    cross the gridlines of one axis; segments with a == b cross none."""
+    d = b - a
+    seg = np.flatnonzero(d != 0.0)
+    first = np.ceil(np.minimum(a[seg], b[seg]) / cell)
+    n = (np.floor(np.maximum(a[seg], b[seg]) / cell) - first + 1.0).astype(np.int64)
+    seg = np.repeat(seg, n)
+    # ragged arange: a segment's k-th crossing lies on gridline first + k
+    line = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    t = (line * cell - a[seg]) / d[seg]
+    inside = (t > 0.0) & (t < 1.0)
+    return seg[inside], t[inside]
+
+
+def _chunk_cells(v: np.ndarray, cell: float) -> np.ndarray:
+    """The distinct (i, j) cells, one per row, of the supercover of v."""
+    a, d = v[:-1], v[1:] - v[:-1]
+    sx, tx = _axis_crossings(a[:, 0], v[1:, 0], cell)
+    sy, ty = _axis_crossings(a[:, 1], v[1:, 1], cell)
+    ends = np.arange(len(a))
+    seg = np.concatenate([ends, ends, sx, sy])
+    t = np.concatenate([np.zeros(len(a)), np.ones(len(a)), tx, ty])
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    same = seg[1:] == seg[:-1]
+    seg = np.concatenate([seg, seg[1:][same]])
+    t = np.concatenate([t, 0.5 * (t[:-1][same] + t[1:][same])])
+    cells = np.floor((a[seg] + t[:, None] * d[seg]) / cell).astype(np.int64)
+    return _unique_rows(cells)
 
 
 def grid_count(poly: Polyline, cell: float) -> int:
@@ -98,32 +108,20 @@ def grid_count(poly: Polyline, cell: float) -> int:
     The grid is anchored at the origin and cells are half-open squares
     [i*cell, (i+1)*cell) x [j*cell, (j+1)*cell), so a point's cell index is
     floor(coord/cell) and points exactly on a boundary belong to the cell
-    whose lower edge carries them.  Every cell the segment passes through
-    is counted (supercover), including cells touched only at their owned
-    corner.
+    whose lower edge carries them.  Every cell a segment passes through is
+    counted (supercover): each segment is cut at its gridline crossings,
+    each open piece adds the cell of its midpoint, and each cut point, the
+    segment's ends included, adds its own cell, which picks up cells
+    touched only at their owned corner.
     """
     if not cell > 0.0:
         raise ValueError("cell must be positive")
     v = poly.vertices
-    ax, ay = v[:-1, 0], v[:-1, 1]
-    bx, by = v[1:, 0], v[1:, 1]
-    ia = np.floor(ax / cell).astype(np.int64)
-    ja = np.floor(ay / cell).astype(np.int64)
-    ib = np.floor(bx / cell).astype(np.int64)
-    jb = np.floor(by / cell).astype(np.int64)
-    # half-open cells are convex: endpoints in one cell pin the segment there
-    simple = (ia == ib) & (ja == jb)
-    cells: set = set()
-    if simple.any():
-        keys = ia[simple] * np.int64(2**32) + (ja[simple] + np.int64(2**31))
-        for key in np.unique(keys).tolist():
-            i, rem = divmod(key, 2**32)
-            cells.add((i, rem - 2**31))
-    for idx in np.nonzero(~simple)[0].tolist():
-        _segment_cells(
-            float(ax[idx]), float(ay[idx]), float(bx[idx]), float(by[idx]), cell, cells
-        )
-    return len(cells)
+    chunks = [
+        _chunk_cells(v[lo : lo + _GRID_CHUNK + 1], cell)
+        for lo in range(0, len(v) - 1, _GRID_CHUNK)
+    ]
+    return len(_unique_rows(np.concatenate(chunks)))
 
 
 # ---------------------------------------------------------------------------

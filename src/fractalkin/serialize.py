@@ -71,7 +71,7 @@ def spec_from_dict(data: dict) -> GeneratorSpec:
 def polyline_to_dict(poly: Polyline, metadata: dict | None = None) -> dict:
     out = {
         "level": poly.level,
-        "vertices": [[float(x), float(y)] for x, y in poly.vertices],
+        "vertices": poly.vertices.tolist(),
     }
     if metadata is not None:
         out["metadata"] = metadata

@@ -71,6 +71,10 @@ def test_generate_usage_errors(runner):
     assert res.exit_code == 2
     res = runner.invoke(main, ["generate", "--generator", "koch", "--level", "-2"])
     assert res.exit_code == 2
+    for angle in ("95", "0"):
+        res = runner.invoke(main, ["generate", "--generator", "cesaro", "--angle", angle,
+                                   "--level", "1"])
+        assert res.exit_code == 2
 
 
 def test_analyze_peano_products_in_critical_band(runner):
@@ -183,6 +187,14 @@ def test_measure_runtime_error_is_exit_1(runner, tmp_path):
     bad.write_text(json.dumps({"level": None, "vertices": [[0.0, 0.0]]}))
     res = runner.invoke(main, ["measure", "--input", str(bad)])
     assert res.exit_code == 1
+
+
+def test_analyze_float_overflow_is_exit_1(runner):
+    res = runner.invoke(main, ["analyze", "--generator", "koch", "--k-max", "2",
+                               "--mass", "1e308", "--dt", "0.1"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a clean error, not a traceback
+    assert "too large" in res.output
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from fractalkin import estimator
 from fractalkin.estimator import (
     MeasurementRow,
     brownian_metadata,
@@ -95,6 +96,61 @@ def test_grid_count_koch_level6_slope():
     y = np.log([c for _, _, c in rows])
     slope = np.polyfit(x, y, 1)[0]
     assert abs(slope - LOG3_4) < 0.05
+
+
+def supercover_oracle(poly: Polyline, cell: float) -> int:
+    """Reference grid count in plain Python, one segment at a time: cut the
+    segment at its gridline crossings, then add the cell of every cut point
+    (ends included) and of every open piece's midpoint."""
+    cells = set()
+    v = poly.vertices.tolist()
+    for (ax, ay), (bx, by) in zip(v, v[1:]):
+        dx, dy = bx - ax, by - ay
+        ts = {0.0, 1.0}
+        for a, b, d in ((ax, bx, dx), (ay, by, dy)):
+            if d != 0.0:
+                lo, hi = math.ceil(min(a, b) / cell), math.floor(max(a, b) / cell)
+                for i in range(lo, hi + 1):
+                    t = (i * cell - a) / d
+                    if 0.0 < t < 1.0:
+                        ts.add(t)
+        params = sorted(ts)
+        mids = [0.5 * (t0 + t1) for t0, t1 in zip(params, params[1:])]
+        for t in params + mids:
+            cells.add((math.floor((ax + t * dx) / cell), math.floor((ay + t * dy) / cell)))
+    return len(cells)
+
+
+# quarter-cell lattice coordinates hit gridlines and corners; the rest do not
+_coord = st.one_of(
+    st.integers(min_value=-12, max_value=12).map(lambda q: q / 4.0),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+
+
+@settings(deadline=None)
+@given(
+    points=st.lists(st.tuples(_coord, _coord), min_size=2, max_size=30),
+    offset=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+    cell=st.sampled_from([1.0, 0.5, 1.0 / 3.0, 0.1]),
+    chunk=st.sampled_from([1, 2, 3, estimator._GRID_CHUNK]),
+)
+def test_grid_count_matches_supercover_oracle(points, offset, cell, chunk):
+    v = (np.array(points) + np.array(offset, dtype=float)) * cell
+    v = v[np.r_[True, np.any(v[1:] != v[:-1], axis=1)]]
+    assume(len(v) >= 2)
+    poly = Polyline(v)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_GRID_CHUNK", chunk)
+        assert grid_count(poly, cell) == supercover_oracle(poly, cell)
+
+
+def test_grid_count_far_from_origin():
+    # the cells (0, 2^32) and (1, 2^32): indices this large must stay apart
+    y = 2.0**32
+    poly = Polyline(np.array([[0.2, y + 0.2], [0.4, y + 0.4],
+                              [1.2, y + 0.4], [1.4, y + 0.2]]))
+    assert grid_count(poly, 1.0) == 2
 
 
 # ---------------------------------------------------------------------------
