@@ -45,6 +45,9 @@ MEASURE_GOLDEN = [
     ("measure_koch_l4_divider.csv",
      ["generate", "--generator", "koch", "--level", "4"],
      ["--method", "divider", "--format", "csv", "--scales", "1..3"]),
+    ("measure_brownian3000_divider.csv",
+     ["brownian", "--n", "3000", "--seed", "7"],
+     ["--method", "divider", "--format", "csv", "--rho", "2", "--scales", "3..7"]),
 ]
 
 
