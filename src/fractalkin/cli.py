@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,7 +72,17 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-_POSITIVE = click.FloatRange(min=0, min_open=True)
+class _FiniteRange(click.FloatRange):
+    """A FloatRange that also rejects nan and inf, which pass its bounds."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
+_POSITIVE = _FiniteRange(min=0, min_open=True)
 
 _config_option = click.option(
     "--config", type=click.Path(), callback=_load_config, is_eager=True,
@@ -82,7 +93,7 @@ _generator_option = click.option(
     help="Built-in generator family (flag or config file).",
 )
 _angle_option = click.option(
-    "--angle", type=click.FloatRange(0, 90, min_open=True, max_open=True),
+    "--angle", type=_FiniteRange(0, 90, min_open=True, max_open=True),
     default=None, help="Opening angle in degrees (cesaro only).",
 )
 
@@ -169,7 +180,7 @@ def _parse_scales(text: str) -> list[int]:
               required=True, help="Polyline JSON file (flag or config file).")
 @click.option("--scales", default="1..5", show_default=True,
               help='Ladder indices "k0..k1" (dx_k = L0 / rho^k).')
-@click.option("--rho", type=click.FloatRange(min=1, min_open=True), default=3.0,
+@click.option("--rho", type=_FiniteRange(min=1, min_open=True), default=3.0,
               show_default=True, help="Resolution ladder factor.")
 @click.option("--method", type=click.Choice(["grid", "divider"]),
               default="grid", show_default=True)

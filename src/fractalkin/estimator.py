@@ -128,6 +128,35 @@ def grid_count(poly: Polyline, cell: float) -> int:
 # divider (compass) stepping
 
 
+#: vertices in the first slice of a far-vertex search; each further slice doubles
+_DIVIDER_SLICE = 16
+
+#: a segment is a candidate for a chord hit once one of its ends lies at squared
+#: distance >= step2 * (1 - _DIVIDER_MARGIN) from the anchor.  The margin exceeds
+#: the float error of the computed roots (relative ~4 eps) by a factor of about
+#: 1e-6 / 4 eps ~ 1e9, so no skipped segment could have produced a hit.
+_DIVIDER_MARGIN = 1e-6
+
+
+def _far_vertex(x: np.ndarray, y: np.ndarray, lo: int, ax: float, ay: float,
+                far2: float) -> int:
+    """Index of the first vertex at or after `lo` whose squared distance from
+    (ax, ay) is >= far2, or len(x) if there is none."""
+    n = len(x)
+    size = _DIVIDER_SLICE
+    while lo < n:
+        hi = min(lo + size, n)
+        dx = x[lo:hi] - ax
+        dy = y[lo:hi] - ay
+        far = dx * dx + dy * dy >= far2
+        i = int(far.argmax())
+        if far[i]:
+            return lo + i
+        lo = hi
+        size *= 2
+    return n
+
+
 def divider_count(poly: Polyline, step: float) -> float:
     """Step a fixed chord along the curve and count the steps.
 
@@ -141,20 +170,39 @@ def divider_count(poly: Polyline, step: float) -> float:
     self-similar curves the step points coincide with construction
     vertices, and demanding exact float equality there would make the
     walker drift past every near-tangency.
+
+    Squared distance from the anchor is convex along a segment, so a
+    segment whose two ends both lie well inside the chord circle cannot
+    hold a hit.  Each step searches the vertices ahead with numpy, in
+    slices of 16 vertices that double in size, for the first vertex at
+    squared distance >= step2 * (1 - 1e-6).  The chord quadratic is then
+    solved only on the segment ending at that vertex and, after a miss,
+    on each following segment that starts at such a vertex.  The first
+    segment with a root t in (u, 1], u being the anchor's parameter on
+    its own segment and 0 elsewhere, gives its smallest such root as the
+    next anchor.  Counts are identical to solving the quadratic on every
+    segment in turn.
     """
     if not step > 0.0:
         raise ValueError("step must be positive")
     v = poly.vertices
+    x, y = v.T
     nseg = len(v) - 1
     anchor = v[0]
     seg = 0
     u = 0.0
     full_steps = 0
     step2 = (step * (1.0 - 1e-9)) ** 2
+    far2 = step2 * (1.0 - _DIVIDER_MARGIN)
     while True:
         hit = None
-        j, ulo = seg, u
-        while j < nseg:
+        ax, ay = float(anchor[0]), float(anchor[1])
+        j, lo = seg, seg + 1  # the anchor, not v[seg], starts segment seg
+        while True:
+            j = max(_far_vertex(x, y, lo, ax, ay, far2) - 1, j)
+            if j >= nseg:
+                break
+            ulo = u if j == seg else 0.0
             a = v[j]
             d = v[j + 1] - a
             w = a - anchor
@@ -172,7 +220,7 @@ def divider_count(poly: Polyline, step: float) -> float:
                     hit = (j, best)
                     break
             j += 1
-            ulo = 0.0
+            lo = j
         if hit is None:
             break
         seg, u = hit

@@ -197,6 +197,25 @@ def test_analyze_float_overflow_is_exit_1(runner):
     assert "too large" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", "--generator", "koch", "--k-max", "2", "--mass", "nan"],
+    ["analyze", "--generator", "koch", "--k-max", "2", "--mass", "inf"],
+    ["generate", "--generator", "cesaro", "--angle", "nan", "--level", "1"],
+    ["generate", "--generator", "koch", "--level", "1", "--l0", "inf"],
+    ["measure", "--scales", "1..2", "--rho", "inf"],
+    ["brownian", "--n", "5", "--step-std", "nan"],
+], ids=["mass-nan", "mass-inf", "angle-nan", "l0-inf", "rho-inf", "step-std-nan"])
+def test_non_finite_float_flags_are_usage_errors(tmp_path, args):
+    if args[0] == "measure":
+        src = tmp_path / "seg.json"
+        src.write_text('{"level": null, "vertices": [[0, 0], [1, 0]]}')
+        args = args + ["--input", str(src)]
+    res = split_runner().invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "is not a finite number" in res.stderr
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
 def test_measure_non_finite_vertex_message(runner, tmp_path, bad):
     path = tmp_path / "bad.json"

@@ -185,6 +185,104 @@ def test_divider_validation():
         divider_count(seg, -1.0)
 
 
+def divider_oracle(poly: Polyline, step: float) -> float:
+    """Reference divider count, one segment at a time: from the anchor, solve
+    the chord quadratic on every segment in turn and take the first root
+    t in (u, 1], u being the anchor's parameter on its own segment."""
+    v = poly.vertices
+    nseg = len(v) - 1
+    anchor = v[0]
+    seg = 0
+    u = 0.0
+    full_steps = 0
+    step2 = (step * (1.0 - 1e-9)) ** 2
+    while True:
+        hit = None
+        j, ulo = seg, u
+        while j < nseg:
+            a = v[j]
+            d = v[j + 1] - a
+            w = a - anchor
+            qa = float(d @ d)
+            qb = 2.0 * float(w @ d)
+            qc = float(w @ w) - step2
+            disc = qb * qb - 4.0 * qa * qc
+            if disc >= 0.0:
+                root = math.sqrt(disc)
+                best = None
+                for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)):
+                    if ulo < t <= 1.0 and (best is None or t < best):
+                        best = t
+                if best is not None:
+                    hit = (j, best)
+                    break
+            j += 1
+            ulo = 0.0
+        if hit is None:
+            break
+        seg, u = hit
+        anchor = v[seg] + u * (v[seg + 1] - v[seg])
+        full_steps += 1
+    tail = float(np.hypot(*(v[-1] - anchor)))
+    return full_steps + tail / step
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    # quarter-lattice coordinates put step points on vertices; the rest do not
+    points=st.lists(st.tuples(_coord, _coord), min_size=2, max_size=40),
+    closed=st.booleans(),
+    step=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]),
+                   st.floats(min_value=0.05, max_value=8.0)),
+    seg_index=st.integers(min_value=0),
+    stretch=st.sampled_from([None, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-12, 0.5]),
+)
+def test_divider_matches_oracle(points, closed, step, seg_index, stretch):
+    v = np.array(points + points[:1] if closed else points, dtype=float)
+    v = v[np.r_[True, np.any(v[1:] != v[:-1], axis=1)]]
+    assume(len(v) >= 2)
+    # the chord test divides by a segment's squared length, which underflows
+    # to 0 on segments shorter than ~1e-162 and then raises ZeroDivisionError
+    assume((np.diff(v, axis=0) ** 2).sum(axis=1).min() > 1e-300)
+    if stretch is not None:  # a step at (or just off) some segment's length
+        d = np.diff(v, axis=0)
+        step = stretch * float(np.hypot(*d[seg_index % len(d)]))
+    assume(step >= 0.05)  # a tiny step would take astronomically many steps
+    poly = Polyline(v)
+    assert divider_count(poly, step) == divider_oracle(poly, step)
+
+
+@settings(deadline=None, max_examples=50)
+@given(n=st.integers(min_value=2, max_value=400), seed=st.integers(0, 2**32),
+       step=st.floats(min_value=0.3, max_value=20.0))
+def test_divider_matches_oracle_on_brownian_walks(n, seed, step):
+    poly = brownian_path(n, seed)
+    assert divider_count(poly, step) == divider_oracle(poly, step)
+
+
+# the oracle takes ~40 s on Peano's 531,441 segments at level 6, so Peano stops
+# at level 4 here and its level-6 ladder is pinned below
+@pytest.mark.parametrize("name,angle,levels",
+                         [("koch", None, 6), ("peano", None, 4), ("cesaro", 85.0, 6)])
+def test_divider_matches_oracle_on_ladders(name, angle, levels):
+    spec = builtin(name, angle_deg=angle)
+    for level in range(levels + 1):
+        poly = refine(base_segment(1.0), spec, level)
+        for k in range(level + 1):
+            step = spec.rho**-k
+            assert divider_count(poly, step) == divider_oracle(poly, step), (level, k)
+
+
+def test_divider_ladder_pins():
+    # values the oracle gives; the Koch level-9 ladder is the koch-ladder benchmark's
+    koch = refine(base_segment(), builtin("koch"), 9)
+    assert [divider_count(koch, 3.0**-k) for k in range(1, 5)] == [
+        4.0000000011250005, 16.000000001050566, 64.00000000105055, 256.0000000010506]
+    peano = refine(base_segment(), builtin("peano"), 6)
+    assert [divider_count(peano, 3.0**-k) for k in range(6)] == [
+        9**k + 1e-9 for k in range(6)]
+
+
 # ---------------------------------------------------------------------------
 # dimension regression
 
