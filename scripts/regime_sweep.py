@@ -58,7 +58,7 @@ def main() -> int:
         print(
             f"{name:6s} D_s={report.ds:.6f} eta0={report.eta0}  "
             f"{'OK' if report.all_passed else 'VIOLATED'} "
-            f"({len(report.rows)} scales, exact={report.exact})"
+            f"({len(report.rows)} scales)"
         )
 
     if args.out:

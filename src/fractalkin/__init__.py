@@ -29,7 +29,6 @@ from .kinematics import (
     areolar_velocity_change,
     classify_regime,
     uncertainty_product,
-    uncertainty_product_exact,
     uncertainty_table,
     verify_bounds,
 )
@@ -39,10 +38,7 @@ from .measures import (
     area_at_scale,
     classify_ds,
     delta_area,
-    delta_area_exact,
-    delta_length,
     gamma,
-    gamma_exact,
     gamma_exact_critical,
     length_at_scale,
     regime_bounds,

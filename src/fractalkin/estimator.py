@@ -210,15 +210,20 @@ def divider_count(poly: Polyline, step: float) -> float:
             qb = 2.0 * float(w @ d)
             qc = float(w @ w) - step2
             disc = qb * qb - 4.0 * qa * qc
-            if disc >= 0.0:
+            if qa == 0.0:  # d @ d underflowed: the equation is linear, qb t + qc = 0
+                roots = (-qc / qb,) if qb != 0.0 else ()
+            elif disc >= 0.0:
                 root = math.sqrt(disc)
-                best = None
-                for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)):
-                    if ulo < t <= 1.0 and (best is None or t < best):
-                        best = t
-                if best is not None:
-                    hit = (j, best)
-                    break
+                roots = ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
+            else:
+                roots = ()
+            best = None
+            for t in roots:
+                if ulo < t <= 1.0 and (best is None or t < best):
+                    best = t
+            if best is not None:
+                hit = (j, best)
+                break
             j += 1
             lo = j
         if hit is None:

@@ -67,10 +67,6 @@ class GeneratorSpec:
     def ds(self) -> float:
         return similarity_dimension(self)
 
-    def has_integer_scaling(self) -> bool:
-        """True when rho is an exact integer (enables exact arithmetic)."""
-        return self.rho.is_integer()
-
 
 @dataclass(frozen=True, eq=False)
 class Polyline:

@@ -8,18 +8,13 @@ in units of the base action eta0 = E0 * dt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .geometry import GeneratorSpec
-from .measures import (
-    RegimeBound,
-    classify_ds,
-    delta_area,
-    gamma_exact,
-    regime_interval,
-)
+from .measures import RegimeBound, classify_ds, delta_area, regime_interval
 
 
 @dataclass(frozen=True)
@@ -38,6 +33,8 @@ class ParticleContext:
         for label, value in (("m", self.m), ("dt", self.dt), ("L0", self.L0)):
             if not value > 0.0:
                 raise ValueError(f"{label} must be positive, got {value}")
+        if self.eta0 == math.inf:  # V0, E0 and eta0 overflow together
+            raise ValueError("eta0 = m L0^2 / (2 dt) is too large for float64")
 
     @property
     def V0(self) -> float:
@@ -84,9 +81,7 @@ class BoundsReport:
     """Machine check of the regime inequality for a range of scales.
 
     `rho_ge_2` flags whether the eta0 lower bound of the super/critical
-    regimes is actually in force (it needs rho >= 2 on top of k >= 1);
-    `exact` records whether pass/fail was decided in exact rational
-    arithmetic (integer-scaled generators) or in float64.
+    regimes is actually in force (it needs rho >= 2 on top of k >= 1).
     """
 
     spec_name: str
@@ -95,7 +90,6 @@ class BoundsReport:
     rows: tuple[BoundsRow, ...]
     k_min: int
     rho_ge_2: bool
-    exact: bool
 
     @property
     def violations(self) -> list[BoundsRow]:
@@ -114,20 +108,6 @@ def areolar_velocity_change(k: int, spec: GeneratorSpec, ctx: ParticleContext) -
 def uncertainty_product(k: int, spec: GeneratorSpec, ctx: ParticleContext) -> float:
     """Position-momentum product at scale k: m dx_k dL_k / dt = 2 eta0 gamma(k)."""
     return ctx.m * areolar_velocity_change(k, spec, ctx)
-
-
-def uncertainty_product_exact(
-    k: int, spec: GeneratorSpec, ctx: ParticleContext
-) -> Fraction:
-    """Exact product 2 eta0 gamma(k) for integer-scaled generators.
-
-    This is the route that can decide the strict critical-regime bounds at
-    large k, where the float product saturates at exactly 2 eta0.
-    """
-    if not spec.has_integer_scaling():
-        raise ValueError("exact route needs an integer rho")
-    g = gamma_exact(k, int(spec.rho), spec.n)
-    return 2 * ctx.eta0_exact() * g
 
 
 def classify_regime(ds: float, ctx: ParticleContext) -> RegimeBound:
@@ -155,8 +135,13 @@ def verify_bounds(
 ) -> BoundsReport:
     """Check the regime inequality for every k in `k_range` (all k >= 1).
 
-    Violations are reported as data, not raised.  Integer-scaled
-    generators are checked in exact rational arithmetic; others in float.
+    Violations are reported as data, not raised.  Every float rho is a
+    rational a/b, so gamma(k) = (u - v) / w with the integers u = (N b^2)^k,
+    v = (a b)^k and w = (a^2)^k.  eta0 > 0 cancels out of the regime
+    inequality, so each row is decided exactly by comparing 2 (u - v) with
+    the regime table in units of w; 1 - rho^-k, which rounds to 1.0 in
+    float64, never has to be formed.  The displayed product is the
+    correctly rounded 2 eta0 gamma(k), and inf past the float64 range.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -164,22 +149,28 @@ def verify_bounds(
     if ks[0] < 1:
         raise ValueError("bound checking applies to k >= 1 only")
     bound = classify_regime(spec.ds, ctx)
-    exact = spec.has_integer_scaling()
-    if exact:
-        judge = regime_interval(spec.ds, ctx.eta0_exact())
-        product_at = uncertainty_product_exact
-    else:
-        judge, product_at = bound, uncertainty_product
+    a, b = spec.rho.as_integer_ratio()
+    pn, pd = (2 * ctx.eta0_exact()).as_integer_ratio()
+    u = v = w = 1
     rows = []
+    prev = 0
     for k in ks:
-        product = product_at(k, spec, ctx)
+        step = k - prev
+        u *= (spec.n * b * b) ** step
+        v *= (a * b) ** step
+        w *= (a * a) ** step
+        prev = k
+        try:
+            product = (pn * (u - v)) / (pd * w)
+        except OverflowError:
+            product = math.inf
         rows.append(
             BoundsRow(
                 k=k,
-                product=float(product),
+                product=product,
                 lower=bound.lower,
                 upper=bound.upper,
-                passed=judge.contains(product),
+                passed=regime_interval(spec.ds, w).contains(2 * (u - v)),
             )
         )
     return BoundsReport(
@@ -189,5 +180,4 @@ def verify_bounds(
         rows=tuple(rows),
         k_min=1,
         rho_ge_2=spec.rho >= 2.0,
-        exact=exact,
     )

@@ -3,10 +3,10 @@
 Everything here is a pure function of (k, rho, N, L0, dt): the resolution
 ladder, length/area at scale, the surface-change factor gamma, and the
 similarity-dimension bound regimes.  Float results follow the stated
-closed forms; `gamma_exact` and friends give exact rationals for
-integer-scaled generators, which is the only way to check the strict
-D_s = 2 bounds at large k (1 - rho^-k is not representable in float64
-once rho^-k drops below the epsilon of 1.0).
+closed forms.  On the D_s = 2 line, 1 - rho^-k is not representable in
+float64 once rho^-k drops below the epsilon of 1.0, so the strict bounds
+are decided in exact arithmetic: `gamma_exact_critical` here, and
+`kinematics.verify_bounds` for the products of any generator.
 """
 
 from __future__ import annotations
@@ -67,12 +67,23 @@ class RegimeBound:
             raise ValueError(f"unknown regime {self.regime!r}")
 
     def contains(self, value) -> bool:
-        """Interval membership; works for floats and exact Fractions."""
+        """Interval membership; works for floats and exact ints or Fractions."""
         above = value > self.lower if self.lower_strict else value >= self.lower
-        if math.isinf(self.upper):
+        if self.upper == math.inf:
             return above
         below = value < self.upper if self.upper_strict else value <= self.upper
         return above and below
+
+
+def _scaled_power(x: float, ratio: Fraction, k: int) -> float:
+    """x * ratio^k, correctly rounded, for when the float power overflows.
+
+    The result underflows toward 0.0 or, past float64, is math.inf.
+    """
+    try:
+        return float(Fraction(x) * ratio**k)
+    except OverflowError:
+        return math.inf
 
 
 def _check_k(k) -> int:
@@ -91,7 +102,10 @@ def resolution(k: int, dx0: float, rho: float) -> float:
         raise ValueError("dx0 must be positive")
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
-    return dx0 / rho**k
+    try:
+        return dx0 / rho**k
+    except OverflowError:  # rho^k past float64; the quotient underflows toward 0
+        return _scaled_power(dx0, 1 / Fraction(rho), k)
 
 
 def cell_count(spec: GeneratorSpec, k: int) -> int:
@@ -100,9 +114,15 @@ def cell_count(spec: GeneratorSpec, k: int) -> int:
 
 
 def length_at_scale(k: int, spec: GeneratorSpec, l0: float) -> float:
-    """Trajectory length as measured at scale k: L0 * (N/rho)^k."""
+    """Trajectory length as measured at scale k: L0 * (N/rho)^k.
+
+    inf once the length passes the float64 range (peano from k = 647).
+    """
     k = _check_k(k)
-    return l0 * (spec.n / spec.rho) ** k
+    try:
+        return l0 * (spec.n / spec.rho) ** k
+    except OverflowError:
+        return _scaled_power(l0, spec.n / Fraction(spec.rho), k)
 
 
 def velocity_at_scale(k: int, spec: GeneratorSpec, l0: float, dt: float) -> float:
@@ -127,7 +147,7 @@ def gamma(k: int, rho: float, ds: float) -> float:
 
     Exactly 0.0 for ds == 1 (both powers reduce to the same expression).
     For ds == 2 the true value 1 - rho^-k collapses to 1.0 in float64 once
-    rho^-k < eps; use `gamma_exact` when the strict upper bound matters.
+    rho^-k < eps; `verify_bounds` decides the strict upper bound exactly.
     """
     k = _check_k(k)
     if not rho > 1.0:
@@ -135,21 +155,6 @@ def gamma(k: int, rho: float, ds: float) -> float:
     if ds < 1.0 - 1e-12:
         raise ValueError("ds must be >= 1")
     return rho ** (k * (ds - 2.0)) - rho ** (-k)
-
-
-def gamma_exact(k: int, rho: int, n: int) -> Fraction:
-    """Exact gamma for an integer-scaled generator: N^k/rho^2k - rho^-k.
-
-    Valid for any integer rho >= 2, N >= 2; covers irrational D_s (the
-    value is rational even when ln N / ln rho is not).
-    """
-    k = _check_k(k)
-    if int(rho) != rho or rho < 2:
-        raise ValueError("rho must be an integer >= 2")
-    if int(n) != n or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    rho, n = int(rho), int(n)
-    return Fraction(n**k, rho ** (2 * k)) - Fraction(1, rho**k)
 
 
 def gamma_exact_critical(k: int, rho: float) -> Fraction:
@@ -164,22 +169,9 @@ def gamma_exact_critical(k: int, rho: float) -> Fraction:
     return 1 - Fraction(rho) ** (-k)
 
 
-def delta_length(k: int, spec: GeneratorSpec, l0: float) -> float:
-    """Length excess over the base scale: L_k - L0."""
-    return length_at_scale(k, spec, l0) - l0
-
-
 def delta_area(k: int, spec: GeneratorSpec, l0: float) -> float:
     """Per-scale surface change dx_k * dL_k = L0^2 * gamma(k, rho, D_s)."""
     return l0 * l0 * gamma(k, spec.rho, spec.ds)
-
-
-def delta_area_exact(k: int, spec: GeneratorSpec, l0) -> Fraction:
-    """Exact surface change for integer-scaled generators."""
-    if not spec.has_integer_scaling():
-        raise ValueError("exact route needs an integer rho")
-    l0 = Fraction(l0)
-    return l0 * l0 * gamma_exact(k, int(spec.rho), spec.n)
 
 
 def classify_ds(ds: float) -> str:
@@ -204,8 +196,8 @@ def regime_interval(ds: float, unit) -> RegimeBound:
     critical (D_s = 2):   unit <= x < 2 unit
     sub (1 < D_s < 2):    0 < x < 2 unit
     classical (D_s = 1):  x = 0
-    `unit` may be a float or an exact Fraction; the finite endpoints keep
-    its type.  The lower bounds of the first two regimes assume k >= 1 and
+    `unit` may be a float, an int or an exact Fraction; the finite
+    endpoints keep its type.  The lower bounds of the first two regimes assume k >= 1 and
     rho >= 2.
     """
     regime = classify_ds(ds)

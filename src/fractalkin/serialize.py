@@ -4,8 +4,9 @@ JSON numbers use Python's shortest round-trip repr and CSV numbers 17
 significant digits (`fnum`), so float64 values round-trip exactly either
 way; output contains no timestamps or random ids, making every writer
 byte-deterministic.  JSON text is laid out by `json_text`, which emits
-standard JSON only: an infinite bound or an overflowed cell count
-serializes as null (JSON has no Infinity literal).
+standard JSON only: an infinite bound, or a value past the float64 range
+(a cell count, length or bounds product), serializes as null (JSON has no
+Infinity literal).
 """
 
 from __future__ import annotations
@@ -42,10 +43,16 @@ def json_text(obj) -> str:
 def _endpoint(x: float) -> float | None:
     """A value that may be infinite on the wire: null when infinite.
 
-    Used for unbounded interval endpoints and for cell counts N^k past
-    the float64 range; readers map null back to math.inf.
+    Used for unbounded interval endpoints and for scale-table values and
+    bounds products past the float64 range; readers map null back to
+    math.inf.
     """
     return None if math.isinf(x) else x
+
+
+def _from_endpoint(x: float | None) -> float:
+    """The reader's half of `_endpoint`: null back to math.inf."""
+    return math.inf if x is None else x
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +103,12 @@ def scale_rows_to_records(rows: Sequence[ScaleRow]) -> list[dict]:
             "k": r.k,
             "dx_k": r.dx_k,
             "N_k": _endpoint(r.N_k),
-            "L_k": r.L_k,
+            "L_k": _endpoint(r.L_k),
             "A_k": r.A_k,
-            "v_k": r.v_k,
+            "v_k": _endpoint(r.v_k),
             "gamma": r.gamma,
             "dA_k0": r.dA_k0,
-            "dL_k": r.dL_k,
+            "dL_k": _endpoint(r.dL_k),
         }
         for r in rows
     ]
@@ -110,7 +117,7 @@ def scale_rows_to_records(rows: Sequence[ScaleRow]) -> list[dict]:
 def scale_rows_from_records(records: Sequence[dict]) -> list[ScaleRow]:
     return [
         ScaleRow(**{**rec, "k": int(rec["k"]),
-                    "N_k": math.inf if rec["N_k"] is None else rec["N_k"]})
+                    **{f: _from_endpoint(rec[f]) for f in ("N_k", "L_k", "v_k", "dL_k")}})
         for rec in records
     ]
 
@@ -197,7 +204,7 @@ def bounds_report_to_dict(report: BoundsReport) -> dict:
         "rows": [
             {
                 "k": r.k,
-                "product": r.product,
+                "product": _endpoint(r.product),
                 "lower": r.lower,
                 "upper": _endpoint(r.upper),
                 "pass": r.passed,
@@ -205,7 +212,6 @@ def bounds_report_to_dict(report: BoundsReport) -> dict:
             for r in report.rows
         ],
         "preconditions": {"k_min": report.k_min, "rho_ge_2": report.rho_ge_2},
-        "exact": report.exact,
     }
 
 
@@ -213,9 +219,9 @@ def bounds_report_from_dict(data: dict) -> BoundsReport:
     rows = tuple(
         BoundsRow(
             k=int(r["k"]),
-            product=r["product"],
+            product=_from_endpoint(r["product"]),
             lower=r["lower"],
-            upper=math.inf if r["upper"] is None else r["upper"],
+            upper=_from_endpoint(r["upper"]),
             passed=bool(r["pass"]),
         )
         for r in data["rows"]
@@ -227,7 +233,6 @@ def bounds_report_from_dict(data: dict) -> BoundsReport:
         rows=rows,
         k_min=int(data["preconditions"]["k_min"]),
         rho_ge_2=bool(data["preconditions"]["rho_ge_2"]),
-        exact=bool(data["exact"]),
     )
 
 
@@ -271,38 +276,3 @@ def dump_json(obj, path: Path | str) -> Path:
     path = Path(path)
     path.write_text(json_text(obj))
     return path
-
-
-def write_report(
-    scale_rows: Sequence[ScaleRow] | None = None,
-    measurement: MeasurementResult | None = None,
-    bounds: BoundsReport | None = None,
-    path: Path | str = "report",
-) -> list[Path]:
-    """Write the given inputs as one bundled JSON plus per-table CSVs.
-
-    `path` is a stem: <stem>.json always, <stem>_scales.csv and
-    <stem>_measurement.csv when those tables are present.  Existing files
-    are overwritten.  At least one input is required.
-    """
-    if scale_rows is None and measurement is None and bounds is None:
-        raise ValueError("write_report needs at least one input")
-    stem = Path(path)
-    if stem.suffix == ".json":
-        stem = stem.with_suffix("")
-    bundle: dict = {}
-    written: list[Path] = []
-    if scale_rows is not None:
-        bundle["scales"] = scale_rows_to_records(scale_rows)
-        csv_path = stem.parent / (stem.name + "_scales.csv")
-        csv_path.write_text(scale_rows_to_csv(scale_rows))
-        written.append(csv_path)
-    if measurement is not None:
-        bundle["measurement"] = measurement_to_dict(measurement)
-        csv_path = stem.parent / (stem.name + "_measurement.csv")
-        csv_path.write_text(measurement_to_csv(measurement))
-        written.append(csv_path)
-    if bounds is not None:
-        bundle["bounds"] = bounds_report_to_dict(bounds)
-    written.insert(0, dump_json(bundle, stem.with_suffix(".json")))
-    return written

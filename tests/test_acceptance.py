@@ -16,11 +16,7 @@ from click.testing import CliRunner
 from fractalkin.cli import main as cli_main
 from fractalkin.estimator import brownian_path, measure_polyline
 from fractalkin.geometry import base_segment, builtin, refine
-from fractalkin.kinematics import (
-    ParticleContext,
-    uncertainty_product,
-    uncertainty_product_exact,
-)
+from fractalkin.kinematics import ParticleContext, uncertainty_product, verify_bounds
 from fractalkin.measures import (
     area_at_scale,
     classify_ds,
@@ -136,12 +132,15 @@ def test_c05_uncertainty_regimes():
         peano, koch, line = builtin("peano"), builtin("koch"), builtin("line")
         eta0 = UNIT_CTX.eta0_exact()
         assert eta0 == Fraction(1, 2)
+        report = verify_bounds(peano, UNIT_CTX, range(1, 51))
+        assert report.all_passed
         prev = None
-        for k in range(1, 51):
-            p = uncertainty_product_exact(k, peano, UNIT_CTX)
-            assert eta0 <= p < 2 * eta0, k
+        for row in report.rows:
+            p = 2 * eta0 * gamma_exact_critical(row.k, 3.0)  # peano: N = rho^2
+            assert row.product == float(p), row.k
+            assert eta0 <= p < 2 * eta0, row.k
             if prev is not None:
-                assert p > prev, k
+                assert p > prev, row.k
             prev = p
         prev = math.inf
         for k in range(1, 51):

@@ -122,6 +122,20 @@ def test_analyze_overflowed_counts_are_standard_json(runner):
     assert last.split(",")[2] == "inf"
 
 
+@pytest.mark.parametrize("generator", ["koch", "peano"])
+def test_analyze_k_max_2000(runner, generator):
+    # rho^k passes float64 at k = 647: dx_k underflows toward 0, peano's
+    # L_k, v_k and dL_k become null, and every bound is still decided
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    args = ["analyze", "--generator", generator, "--k-max", "2000"]
+    doc = json.loads(invoke(runner, args).output, parse_constant=reject)
+    assert len(doc["scales"]) == 2001
+    assert [r["k"] for r in doc["bounds"]["rows"]] == list(range(1, 2001))
+    assert all(r["pass"] for r in doc["bounds"]["rows"])
+
+
 def test_measure_koch_level6(runner, tmp_path):
     poly = refine(base_segment(1.0), builtin("koch"), 6)
     src = tmp_path / "k6.json"

@@ -207,15 +207,20 @@ def divider_oracle(poly: Polyline, step: float) -> float:
             qb = 2.0 * float(w @ d)
             qc = float(w @ w) - step2
             disc = qb * qb - 4.0 * qa * qc
-            if disc >= 0.0:
+            if qa == 0.0:  # d @ d underflowed: the equation is linear, qb t + qc = 0
+                roots = (-qc / qb,) if qb != 0.0 else ()
+            elif disc >= 0.0:
                 root = math.sqrt(disc)
-                best = None
-                for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)):
-                    if ulo < t <= 1.0 and (best is None or t < best):
-                        best = t
-                if best is not None:
-                    hit = (j, best)
-                    break
+                roots = ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
+            else:
+                roots = ()
+            best = None
+            for t in roots:
+                if ulo < t <= 1.0 and (best is None or t < best):
+                    best = t
+            if best is not None:
+                hit = (j, best)
+                break
             j += 1
             ulo = 0.0
         if hit is None:
@@ -281,6 +286,22 @@ def test_divider_ladder_pins():
     peano = refine(base_segment(), builtin("peano"), 6)
     assert [divider_count(peano, 3.0**-k) for k in range(6)] == [
         9**k + 1e-9 for k in range(6)]
+
+
+@pytest.mark.parametrize("vertices,steps", [
+    ([[0, 0], [0.3, 0], [0.3, 1e-170], [1, 0]], [0.3 * (1 + 1e-7) / (1 - 1e-9)]),
+    ([[0, 0], [1, 0], [1, 1e-170], [3, 0]], [3.0 / 1.5**k for k in range(3)]),
+    # the tiny segment is not orthogonal to the chord, so its linear equation is solved
+    ([[1, 0], [0, 0], [1e-170, 1e-170], [0, 1]], [(1 + 1e-7) / (1 - 1e-9), 0.5]),
+])
+def test_divider_segment_shorter_than_underflow(vertices, steps):
+    # d @ d underflows to 0 on the 1e-170 segment; the chord test must not
+    # divide by it, and the segment changes no count
+    poly = Polyline(np.array(vertices, dtype=float))
+    without = Polyline(np.delete(poly.vertices, 2, axis=0))
+    for step in steps:
+        count = divider_count(poly, step)
+        assert count == divider_oracle(poly, step) == divider_count(without, step), step
 
 
 # ---------------------------------------------------------------------------

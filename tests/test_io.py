@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fractalkin.estimator import measure_polyline
-from fractalkin.geometry import Polyline, base_segment, builtin, refine
+from fractalkin.geometry import GeneratorSpec, Polyline, base_segment, builtin, refine
 from fractalkin.kinematics import ParticleContext, verify_bounds
 from fractalkin.measures import scale_table
 from fractalkin.render import RenderOptions, render_panels, render_svg
@@ -30,7 +30,6 @@ from fractalkin.serialize import (
     scale_rows_to_records,
     spec_from_dict,
     spec_to_dict,
-    write_report,
 )
 
 UNIT_CTX = ParticleContext(m=1.0, dt=1.0, L0=1.0)
@@ -97,19 +96,15 @@ def test_measurement_round_trip_and_csv():
 
 
 def test_bounds_report_schema_and_round_trip():
-    # peano is checked in exact arithmetic, cesaro (irrational rho) in float
-    for spec, exact in ((builtin("peano"), True), (builtin("cesaro", angle_deg=85.0), False)):
+    # peano has an integer rho, cesaro-85 a non-integer one
+    for spec in (builtin("peano"), builtin("cesaro", angle_deg=85.0)):
         report = verify_bounds(spec, UNIT_CTX, range(1, 6))
-        assert report.exact is exact
         data = bounds_report_to_dict(report)
-        assert set(data) == {"spec", "ds", "eta0", "rows", "preconditions", "exact"}
+        assert set(data) == {"spec", "ds", "eta0", "rows", "preconditions"}
         assert data["preconditions"] == {"k_min": 1, "rho_ge_2": True}
-        assert data["exact"] is exact
         assert all(set(r) == {"k", "product", "lower", "upper", "pass"} for r in data["rows"])
         back = bounds_report_from_dict(json.loads(json.dumps(data)))
-        assert back.rows == report.rows
-        assert back.spec_name == report.spec_name
-        assert back.exact == report.exact
+        assert back == report
 
 
 def test_bounds_report_infinite_upper_serializes_null():
@@ -121,8 +116,6 @@ def test_bounds_report_infinite_upper_serializes_null():
         [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 1.0], [0.0, -1.0],
          [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]
     )
-    from fractalkin.geometry import GeneratorSpec
-
     spec = GeneratorSpec("super8", 2.0, disp)
     assert spec.ds == pytest.approx(3.0, abs=1e-12)
     report = verify_bounds(spec, UNIT_CTX, range(1, 4))
@@ -130,41 +123,32 @@ def test_bounds_report_infinite_upper_serializes_null():
     assert all(r["upper"] is None for r in data["rows"])
     back = bounds_report_from_dict(data)
     assert all(math.isinf(r.upper) for r in back.rows)
-    assert back.exact == report.exact
+    assert back == report
 
 
-def test_write_report_scale_table_only(tmp_path):
-    rows = scale_table(builtin("koch"), 1.0, 1.0, 3)
-    written = write_report(scale_rows=rows, path=tmp_path / "out")
-    names = sorted(p.name for p in written)
-    assert names == ["out.json", "out_scales.csv"]
-    data = json.loads((tmp_path / "out.json").read_text())
-    assert list(data) == ["scales"]
-    assert len(data["scales"]) == 4
+def test_bounds_report_product_past_float_range():
+    # rho = 2, N = 5: 2 eta0 gamma(k) = (5/4)^k - 2^-k passes float64 at
+    # k = 3181; the rows are still decided exactly, and the product is inf
+    # in memory and null on the wire
+    h = math.sqrt(0.75)
+    disp = np.array([[1.0, 0.0]] * 3 + [[-0.5, h], [-0.5, -h]])
+    report = verify_bounds(GeneratorSpec("super-2-5", 2.0, disp), UNIT_CTX, range(3180, 3191))
+    assert report.all_passed
+    assert [math.isinf(row.product) for row in report.rows] == [False] + [True] * 10
+    data = json.loads(json_text(bounds_report_to_dict(report)))
+    assert [r["product"] is None for r in data["rows"]] == [False] + [True] * 10
+    assert bounds_report_from_dict(data) == report
 
 
-def test_write_report_bundle(tmp_path):
-    rows = scale_table(builtin("koch"), 1.0, 1.0, 3)
-    poly = refine(base_segment(1.0), builtin("koch"), 4)
-    meas = measure_polyline(poly, range(1, 5), rho=3.0)
-    bounds = verify_bounds(builtin("koch"), UNIT_CTX, range(1, 6))
-    written = write_report(
-        scale_rows=rows, measurement=meas, bounds=bounds, path=tmp_path / "full.json"
-    )
-    data = json.loads((tmp_path / "full.json").read_text())
-    assert list(data) == ["scales", "measurement", "bounds"]
-    assert (tmp_path / "full_scales.csv").exists()
-    assert (tmp_path / "full_measurement.csv").exists()
-    # idempotent overwrite
-    again = write_report(
-        scale_rows=rows, measurement=meas, bounds=bounds, path=tmp_path / "full.json"
-    )
-    assert [p.name for p in again] == [p.name for p in written]
-
-
-def test_write_report_requires_input(tmp_path):
-    with pytest.raises(ValueError):
-        write_report(path=tmp_path / "empty")
+def test_scale_table_past_float_range_round_trips():
+    # peano's L_k = 3^k passes float64 at k = 647: null in JSON, inf in CSV
+    rows = scale_table(builtin("peano"), 1.0, 1.0, 650)
+    records = json.loads(json_text(scale_rows_to_records(rows)))
+    for field in ("L_k", "v_k", "dL_k"):
+        assert [r[field] is None for r in records[645:]] == [False, False, True, True, True, True]
+    assert scale_rows_from_records(records) == rows
+    last = scale_rows_to_csv(rows).strip().split("\n")[-1].split(",")
+    assert last[3] == last[5] == last[8] == "inf"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fractalkin.geometry import GeneratorSpec, base_segment, builtin, refine
 from fractalkin.kinematics import (
@@ -11,13 +11,45 @@ from fractalkin.kinematics import (
     areolar_velocity_change,
     classify_regime,
     uncertainty_product,
-    uncertainty_product_exact,
     uncertainty_table,
     verify_bounds,
 )
-from fractalkin.measures import gamma, length_at_scale, resolution
+from fractalkin.measures import classify_ds, gamma, length_at_scale, resolution
 
 UNIT_CTX = ParticleContext(m=1.0, dt=1.0, L0=1.0)
+C06_CTX = ParticleContext(m=1.7, dt=0.9, L0=1.3)
+
+
+def bounds_oracle(spec: GeneratorSpec, ctx: ParticleContext, k: int) -> tuple[Fraction, bool]:
+    """The product 2 eta0 gamma(k) at scale k in Fraction arithmetic, and
+    whether it satisfies the regime inequality, each regime written out."""
+    rho, eta0 = Fraction(spec.rho), ctx.eta0_exact()
+    p = 2 * eta0 * (Fraction(spec.n) ** k / rho ** (2 * k) - rho**-k)
+    passed = {
+        "super": eta0 < p,
+        "critical": eta0 <= p < 2 * eta0,
+        "sub": 0 < p < 2 * eta0,
+        "classical": p == 0,
+    }[classify_ds(spec.ds)]
+    return p, passed
+
+
+def oracle_float(p: Fraction) -> float:
+    """float(p), or inf where p is past the float64 range."""
+    try:
+        return float(p)
+    except OverflowError:
+        return math.inf
+
+
+def spec_for(rho: float, n: int) -> GeneratorSpec:
+    """A generator with scale factor rho and N = n unit displacements: pairs
+    at +-theta, plus one along the axis when n is odd."""
+    head = [[1.0, 0.0]] if n % 2 else []
+    c = (rho - len(head)) / (n - len(head))
+    s = math.sqrt(1.0 - c * c)
+    disp = head + [[c, s], [c, -s]] * (n // 2)
+    return GeneratorSpec(f"rho{rho!r}-n{n}", rho, np.array(disp))
 
 
 def rho2_critical_spec() -> GeneratorSpec:
@@ -129,7 +161,6 @@ def test_verify_bounds_builtins():
         assert report.all_passed, name
         assert report.k_min == 1
         assert report.rho_ge_2
-        assert report.exact
         assert len(report.rows) == 30
     line_report = verify_bounds(builtin("line"), UNIT_CTX, range(1, 31))
     assert all(row.product == 0.0 for row in line_report.rows)
@@ -140,8 +171,52 @@ def test_verify_bounds_builtins():
 
 
 def test_verify_bounds_float_route_for_cesaro():
-    report = verify_bounds(builtin("cesaro", angle_deg=70.0), UNIT_CTX, range(1, 31))
-    assert not report.exact
+    # cesaro's rho is not an integer; it is decided exactly all the same
+    spec = builtin("cesaro", angle_deg=70.0)
+    report = verify_bounds(spec, UNIT_CTX, range(1, 31))
+    assert report.all_passed
+    for row in report.rows:
+        p, passed = bounds_oracle(spec, UNIT_CTX, row.k)
+        assert (row.product, row.passed) == (float(p), passed)
+
+
+@st.composite
+def rho_and_n(draw):
+    """(rho, N) over all four regimes, with the exact classical (N = rho)
+    and critical (N = rho^2) cases drawn often."""
+    rho = draw(st.one_of(st.sampled_from([2.0, 3.0]),
+                         st.floats(1.0, 10.0, exclude_min=True)))
+    lo = max(2, math.ceil(rho))
+    n = draw(st.one_of(st.sampled_from([lo, max(lo, round(rho * rho))]),
+                       st.integers(lo, 120)))
+    return rho, n
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    rn=rho_and_n(),
+    ks=st.lists(st.integers(1, 400), min_size=1, max_size=6),
+    ctx=st.sampled_from([UNIT_CTX, C06_CTX]),
+)
+# every regime at deep k: classical N = rho, sub, critical rho^2 = N, super
+@example(rn=(2.0, 2), ks=list(range(1, 400, 7)), ctx=C06_CTX)
+@example(rn=(3.0, 4), ks=list(range(1, 400, 7)), ctx=C06_CTX)
+@example(rn=(2.0, 4), ks=list(range(1, 400, 7)), ctx=C06_CTX)
+@example(rn=(3.0, 9), ks=list(range(1, 400, 7)), ctx=C06_CTX)
+@example(rn=(2.0, 5), ks=list(range(1, 400, 7)), ctx=C06_CTX)
+def test_verify_bounds_matches_fraction_oracle(rn, ks, ctx):
+    spec = spec_for(*rn)
+    report = verify_bounds(spec, ctx, ks)
+    assert [row.k for row in report.rows] == sorted(set(ks))
+    for row in report.rows:
+        p, passed = bounds_oracle(spec, ctx, row.k)
+        assert row.passed == passed, (spec.name, row.k)
+        assert row.product == oracle_float(p), (spec.name, row.k)
+
+
+def test_verify_bounds_cesaro30_at_deep_k():
+    # 1 - rho^-k was 1.0 in float64 and read as violations from k = 598
+    report = verify_bounds(builtin("cesaro", angle_deg=30.0), UNIT_CTX, range(590, 611))
     assert report.all_passed
 
 
@@ -153,18 +228,23 @@ def test_verify_bounds_rejects_k0():
 
 
 def test_critical_products_increase_below_2eta0():
-    # exact route: strictly increasing in k and < 2 eta0 for all k <= 50
-    # (in float64 the product saturates at exactly 2 eta0 near k ~ 34)
+    # exact products: strictly increasing in k and < 2 eta0 for all k <= 50,
+    # and every row passes, although in float64 the product saturates at
+    # exactly 2 eta0 near k ~ 34
     peano = builtin("peano")
+    report = verify_bounds(peano, UNIT_CTX, range(1, 51))
+    assert report.all_passed
     two_eta0 = 2 * UNIT_CTX.eta0_exact()
     prev = None
-    for k in range(1, 51):
-        p = uncertainty_product_exact(k, peano, UNIT_CTX)
-        assert p < two_eta0
+    for row in report.rows:
+        p, passed = bounds_oracle(peano, UNIT_CTX, row.k)
+        assert passed and p < two_eta0
+        assert row.product == float(p)
         if prev is not None:
             assert p > prev
         prev = p
-    assert uncertainty_product(50, peano, UNIT_CTX) == 2 * UNIT_CTX.eta0  # the float saturation
+    assert report.rows[-1].product == 2 * UNIT_CTX.eta0  # the float saturation
+    assert uncertainty_product(50, peano, UNIT_CTX) == 2 * UNIT_CTX.eta0
 
 
 def test_critical_lower_bound_attained_at_rho2_k1():
@@ -173,9 +253,10 @@ def test_critical_lower_bound_attained_at_rho2_k1():
     spec = rho2_critical_spec()
     assert spec.ds == pytest.approx(2.0, abs=1e-12)
     assert uncertainty_product(1, spec, UNIT_CTX) == UNIT_CTX.eta0
-    assert uncertainty_product_exact(1, spec, UNIT_CTX) == UNIT_CTX.eta0_exact()
+    assert bounds_oracle(spec, UNIT_CTX, 1) == (UNIT_CTX.eta0_exact(), True)
     report = verify_bounds(spec, UNIT_CTX, [1])
     assert report.all_passed
+    assert report.rows[0].product == UNIT_CTX.eta0
 
 
 def test_correspondence_monotonicity():
@@ -199,7 +280,3 @@ def test_uncertainty_table_rows():
         else:
             assert row.dP_k == pytest.approx(UNIT_CTX.m * row.dV_k, rel=1e-12)
 
-
-def test_exact_product_requires_integer_rho():
-    with pytest.raises(ValueError):
-        uncertainty_product_exact(3, builtin("cesaro", angle_deg=45.0), UNIT_CTX)

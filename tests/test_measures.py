@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractalkin.geometry import base_segment, builtin, refine
+from fractalkin.kinematics import ParticleContext, verify_bounds
 from fractalkin.measures import (
     ScaleRow,
     area_at_scale,
     cell_count,
     classify_ds,
     delta_area,
-    delta_area_exact,
     gamma,
-    gamma_exact,
     gamma_exact_critical,
     length_at_scale,
     regime_bounds,
@@ -145,9 +144,13 @@ def test_gamma_validation():
 
 
 def test_gamma_exact_matches_float_at_small_k():
-    for k in range(1, 12):
-        exact = gamma_exact(k, 3, 4)
-        assert gamma(k, 3.0, LOG3_4) == pytest.approx(float(exact), rel=1e-12)
+    # with eta0 = 1/2 the bounds product 2 eta0 gamma(k) is gamma itself,
+    # correctly rounded from exact integers
+    rows = verify_bounds(builtin("koch"), ParticleContext(1.0, 1.0, 1.0), range(1, 12)).rows
+    for row in rows:
+        exact = Fraction(4**row.k, 9**row.k) - Fraction(1, 3**row.k)
+        assert row.product == float(exact)
+        assert gamma(row.k, 3.0, LOG3_4) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_gamma_exact_critical_strict_upper_bound():
@@ -165,12 +168,9 @@ def test_delta_area_examples():
     assert delta_area(1, koch, 1.0) == pytest.approx((1 / 3) * (4 / 3 - 1), rel=1e-12)
     assert delta_area(2, koch, 1.0) == pytest.approx((1 / 9) * (16 / 9 - 1), rel=1e-12)
     assert delta_area(2, koch, 1.0) == pytest.approx(7.0 / 81.0, rel=1e-12)
-
-
-def test_delta_area_exact_requires_integer_rho():
-    assert delta_area_exact(2, builtin("koch"), 1) == Fraction(7, 81)
-    with pytest.raises(ValueError):
-        delta_area_exact(2, builtin("cesaro", angle_deg=45.0), 1)
+    # the exact value: with L0 = 1 and eta0 = 1/2 the bounds product is dA
+    row = verify_bounds(koch, ParticleContext(1.0, 1.0, 1.0), [2]).rows[0]
+    assert row.product == float(Fraction(7, 81))
 
 
 # ---------------------------------------------------------------------------
