@@ -24,6 +24,8 @@ GOLDEN = [
     ("analyze_koch_k12.csv",
      ["analyze", "--generator", "koch", "--k-max", "12", "--format", "csv"]),
     ("generate_koch_l2.json", ["generate", "--generator", "koch", "--level", "2"]),
+    ("generate_koch_l4.svg", ["generate", "--generator", "koch", "--level", "4"]),
+    ("brownian_n50_seed7.json", ["brownian", "--n", "50", "--seed", "7"]),
 ]
 
 
