@@ -72,6 +72,14 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _emit_polyline(poly, out: str | None, metadata: dict | None = None) -> None:
+    if out is None:
+        serialize.write_polyline_json(poly, sys.stdout, metadata)
+    else:
+        with open(out, "w") as fp:
+            serialize.write_polyline_json(poly, fp, metadata)
+
+
 class _FiniteRange(click.FloatRange):
     """A FloatRange that also rejects nan and inf, which pass its bounds."""
 
@@ -122,7 +130,7 @@ def generate(generator, angle, level, l0, out):
     if out is not None and out.endswith(".svg"):
         _emit(render.render_svg(poly), out)
     else:
-        _emit(serialize.json_text(serialize.polyline_to_dict(poly)), out)
+        _emit_polyline(poly, out)
 
 
 @main.command()
@@ -218,7 +226,7 @@ def brownian(n, seed, step_std, out):
     """Sample a reproducible 2D Brownian path."""
     poly = estimator.brownian_path(n, seed, step_std)
     meta = estimator.brownian_metadata(n, seed, step_std)
-    _emit(serialize.json_text(serialize.polyline_to_dict(poly, metadata=meta)), out)
+    _emit_polyline(poly, out, metadata=meta)
 
 
 if __name__ == "__main__":

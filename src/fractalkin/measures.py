@@ -137,9 +137,19 @@ def area_at_scale(k: int, spec: GeneratorSpec, l0: float) -> float:
 
     Identically N^k * dx_k^2 and dx_k * L_k; the closed form is the
     implemented route, the identities are checked by the test suite.
+    inf only once the area itself passes the float64 range (a super-regime
+    generator at large k): where the power alone overflows, the product is
+    formed in log space, so a small L0 can still give a finite area.
     """
     k = _check_k(k)
-    return l0 * l0 * spec.rho ** (k * (spec.ds - 2.0))
+    e = k * (spec.ds - 2.0)
+    try:
+        return l0 * l0 * spec.rho**e
+    except OverflowError:
+        try:
+            return math.exp(2.0 * math.log(l0) + e * math.log(spec.rho))
+        except OverflowError:
+            return math.inf
 
 
 def gamma(k: int, rho: float, ds: float) -> float:
@@ -148,13 +158,18 @@ def gamma(k: int, rho: float, ds: float) -> float:
     Exactly 0.0 for ds == 1 (both powers reduce to the same expression).
     For ds == 2 the true value 1 - rho^-k collapses to 1.0 in float64 once
     rho^-k < eps; `verify_bounds` decides the strict upper bound exactly.
+    inf where rho^(k (D_s - 2)) passes the float64 range (ds > 2 at large
+    k): rho^-k < 1 cannot bring the difference back into range.
     """
     k = _check_k(k)
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
     if ds < 1.0 - 1e-12:
         raise ValueError("ds must be >= 1")
-    return rho ** (k * (ds - 2.0)) - rho ** (-k)
+    try:
+        return rho ** (k * (ds - 2.0)) - rho ** (-k)
+    except OverflowError:
+        return math.inf
 
 
 def gamma_exact_critical(k: int, rho: float) -> Fraction:
@@ -170,8 +185,15 @@ def gamma_exact_critical(k: int, rho: float) -> Fraction:
 
 
 def delta_area(k: int, spec: GeneratorSpec, l0: float) -> float:
-    """Per-scale surface change dx_k * dL_k = L0^2 * gamma(k, rho, D_s)."""
-    return l0 * l0 * gamma(k, spec.rho, spec.ds)
+    """Per-scale surface change dx_k * dL_k = L0^2 * gamma(k, rho, D_s).
+
+    Where gamma is inf, L0^2 rho^-k lies far below the rounding of
+    L0^2 rho^(k (D_s - 2)), so the change is the area measure itself.
+    """
+    g = gamma(k, spec.rho, spec.ds)
+    if g == math.inf:
+        return area_at_scale(k, spec, l0)
+    return l0 * l0 * g
 
 
 def classify_ds(ds: float) -> str:

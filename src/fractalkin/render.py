@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .geometry import Polyline
 from .serialize import fnum
 
@@ -70,11 +72,14 @@ class _Viewport:
 
 
 def _path_d(poly: Polyline, view: _Viewport) -> str:
-    parts = []
-    for i, (x, y) in enumerate(poly.vertices):
-        px, py = view.to_px(float(x), float(y))
-        parts.append(f"{'M' if i == 0 else 'L'}{fnum(px)} {fnum(py)}")
-    return "".join(parts)
+    """The path data of every vertex at once: `to_px` in numpy, the same
+    operations in the same order, and '%.17g', which is `fnum`."""
+    v = poly.vertices
+    px = np.empty_like(v)
+    px[:, 0] = view.ox + (v[:, 0] - view.wx0) * view.scale
+    px[:, 1] = view.height - view.oy - (v[:, 1] - view.wy0) * view.scale
+    fmt = "M%.17g %.17g" + "L%.17g %.17g" * (len(v) - 1)
+    return fmt % tuple(px.ravel().tolist())
 
 
 def _grid_lines(view: _Viewport, step: float, stroke_width: float) -> list[str]:

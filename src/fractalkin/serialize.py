@@ -5,8 +5,11 @@ significant digits (`fnum`), so float64 values round-trip exactly either
 way; output contains no timestamps or random ids, making every writer
 byte-deterministic.  JSON text is laid out by `json_text`, which emits
 standard JSON only: an infinite bound, or a value past the float64 range
-(a cell count, length or bounds product), serializes as null (JSON has no
-Infinity literal).
+(a cell count, length, area, gamma, surface change or bounds product),
+serializes as null (JSON has no Infinity literal).  `write_polyline_json`
+streams a polyline to a file in the same layout, byte for byte, a block
+of vertices at a time, so the whole vertex list and text never sit in
+memory.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -25,6 +28,16 @@ from .measures import RegimeBound, ScaleRow
 
 SCALE_CSV_HEADER = "k,dx_k,N_k,L_k,A_k,v_k,gamma,dA_k0,dL_k"
 MEASUREMENT_CSV_HEADER = "k,dx,count,length"
+#: scale-table fields that pass the float64 range at large k (null on the wire)
+_SCALE_NULLABLE = ("N_k", "L_k", "A_k", "v_k", "gamma", "dA_k0", "dL_k")
+
+#: vertices formatted per write by `write_polyline_json`
+_POLYLINE_CHUNK = 8192
+
+# one vertex as json_text lays it out inside "vertices"; %r is the float
+# repr the JSON encoder writes
+_VERTEX = "    [\n      %r,\n      %r\n    ]"
+_VERTEX_SEP = ",\n"
 
 
 def fnum(x: float) -> str:
@@ -75,14 +88,33 @@ def spec_from_dict(data: dict) -> GeneratorSpec:
     )
 
 
-def polyline_to_dict(poly: Polyline, metadata: dict | None = None) -> dict:
-    out = {
-        "level": poly.level,
-        "vertices": poly.vertices.tolist(),
-    }
+def _polyline_doc(level: int | None, vertices: list, metadata: dict | None) -> dict:
+    out = {"level": level, "vertices": vertices}
     if metadata is not None:
         out["metadata"] = metadata
     return out
+
+
+def polyline_to_dict(poly: Polyline, metadata: dict | None = None) -> dict:
+    return _polyline_doc(poly.level, poly.vertices.tolist(), metadata)
+
+
+def write_polyline_json(poly: Polyline, fp: TextIO, metadata: dict | None = None) -> None:
+    """Write ``json_text(polyline_to_dict(poly, metadata))`` to `fp`.
+
+    The text around the vertex block comes from `json_text` itself; the
+    vertices are formatted `_POLYLINE_CHUNK` at a time.  `Polyline` holds
+    finite float64 vertices only, so float repr gives the encoder's bytes.
+    """
+    empty = '"vertices": []'
+    head, _, tail = json_text(_polyline_doc(poly.level, [], metadata)).partition(empty)
+    fp.write(head + '"vertices": [\n')
+    v = poly.vertices
+    for start in range(0, len(v), _POLYLINE_CHUNK):
+        blk = v[start:start + _POLYLINE_CHUNK]
+        fmt = _VERTEX_SEP.join([_VERTEX] * len(blk))
+        fp.write((_VERTEX_SEP if start else "") + fmt % tuple(blk.ravel().tolist()))
+    fp.write("\n  ]" + tail)
 
 
 def polyline_from_dict(data: dict) -> Polyline:
@@ -99,17 +131,8 @@ def polyline_from_dict(data: dict) -> Polyline:
 
 def scale_rows_to_records(rows: Sequence[ScaleRow]) -> list[dict]:
     return [
-        {
-            "k": r.k,
-            "dx_k": r.dx_k,
-            "N_k": _endpoint(r.N_k),
-            "L_k": _endpoint(r.L_k),
-            "A_k": r.A_k,
-            "v_k": _endpoint(r.v_k),
-            "gamma": r.gamma,
-            "dA_k0": r.dA_k0,
-            "dL_k": _endpoint(r.dL_k),
-        }
+        {"k": r.k, "dx_k": r.dx_k,
+         **{f: _endpoint(getattr(r, f)) for f in _SCALE_NULLABLE}}
         for r in rows
     ]
 
@@ -117,7 +140,7 @@ def scale_rows_to_records(rows: Sequence[ScaleRow]) -> list[dict]:
 def scale_rows_from_records(records: Sequence[dict]) -> list[ScaleRow]:
     return [
         ScaleRow(**{**rec, "k": int(rec["k"]),
-                    **{f: _from_endpoint(rec[f]) for f in ("N_k", "L_k", "v_k", "dL_k")}})
+                    **{f: _from_endpoint(rec[f]) for f in _SCALE_NULLABLE}})
         for rec in records
     ]
 
@@ -261,7 +284,8 @@ def analysis_to_dict(
         },
         "scales": scale_rows_to_records(scale_rows),
         "uncertainty": [
-            {"k": r.k, "dV_k": r.dV_k, "dP_k": r.dP_k, "regime": r.regime}
+            {"k": r.k, "dV_k": _endpoint(r.dV_k), "dP_k": _endpoint(r.dP_k),
+             "regime": r.regime}
             for r in uncertainty
         ],
         "bounds": None if bounds is None else bounds_report_to_dict(bounds),

@@ -9,6 +9,7 @@ from fractalkin.cli import main
 from fractalkin.geometry import base_segment, builtin, refine
 from fractalkin.measures import scale_table
 from fractalkin.serialize import (
+    json_text,
     polyline_to_dict,
     scale_rows_from_records,
     scale_rows_to_records,
@@ -51,6 +52,19 @@ def test_generate_line_stdout_endpoints(runner):
     assert len(data["vertices"]) == 3**5 + 1
     assert data["vertices"][0] == [0.0, 0.0]
     assert data["vertices"][-1] == [1.0, 0.0]
+
+
+def test_generate_level7_stdout_matches_file(tmp_path):
+    # 16,385 vertices: the streamed writer crosses a chunk seam
+    out = tmp_path / "k7.json"
+    runner = split_runner()
+    args = ["generate", "--generator", "koch", "--level", "7"]
+    res = invoke(runner, args)
+    assert res.exit_code == 0
+    assert invoke(runner, args + ["--out", str(out)]).exit_code == 0
+    assert res.stdout_bytes == out.read_bytes()
+    poly = refine(base_segment(1.0), builtin("koch"), 7)
+    assert out.read_text() == json_text(polyline_to_dict(poly))
 
 
 def test_generate_cesaro_svg(runner, tmp_path):

@@ -1,21 +1,26 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from fractalkin.estimator import measure_polyline
+from fractalkin import render, serialize
+from fractalkin.estimator import brownian_path, measure_polyline
 from fractalkin.geometry import GeneratorSpec, Polyline, base_segment, builtin, refine
-from fractalkin.kinematics import ParticleContext, verify_bounds
+from fractalkin.kinematics import ParticleContext, classify_regime, uncertainty_table, verify_bounds
 from fractalkin.measures import scale_table
 from fractalkin.render import RenderOptions, render_panels, render_svg
 from fractalkin.serialize import (
     MEASUREMENT_CSV_HEADER,
     SCALE_CSV_HEADER,
+    analysis_to_dict,
     bounds_report_from_dict,
     bounds_report_to_dict,
     fnum,
@@ -30,6 +35,7 @@ from fractalkin.serialize import (
     scale_rows_to_records,
     spec_from_dict,
     spec_to_dict,
+    write_polyline_json,
 )
 
 UNIT_CTX = ParticleContext(m=1.0, dt=1.0, L0=1.0)
@@ -54,6 +60,41 @@ def test_polyline_metadata_block():
     data = polyline_to_dict(poly, metadata={"seed": 1, "n": 2, "step_std": 1.0, "prng": "x"})
     assert data["metadata"]["seed"] == 1
     assert polyline_from_dict(data).n_vertices == 2
+
+
+CHUNK = serialize._POLYLINE_CHUNK
+MAX_FLOAT = 1.7976931348623157e308
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT, 1.0, -7.0, 1e16, 2.0**53)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.sampled_from([2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
+    pool=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                            st.floats(allow_nan=False, allow_infinity=False),
+                            st.integers(-2**60, 2**60).map(float)),
+                  min_size=2, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.one_of(st.none(), st.integers(0, 12)),
+    metadata=st.one_of(st.none(), st.dictionaries(
+        st.text(max_size=5), st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                                       st.text(max_size=8), st.lists(st.integers(), max_size=3)),
+        max_size=4)),
+)
+@example(n=CHUNK + 1, pool=list(EDGE_FLOATS), seed=0, level=None,
+         metadata={"vertices": [], "seed": 7})
+def test_streamed_polyline_json_matches_json_text(n, pool, seed, level, metadata):
+    # vertex counts at either side of every chunk seam, coordinates drawn
+    # from a pool of edge values (signed zero, subnormal, float max, integral)
+    rng = np.random.default_rng(seed)
+    v = np.array(pool)[rng.integers(0, len(pool), size=(n, 2))]
+    dup = np.all(v[1:] == v[:-1], axis=1)
+    v[1:][dup] = np.column_stack([np.flatnonzero(dup) + 0.5, -np.flatnonzero(dup) - 0.25])
+    assume(not np.all(v[1:] == v[:-1], axis=1).any())
+    poly = Polyline(v, level=level)
+    fp = io.StringIO()
+    write_polyline_json(poly, fp, metadata)
+    assert fp.getvalue() == json_text(polyline_to_dict(poly, metadata))
 
 
 def test_spec_round_trip():
@@ -151,8 +192,90 @@ def test_scale_table_past_float_range_round_trips():
     assert last[3] == last[5] == last[8] == "inf"
 
 
+def super_2_5():
+    # rho = 2, N = 5: D_s = log2 5 > 2
+    h = math.sqrt(0.75)
+    disp = np.array([[1.0, 0.0]] * 3 + [[-0.5, h], [-0.5, -h]])
+    return GeneratorSpec("super-2-5", 2.0, disp)
+
+
+def test_super_regime_tables_past_float_range_round_trip():
+    # rho^(k (D_s - 2)) = 2^(0.3219 k) passes float64 at k = 3181: A_k,
+    # gamma and dA_k0 (and the uncertainty rows) are inf in memory, null in
+    # JSON, and read back as inf
+    spec = super_2_5()
+    rows = scale_table(spec, 1.0, 1.0, 3300)
+    records = json.loads(json_text(scale_rows_to_records(rows)))
+    for field in ("A_k", "gamma", "dA_k0"):
+        assert [r[field] is None for r in records[3179:3183]] == [False, False, True, True]
+        assert math.isinf(getattr(rows[-1], field))
+    assert scale_rows_from_records(records) == rows
+    table = uncertainty_table(spec, UNIT_CTX, 3300)
+    bundle = json.loads(json_text(analysis_to_dict(
+        spec, UNIT_CTX, classify_regime(spec.ds, UNIT_CTX), rows, table, None)))
+    for field in ("dV_k", "dP_k"):
+        assert [r[field] is None for r in bundle["uncertainty"][3179:3183]] == [False, False, True, True]
+    assert scale_rows_to_csv(rows).strip().split("\n")[-1].split(",")[5] == "inf"
+
+
+def test_super_regime_area_with_small_l0_stays_finite():
+    # the power overflows but L0^2 rho^(k (D_s - 2)) = L0^2 (5/4)^k does not
+    spec, l0, k = super_2_5(), 1e-100, 3300
+    row = scale_table(spec, l0, 1.0, k)[-1]
+    exact = float(Fraction(l0) ** 2 * Fraction(5, 4) ** k)
+    assert math.isinf(row.gamma)
+    assert row.A_k == row.dA_k0 == pytest.approx(exact, rel=1e-10)
+    ctx = ParticleContext(m=1.0, dt=1.0, L0=l0)
+    dv = uncertainty_table(spec, ctx, k)[-1].dV_k
+    assert dv == pytest.approx(exact, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # SVG rendering
+
+
+def path_d_oracle(poly, view):
+    """The per-vertex path writer that the vectorised `_path_d` replaced."""
+    parts = []
+    for i, (x, y) in enumerate(poly.vertices):
+        px, py = view.to_px(float(x), float(y))
+        parts.append(f"{'M' if i == 0 else 'L'}{fnum(px)} {fnum(py)}")
+    return "".join(parts)
+
+
+def rendered_by_oracle(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render, "_path_d", path_d_oracle)
+        return fn(*args)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+    std=st.sampled_from([1e-200, 1e-9, 1.0, 3.7e5, 1e150]),
+    shift=st.sampled_from([0.0, -1e-3, 2.0**33, -1e12]),
+    width=st.integers(1, 2000), height=st.integers(1, 2000),
+    margin=st.sampled_from([0.0, 0.05, 0.3999]),
+)
+def test_svg_path_matches_per_vertex_oracle(n, seed, std, shift, width, height, margin):
+    # a walk of step std, shifted by a multiple of std away from the origin
+    v = brownian_path(n, seed, std).vertices + shift * std
+    assume(not np.all(v[1:] == v[:-1], axis=1).any())
+    poly = Polyline(v)
+    view = render._Viewport(poly, RenderOptions(width=width, height=height, margin=margin))
+    assert render._path_d(poly, view) == path_d_oracle(poly, view)
+
+
+def test_svg_documents_match_per_vertex_oracle():
+    koch = refine(base_segment(1.0), builtin("koch"), 5)
+    cesaro = refine(base_segment(2.5), builtin("cesaro", angle_deg=85.0), 4)
+    walk = brownian_path(500, 11, 0.3)
+    opts = RenderOptions(width=333, height=211, margin=0.1, grid_step=1.0 / 27.0)
+    for poly in (koch, cesaro, walk):
+        assert render_svg(poly, opts) == rendered_by_oracle(render_svg, poly, opts)
+    polys = [koch, cesaro, walk, base_segment(1.0)]
+    panel_opts = RenderOptions(width=200, height=150, grid_step=0.25)
+    assert render_panels(polys, panel_opts) == rendered_by_oracle(render_panels, polys, panel_opts)
 
 
 def test_render_line_level0_single_path():
