@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fractalkin import serialize
 from fractalkin.geometry import GeneratorSpec, base_segment, builtin, refine
 from fractalkin.kinematics import (
     ParticleContext,
@@ -212,6 +214,18 @@ def test_verify_bounds_matches_fraction_oracle(rn, ks, ctx):
         p, passed = bounds_oracle(spec, ctx, row.k)
         assert row.passed == passed, (spec.name, row.k)
         assert row.product == oracle_float(p), (spec.name, row.k)
+
+
+@pytest.mark.parametrize("ctx,digest", [
+    (UNIT_CTX, "9dd77ab24a439c71ee6b4acbdab049856cfe13da165669ee26d2778732562e1c"),
+    (C06_CTX, "14b095f996b1e2fcee8b37ab4acfad058eb230b5be9b8d63d1956d96bba6e876"),
+], ids=["unit", "c06"])
+def test_verify_bounds_cesaro85_rows_pinned_to_k3000(ctx, digest):
+    # the bytes of every cesaro-85 row over k = 1..3000, where rho has a
+    # 49-bit numerator; only the rows are hashed, since ds comes from libm
+    report = verify_bounds(builtin("cesaro", angle_deg=85.0), ctx, range(1, 3001))
+    rows = serialize.bounds_report_to_dict(report)["rows"]
+    assert hashlib.sha256(serialize.json_text(rows).encode()).hexdigest() == digest
 
 
 def test_verify_bounds_cesaro30_at_deep_k():
