@@ -128,7 +128,8 @@ def generate(generator, angle, level, l0, out):
     spec = _spec_from_flags(generator, angle)
     poly = refine(base_segment(l0), spec, level)
     if out is not None and out.endswith(".svg"):
-        _emit(render.render_svg(poly), out)
+        with open(out, "w") as fp:
+            render.write_svg(poly, fp)
     else:
         _emit_polyline(poly, out)
 

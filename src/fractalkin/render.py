@@ -7,9 +7,10 @@ produce byte-identical documents.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .geometry import Polyline
 from .serialize import fnum
 
 _PANEL_GAP = 10.0
+#: vertices per formatted piece of path data
+_PATH_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -71,15 +74,19 @@ class _Viewport:
         return px, py
 
 
-def _path_d(poly: Polyline, view: _Viewport) -> str:
-    """The path data of every vertex at once: `to_px` in numpy, the same
-    operations in the same order, and '%.17g', which is `fnum`."""
+def _path_d(poly: Polyline, view: _Viewport) -> Iterator[str]:
+    """The path data in pieces of `_PATH_CHUNK` vertices: `to_px` in numpy,
+    the same operations in the same order, and '%.17g', which is `fnum`."""
     v = poly.vertices
-    px = np.empty_like(v)
-    px[:, 0] = view.ox + (v[:, 0] - view.wx0) * view.scale
-    px[:, 1] = view.height - view.oy - (v[:, 1] - view.wy0) * view.scale
-    fmt = "M%.17g %.17g" + "L%.17g %.17g" * (len(v) - 1)
-    return fmt % tuple(px.ravel().tolist())
+    for start in range(0, len(v), _PATH_CHUNK):
+        blk = v[start:start + _PATH_CHUNK]
+        px = np.empty_like(blk)
+        px[:, 0] = view.ox + (blk[:, 0] - view.wx0) * view.scale
+        px[:, 1] = view.height - view.oy - (blk[:, 1] - view.wy0) * view.scale
+        fmt = "L%.17g %.17g" * len(blk)
+        if start == 0:
+            fmt = "M" + fmt[1:]
+        yield fmt % tuple(px.ravel().tolist())
 
 
 def _grid_lines(view: _Viewport, step: float, stroke_width: float) -> list[str]:
@@ -102,26 +109,36 @@ def _grid_lines(view: _Viewport, step: float, stroke_width: float) -> list[str]:
     return lines
 
 
-def _panel_body(poly: Polyline, opts: RenderOptions) -> list[str]:
-    view = _Viewport(poly, opts)
-    body = []
+def _panel(poly: Polyline, view: _Viewport, opts: RenderOptions) -> Iterator[str]:
+    """The lines of one panel in pieces, each line ending in a newline."""
     if opts.grid_step is not None:
-        body.extend(_grid_lines(view, opts.grid_step, opts.stroke_width))
-    body.append(
-        f'<path d="{_path_d(poly, view)}" fill="none" stroke="#000000" '
-        f'stroke-width="{fnum(opts.stroke_width)}" stroke-linejoin="round"/>'
+        for line in _grid_lines(view, opts.grid_step, opts.stroke_width):
+            yield line + "\n"
+    yield '<path d="'
+    yield from _path_d(poly, view)
+    yield (
+        f'" fill="none" stroke="#000000" stroke-width="{fnum(opts.stroke_width)}" '
+        'stroke-linejoin="round"/>\n'
     )
-    return body
+
+
+def write_svg(poly: Polyline, fp: TextIO, opts: RenderOptions = RenderOptions()) -> None:
+    """Write the single-panel SVG document of `render_svg` to the text
+    stream `fp` piece by piece, so the whole document is never in memory."""
+    view = _Viewport(poly, opts)  # raises before anything is written
+    fp.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{opts.width}" '
+        f'height="{opts.height}" viewBox="0 0 {opts.width} {opts.height}">\n'
+    )
+    fp.writelines(_panel(poly, view, opts))
+    fp.write("</svg>\n")
 
 
 def render_svg(poly: Polyline, opts: RenderOptions = RenderOptions()) -> str:
     """A single-panel SVG document with one path for the polyline."""
-    body = _panel_body(poly, opts)
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{opts.width}" '
-        f'height="{opts.height}" viewBox="0 0 {opts.width} {opts.height}">'
-    )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    buf = io.StringIO()
+    write_svg(poly, buf, opts)
+    return buf.getvalue()
 
 
 def render_panels(
@@ -135,11 +152,11 @@ def render_panels(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fnum(total_w)}" '
         f'height="{opts.height}" viewBox="0 0 {fnum(total_w)} {opts.height}">'
     )
-    chunks = [head]
+    pieces = [head + "\n"]
     for i, poly in enumerate(polys):
         dx = i * (opts.width + _PANEL_GAP)
-        chunks.append(f'<g transform="translate({fnum(dx)} 0)">')
-        chunks.extend(_panel_body(poly, opts))
-        chunks.append("</g>")
-    chunks.append("</svg>")
-    return "\n".join(chunks) + "\n"
+        pieces.append(f'<g transform="translate({fnum(dx)} 0)">\n')
+        pieces.extend(_panel(poly, _Viewport(poly, opts), opts))
+        pieces.append("</g>\n")
+    pieces.append("</svg>\n")
+    return "".join(pieces)

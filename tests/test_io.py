@@ -245,7 +245,7 @@ def path_d_oracle(poly, view):
 
 def rendered_by_oracle(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(render, "_path_d", path_d_oracle)
+        mp.setattr(render, "_path_d", lambda poly, view: [path_d_oracle(poly, view)])
         return fn(*args)
 
 
@@ -263,15 +263,18 @@ def test_svg_path_matches_per_vertex_oracle(n, seed, std, shift, width, height, 
     assume(not np.all(v[1:] == v[:-1], axis=1).any())
     poly = Polyline(v)
     view = render._Viewport(poly, RenderOptions(width=width, height=height, margin=margin))
-    assert render._path_d(poly, view) == path_d_oracle(poly, view)
+    assert "".join(render._path_d(poly, view)) == path_d_oracle(poly, view)
 
 
 def test_svg_documents_match_per_vertex_oracle():
     koch = refine(base_segment(1.0), builtin("koch"), 5)
     cesaro = refine(base_segment(2.5), builtin("cesaro", angle_deg=85.0), 4)
     walk = brownian_path(500, 11, 0.3)
+    # 16385 vertices: two full pieces of path data and one more vertex
+    koch7 = refine(base_segment(1.0), builtin("koch"), 7)
+    assert len(koch7.vertices) == 2 * render._PATH_CHUNK + 1
     opts = RenderOptions(width=333, height=211, margin=0.1, grid_step=1.0 / 27.0)
-    for poly in (koch, cesaro, walk):
+    for poly in (koch, cesaro, walk, koch7):
         assert render_svg(poly, opts) == rendered_by_oracle(render_svg, poly, opts)
     polys = [koch, cesaro, walk, base_segment(1.0)]
     panel_opts = RenderOptions(width=200, height=150, grid_step=0.25)

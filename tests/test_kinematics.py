@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fractalkin import serialize
+from fractalkin import kinematics, serialize
 from fractalkin.geometry import GeneratorSpec, base_segment, builtin, refine
 from fractalkin.kinematics import (
     ParticleContext,
@@ -20,6 +20,7 @@ from fractalkin.measures import classify_ds, gamma, length_at_scale, resolution
 
 UNIT_CTX = ParticleContext(m=1.0, dt=1.0, L0=1.0)
 C06_CTX = ParticleContext(m=1.7, dt=0.9, L0=1.3)
+CESARO85_RHO = builtin("cesaro", angle_deg=85.0).rho
 
 
 def bounds_oracle(spec: GeneratorSpec, ctx: ParticleContext, k: int) -> tuple[Fraction, bool]:
@@ -206,6 +207,15 @@ def rho_and_n(draw):
 @example(rn=(2.0, 4), ks=list(range(1, 400, 7)), ctx=C06_CTX)
 @example(rn=(3.0, 9), ks=list(range(1, 400, 7)), ctx=C06_CTX)
 @example(rn=(2.0, 5), ks=list(range(1, 400, 7)), ctx=C06_CTX)
+# deep k, where the decimal bounds carry thousands of roundings: cesaro-85
+# (a 49-bit numerator in rho) and the super 2/5 spec past float64
+@example(rn=(CESARO85_RHO, 4), ks=list(range(2990, 3001)), ctx=C06_CTX)
+@example(rn=(2.0, 5), ks=list(range(3180, 3191)), ctx=C06_CTX)
+# rho = sqrt(N) in float64 is classified critical, but N != rho^2: the
+# product leaves [eta0, 2 eta0) between k = 10 and k = 100 for N = 6 and 12
+@example(rn=(math.sqrt(5), 5), ks=[1, 10, 100, 1000, 3000], ctx=C06_CTX)
+@example(rn=(math.sqrt(6), 6), ks=[1, 10, 100, 1000, 3000], ctx=C06_CTX)
+@example(rn=(math.sqrt(12), 12), ks=[1, 10, 100, 1000, 3000], ctx=C06_CTX)
 def test_verify_bounds_matches_fraction_oracle(rn, ks, ctx):
     spec = spec_for(*rn)
     report = verify_bounds(spec, ctx, ks)
@@ -271,6 +281,51 @@ def test_critical_lower_bound_attained_at_rho2_k1():
     report = verify_bounds(spec, UNIT_CTX, [1])
     assert report.all_passed
     assert report.rows[0].product == UNIT_CTX.eta0
+
+
+@pytest.fixture
+def exact_route_ks(monkeypatch):
+    """The k of every row that `verify_bounds` hands to the exact route."""
+    ks = []
+    exact_row = kinematics._exact_row
+
+    def counted(spec, k, *args):
+        ks.append(k)
+        return exact_row(spec, k, *args)
+
+    monkeypatch.setattr(kinematics, "_exact_row", counted)
+    return ks
+
+
+def test_verify_bounds_takes_exact_route_only_where_bounds_cannot_settle(exact_route_ks):
+    ks = exact_route_ks
+    for ctx in (UNIT_CTX, C06_CTX):
+        for spec in (builtin("cesaro", angle_deg=85.0), spec_for(2.0, 5)):
+            assert verify_bounds(spec, ctx, range(1, 3001)).all_passed
+    assert ks == []
+    # 2 gamma(1) = 1 exactly for rho = 2, N = 4: the critical lower endpoint
+    report = verify_bounds(rho2_critical_spec(), UNIT_CTX, [1])
+    assert ks == [1]
+    assert report.all_passed
+    assert report.rows[0].product == UNIT_CTX.eta0
+
+
+def test_verify_bounds_exact_at_any_bound_precision(monkeypatch, exact_route_ks):
+    # with 19 digits the bounds often straddle a float64 rounding boundary,
+    # so both routes run; every row must still match the oracle
+    monkeypatch.setattr(kinematics, "BOUND_DIGITS", 19)
+    ks = exact_route_ks
+    specs = [spec_for(CESARO85_RHO, 4), spec_for(2.0, 5), spec_for(3.0, 4),
+             spec_for(math.sqrt(6), 6), spec_for(3.0, 9)]
+    rows = 0
+    for spec in specs:
+        for ctx in (UNIT_CTX, C06_CTX):
+            report = verify_bounds(spec, ctx, range(1, 121))
+            rows += len(report.rows)
+            for row in report.rows:
+                p, passed = bounds_oracle(spec, ctx, row.k)
+                assert (row.product, row.passed) == (oracle_float(p), passed), (spec.name, row.k)
+    assert 0 < len(ks) < rows / 2
 
 
 def test_correspondence_monotonicity():
