@@ -129,12 +129,7 @@ def similarity_dimension(spec: GeneratorSpec) -> float:
     return math.log(spec.n) / math.log(spec.rho)
 
 
-def refine(
-    base: Polyline,
-    spec: GeneratorSpec,
-    k: int,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
-) -> Polyline:
+def refine(base: Polyline, spec: GeneratorSpec, k: int) -> Polyline:
     """Apply the generator k times to every segment of `base`.
 
     Each pass replaces a segment with the generator scaled by 1/rho and
@@ -142,7 +137,7 @@ def refine(
     recomputed, so the endpoints of the result match `base` bitwise.
 
     Raises ValueError when the resulting vertex count would exceed
-    `max_vertices` (vertex count grows like N^k).
+    `DEFAULT_VERTEX_CAP` (vertex count grows like N^k).
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError("k must be an integer")
@@ -150,10 +145,10 @@ def refine(
         raise ValueError("k must be >= 0")
     n = spec.n
     total = base.n_segments * n**k + 1
-    if total > max_vertices:
+    if total > DEFAULT_VERTEX_CAP:
         raise ValueError(
             f"refinement to level {k} needs {total} vertices, "
-            f"above the cap of {max_vertices}"
+            f"above the cap of {DEFAULT_VERTEX_CAP}"
         )
     v = base.vertices[:, 0] + 1j * base.vertices[:, 1]
     disp = spec.displacements[:, 0] + 1j * spec.displacements[:, 1]

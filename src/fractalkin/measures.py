@@ -78,8 +78,16 @@ class RegimeBound:
 def _scaled_power(x: float, ratio: Fraction, k: int) -> float:
     """x * ratio^k, correctly rounded, for when the float power overflows.
 
-    The result underflows toward 0.0 or, past float64, is math.inf.
+    The result underflows toward 0.0 or, past float64, is math.inf.  The
+    exact k-th power is formed only where log2 of the result lies within
+    a unit of the float64 range; outside it the result is 0.0 or inf
+    without that cost (thousands of digits at large k).
     """
+    log2 = math.log2(x) + k * (math.log2(ratio.numerator) - math.log2(ratio.denominator))
+    if log2 < -1076:  # below half the smallest subnormal, 2^-1075
+        return 0.0
+    if log2 > 1025:  # past the largest finite float, just under 2^1024
+        return math.inf
     try:
         return float(Fraction(x) * ratio**k)
     except OverflowError:

@@ -4,20 +4,29 @@ JSON numbers use Python's shortest round-trip repr and CSV numbers 17
 significant digits (`fnum`), so float64 values round-trip exactly either
 way; output contains no timestamps or random ids, making every writer
 byte-deterministic.  JSON text is laid out by `json_text`, which emits
-standard JSON only: an infinite bound, or a value past the float64 range
-(a cell count, length, area, gamma, surface change or bounds product),
-serializes as null (JSON has no Infinity literal).  `write_polyline_json`
-streams a polyline to a file in the same layout, byte for byte, a block
-of vertices at a time, so the whole vertex list and text never sit in
-memory.
+standard JSON only.
+
+Every report row (a scale row, measurement row and fit, uncertainty row,
+bounds row, and the regime block of the `analyze` bundle) is written by
+one rule taken from its dataclass: the fields in declared order, under
+their own names (`BoundsRow.passed` is ``pass`` on the wire), with any
+infinite float as null, since JSON has no Infinity literal; readers map
+null back to math.inf.  CSV columns are the same fields, ints written
+with `str`, floats with `fnum` (an infinite float as ``inf``).
+
+`write_polyline_json` streams a polyline to a file in the `json_text`
+layout, byte for byte, a block of vertices at a time, so the whole vertex
+list and text never sit in memory.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -26,11 +35,6 @@ from .geometry import GeneratorSpec, Polyline
 from .kinematics import BoundsReport, BoundsRow, ParticleContext, UncertaintyRow
 from .measures import RegimeBound, ScaleRow
 
-SCALE_CSV_HEADER = "k,dx_k,N_k,L_k,A_k,v_k,gamma,dA_k0,dL_k"
-MEASUREMENT_CSV_HEADER = "k,dx,count,length"
-#: scale-table fields that pass the float64 range at large k (null on the wire)
-_SCALE_NULLABLE = ("N_k", "L_k", "A_k", "v_k", "gamma", "dA_k0", "dL_k")
-
 #: vertices formatted per write by `write_polyline_json`
 _POLYLINE_CHUNK = 8192
 
@@ -38,6 +42,9 @@ _POLYLINE_CHUNK = 8192
 # repr the JSON encoder writes
 _VERTEX = "    [\n      %r,\n      %r\n    ]"
 _VERTEX_SEP = ",\n"
+
+#: JSON keys that differ from the field name (``pass`` is a Python keyword)
+_JSON_KEY = {"passed": "pass"}
 
 
 def fnum(x: float) -> str:
@@ -53,19 +60,51 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _endpoint(x: float) -> float | None:
-    """A value that may be infinite on the wire: null when infinite.
+# ---------------------------------------------------------------------------
+# report rows
 
-    Used for unbounded interval endpoints and for scale-table values and
-    bounds products past the float64 range; readers map null back to
-    math.inf.
+
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, str, Callable[[object], str]], ...]:
+    """(field name, JSON key, CSV cell writer) per field of a row dataclass.
+
+    Resolved once per class: `dataclasses.fields` per row is measurably slow.
     """
-    return None if math.isinf(x) else x
+    return tuple(
+        (f.name, _JSON_KEY.get(f.name, f.name), str if f.type in (int, "int") else fnum)
+        for f in dataclasses.fields(cls)
+    )
 
 
-def _from_endpoint(x: float | None) -> float:
-    """The reader's half of `_endpoint`: null back to math.inf."""
-    return math.inf if x is None else x
+def _record(row) -> dict:
+    """The JSON record of a row: every field in order, infinite floats null."""
+    out = {}
+    for name, key, _ in _schema(type(row)):
+        v = getattr(row, name)
+        out[key] = None if isinstance(v, float) and math.isinf(v) else v
+    return out
+
+
+def _from_record(cls: type, rec: dict):
+    """The reader's half of `_record`: every null back to math.inf."""
+    return cls(**{name: math.inf if rec[key] is None else rec[key]
+                  for name, key, _ in _schema(cls)})
+
+
+def _csv_header(cls: type) -> str:
+    return ",".join(name for name, _, _ in _schema(cls))
+
+
+def _csv(cls: type, rows: Sequence) -> str:
+    """CSV of `rows`: a header of the field names, then one line per row."""
+    schema = _schema(cls)
+    lines = [_csv_header(cls)]
+    lines += [",".join([cell(getattr(r, name)) for name, _, cell in schema]) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+SCALE_CSV_HEADER = _csv_header(ScaleRow)
+MEASUREMENT_CSV_HEADER = _csv_header(MeasurementRow)
 
 
 # ---------------------------------------------------------------------------
@@ -130,37 +169,15 @@ def polyline_from_dict(data: dict) -> Polyline:
 
 
 def scale_rows_to_records(rows: Sequence[ScaleRow]) -> list[dict]:
-    return [
-        {"k": r.k, "dx_k": r.dx_k,
-         **{f: _endpoint(getattr(r, f)) for f in _SCALE_NULLABLE}}
-        for r in rows
-    ]
+    return [_record(r) for r in rows]
 
 
 def scale_rows_from_records(records: Sequence[dict]) -> list[ScaleRow]:
-    return [
-        ScaleRow(**{**rec, "k": int(rec["k"]),
-                    **{f: _from_endpoint(rec[f]) for f in _SCALE_NULLABLE}})
-        for rec in records
-    ]
+    return [_from_record(ScaleRow, rec) for rec in records]
 
 
 def scale_rows_to_csv(rows: Sequence[ScaleRow]) -> str:
-    lines = [SCALE_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.k)]
-                + [
-                    fnum(v)
-                    for v in (
-                        r.dx_k, r.N_k, r.L_k, r.A_k, r.v_k,
-                        r.gamma, r.dA_k0, r.dL_k,
-                    )
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(ScaleRow, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -168,51 +185,23 @@ def scale_rows_to_csv(rows: Sequence[ScaleRow]) -> str:
 
 
 def measurement_to_dict(result: MeasurementResult) -> dict:
-    out = {
+    return {
         "method": result.method,
-        "rows": [
-            {"k": r.k, "dx": r.dx, "count": r.count, "length": r.length}
-            for r in result.rows
-        ],
+        "rows": [_record(r) for r in result.rows],
+        "fit": None if result.fit is None else _record(result.fit),
     }
-    if result.fit is not None:
-        out["fit"] = {
-            "ds_hat": result.fit.ds_hat,
-            "intercept": result.fit.intercept,
-            "r2": result.fit.r2,
-            "k_fit_range": list(result.fit.k_fit_range),
-        }
-    else:
-        out["fit"] = None
-    return out
 
 
 def measurement_from_dict(data: dict) -> MeasurementResult:
-    rows = tuple(
-        MeasurementRow(
-            k=int(r["k"]), dx=r["dx"], count=r["count"], length=r["length"]
-        )
-        for r in data["rows"]
-    )
-    fit = None
-    if data.get("fit") is not None:
-        f = data["fit"]
-        fit = DimensionFit(
-            ds_hat=f["ds_hat"],
-            intercept=f["intercept"],
-            r2=f["r2"],
-            k_fit_range=tuple(f["k_fit_range"]),
-        )
+    rows = tuple(_from_record(MeasurementRow, r) for r in data["rows"])
+    fit = data.get("fit")
+    if fit is not None:
+        fit = _from_record(DimensionFit, {**fit, "k_fit_range": tuple(fit["k_fit_range"])})
     return MeasurementResult(method=data["method"], rows=rows, fit=fit)
 
 
 def measurement_to_csv(result: MeasurementResult) -> str:
-    lines = [MEASUREMENT_CSV_HEADER]
-    for r in result.rows:
-        lines.append(
-            ",".join([str(r.k), fnum(r.dx), fnum(r.count), fnum(r.length)])
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(MeasurementRow, result.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -224,36 +213,17 @@ def bounds_report_to_dict(report: BoundsReport) -> dict:
         "spec": report.spec_name,
         "ds": report.ds,
         "eta0": report.eta0,
-        "rows": [
-            {
-                "k": r.k,
-                "product": _endpoint(r.product),
-                "lower": r.lower,
-                "upper": _endpoint(r.upper),
-                "pass": r.passed,
-            }
-            for r in report.rows
-        ],
+        "rows": [_record(r) for r in report.rows],
         "preconditions": {"k_min": report.k_min, "rho_ge_2": report.rho_ge_2},
     }
 
 
 def bounds_report_from_dict(data: dict) -> BoundsReport:
-    rows = tuple(
-        BoundsRow(
-            k=int(r["k"]),
-            product=_from_endpoint(r["product"]),
-            lower=r["lower"],
-            upper=_from_endpoint(r["upper"]),
-            passed=bool(r["pass"]),
-        )
-        for r in data["rows"]
-    )
     return BoundsReport(
         spec_name=data["spec"],
         ds=data["ds"],
         eta0=data["eta0"],
-        rows=rows,
+        rows=tuple(_from_record(BoundsRow, r) for r in data["rows"]),
         k_min=int(data["preconditions"]["k_min"]),
         rho_ge_2=bool(data["preconditions"]["rho_ge_2"]),
     )
@@ -275,19 +245,9 @@ def analysis_to_dict(
             "m": ctx.m, "dt": ctx.dt, "L0": ctx.L0,
             "V0": ctx.V0, "E0": ctx.E0, "eta0": ctx.eta0,
         },
-        "regime": {
-            "regime": regime.regime,
-            "lower": regime.lower,
-            "upper": _endpoint(regime.upper),
-            "lower_strict": regime.lower_strict,
-            "upper_strict": regime.upper_strict,
-        },
+        "regime": _record(regime),
         "scales": scale_rows_to_records(scale_rows),
-        "uncertainty": [
-            {"k": r.k, "dV_k": _endpoint(r.dV_k), "dP_k": _endpoint(r.dP_k),
-             "regime": r.regime}
-            for r in uncertainty
-        ],
+        "uncertainty": [_record(r) for r in uncertainty],
         "bounds": None if bounds is None else bounds_report_to_dict(bounds),
     }
 

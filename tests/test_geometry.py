@@ -125,8 +125,8 @@ def test_refine_endpoints_bitwise():
 def test_refine_memory_cap():
     with pytest.raises(ValueError, match="cap"):
         refine(base_segment(1.0), builtin("peano"), 10)  # 9^10 + 1 vertices
-    with pytest.raises(ValueError):
-        refine(base_segment(1.0), builtin("koch"), 5, max_vertices=100)
+    with pytest.raises(ValueError, match="cap"):
+        refine(base_segment(1.0), builtin("koch"), 14)  # 4^14 + 1 vertices
 
 
 def test_refine_rejects_bad_k():

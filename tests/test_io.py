@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -12,10 +13,24 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fractalkin import render, serialize
-from fractalkin.estimator import brownian_path, measure_polyline
+from fractalkin.estimator import (
+    DimensionFit,
+    MeasurementResult,
+    MeasurementRow,
+    brownian_path,
+    measure_polyline,
+)
 from fractalkin.geometry import GeneratorSpec, Polyline, base_segment, builtin, refine
-from fractalkin.kinematics import ParticleContext, classify_regime, uncertainty_table, verify_bounds
-from fractalkin.measures import scale_table
+from fractalkin.kinematics import (
+    BoundsReport,
+    BoundsRow,
+    ParticleContext,
+    UncertaintyRow,
+    classify_regime,
+    uncertainty_table,
+    verify_bounds,
+)
+from fractalkin.measures import RegimeBound, ScaleRow, scale_table
 from fractalkin.render import RenderOptions, render_panels, render_svg
 from fractalkin.serialize import (
     MEASUREMENT_CSV_HEADER,
@@ -216,6 +231,35 @@ def test_super_regime_tables_past_float_range_round_trip():
     for field in ("dV_k", "dP_k"):
         assert [r[field] is None for r in bundle["uncertainty"][3179:3183]] == [False, False, True, True]
     assert scale_rows_to_csv(rows).strip().split("\n")[-1].split(",")[5] == "inf"
+
+
+def _float_fields(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+def test_every_infinite_float_field_writes_null_and_reads_back_inf():
+    # one row of each serialized row type, every float field inf
+    def inf_row(cls, **rest):
+        return cls(**dict.fromkeys(_float_fields(cls), math.inf), **rest)
+
+    scale = inf_row(ScaleRow, k=1)
+    unc = inf_row(UncertaintyRow, k=1, regime="super")
+    bound = inf_row(BoundsRow, k=1, passed=True)
+    regime = inf_row(RegimeBound, regime="super", lower_strict=True, upper_strict=True)
+    report = BoundsReport("s", 2.5, 0.5, (bound,), 1, True)
+    meas = MeasurementResult("grid", (inf_row(MeasurementRow, k=1),),
+                             inf_row(DimensionFit, k_fit_range=(1, 2)))
+    bundle = json.loads(json_text(analysis_to_dict(
+        builtin("koch"), UNIT_CTX, regime, [scale], [unc], report)))
+    data = json.loads(json_text(measurement_to_dict(meas)))
+    for rec, row in ((bundle["scales"][0], scale), (bundle["uncertainty"][0], unc),
+                     (bundle["regime"], regime), (bundle["bounds"]["rows"][0], bound),
+                     (data["rows"][0], meas.rows[0]), (data["fit"], meas.fit)):
+        names = _float_fields(type(row))
+        assert names and all(rec[name] is None for name in names), type(row).__name__
+    assert scale_rows_from_records(bundle["scales"]) == [scale]
+    assert bounds_report_from_dict(bundle["bounds"]) == report
+    assert measurement_from_dict(data) == meas
 
 
 def test_super_regime_area_with_small_l0_stays_finite():

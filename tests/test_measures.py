@@ -54,6 +54,42 @@ def test_resolution_validation():
         resolution(2, 1.0, 1.0)
 
 
+def _overflows(base, k):
+    try:
+        base**k
+    except OverflowError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["koch", "peano", "cesaro"])
+def test_powers_past_float_range_match_fraction_oracle(name):
+    # once the float power overflows, resolution and length_at_scale are the
+    # correctly rounded x * ratio^k; bands of k straddle log2 of the result
+    # at the 0.0 cutoff (-1076) and the inf cutoff (1025) of that route
+    spec = builtin(name, angle_deg=85.0) if name == "cesaro" else builtin(name)
+    rho = Fraction(spec.rho)
+    outcomes = set()
+    for x in (1.0, 1.3, 1e-300, 1e16, 5e-324):
+        for fn, ratio, base in (
+            (lambda k: resolution(k, x, spec.rho), 1 / rho, spec.rho),
+            (lambda k: length_at_scale(k, spec, x), spec.n / rho, spec.n / spec.rho),
+        ):
+            step = math.log2(ratio)
+            for cut in (-1076, 1025):
+                mid = round((cut - math.log2(x)) / step)
+                for k in range(max(mid - 25, 0), mid + 26):
+                    if not _overflows(base, k):
+                        continue
+                    try:
+                        want = float(Fraction(x) * ratio**k)
+                    except OverflowError:
+                        want = math.inf
+                    assert fn(k) == want, (x, k)
+                    outcomes.add("0" if want == 0.0 else "inf" if want == math.inf else "finite")
+    assert outcomes == {"0", "inf", "finite"}
+
+
 # ---------------------------------------------------------------------------
 # length / velocity / area
 
