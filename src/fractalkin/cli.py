@@ -6,11 +6,13 @@ failure.  Every output is deterministic given the flags (seeds included).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import click
 
@@ -65,19 +67,15 @@ def _spec_from_flags(generator: str, angle: float | None):
     return builtin(generator)
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The command's output stream: stdout, or the `--out` file opened for
+    writing.  Commands build their text first, so a failure leaves no file."""
     if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
-
-
-def _emit_polyline(poly, out: str | None, metadata: dict | None = None) -> None:
-    if out is None:
-        serialize.write_polyline_json(poly, sys.stdout, metadata)
+        yield sys.stdout
     else:
         with open(out, "w") as fp:
-            serialize.write_polyline_json(poly, fp, metadata)
+            yield fp
 
 
 class _FiniteRange(click.FloatRange):
@@ -127,11 +125,11 @@ def generate(generator, angle, level, l0, out):
     """Produce the level-k polyline of a generator."""
     spec = _spec_from_flags(generator, angle)
     poly = refine(base_segment(l0), spec, level)
-    if out is not None and out.endswith(".svg"):
-        with open(out, "w") as fp:
+    with _output(out) as fp:
+        if out is not None and out.endswith(".svg"):
             render.write_svg(poly, fp)
-    else:
-        _emit_polyline(poly, out)
+        else:
+            serialize.write_polyline_json(poly, fp)
 
 
 @main.command()
@@ -156,17 +154,16 @@ def analyze(generator, angle, k_max, mass, dt, l0, fmt, out):
     ctxp = kinematics.ParticleContext(m=mass, dt=dt, L0=l0)
     rows = measures.scale_table(spec, l0, dt, k_max)
     if fmt == "csv":
-        _emit(serialize.scale_rows_to_csv(rows), out)
-        return
-    regime = kinematics.classify_regime(spec.ds, ctxp)
-    table = kinematics.uncertainty_table(spec, ctxp, k_max)
-    bounds = (
-        kinematics.verify_bounds(spec, ctxp, range(1, k_max + 1))
-        if k_max >= 1
-        else None
-    )
-    bundle = serialize.analysis_to_dict(spec, ctxp, regime, rows, table, bounds)
-    _emit(serialize.json_text(bundle), out)
+        text = serialize.scale_rows_to_csv(rows)
+    else:
+        regime = kinematics.classify_regime(spec.ds, ctxp)
+        table = kinematics.uncertainty_table(spec, ctxp, k_max)
+        ks = range(1, k_max + 1)
+        bounds = kinematics.verify_bounds(spec, ctxp, ks) if ks else None
+        bundle = serialize.analysis_to_dict(spec, ctxp, regime, rows, table, bounds)
+        text = serialize.json_text(bundle)
+    with _output(out) as fp:
+        fp.write(text)
 
 
 def _parse_scales(text: str) -> list[int]:
@@ -208,9 +205,11 @@ def measure(input_path, scales, rho, method, fit, fmt, out):
     poly = serialize.polyline_from_dict(json.loads(Path(input_path).read_text()))
     result = estimator.measure_polyline(poly, ks, rho=rho, method=method, fit=fit)
     if fmt == "csv":
-        _emit(serialize.measurement_to_csv(result), out)
+        text = serialize.measurement_to_csv(result)
     else:
-        _emit(serialize.json_text(serialize.measurement_to_dict(result)), out)
+        text = serialize.json_text(serialize.measurement_to_dict(result))
+    with _output(out) as fp:
+        fp.write(text)
 
 
 @main.command()
@@ -227,7 +226,8 @@ def brownian(n, seed, step_std, out):
     """Sample a reproducible 2D Brownian path."""
     poly = estimator.brownian_path(n, seed, step_std)
     meta = estimator.brownian_metadata(n, seed, step_std)
-    _emit_polyline(poly, out, metadata=meta)
+    with _output(out) as fp:
+        serialize.write_polyline_json(poly, fp, meta)
 
 
 if __name__ == "__main__":

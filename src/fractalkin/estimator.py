@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Polyline
+from .geometry import DEFAULT_VERTEX_CAP, Polyline
 
 #: PRNG contract for brownian_path, recorded in output metadata.
 BROWNIAN_PRNG = "numpy Philox(4x64) via SeedSequence; standard_normal (ziggurat)"
@@ -72,11 +72,18 @@ def _unique_rows(ij: np.ndarray) -> np.ndarray:
 
 def _axis_crossings(a: np.ndarray, b: np.ndarray, cell: float):
     """Segment indices and parameters t in (0, 1) where the segments a -> b
-    cross the gridlines of one axis; segments with a == b cross none."""
+    cross the gridlines of one axis; segments with a == b cross none.
+    Raises ValueError past `DEFAULT_VERTEX_CAP` crossings."""
     d = b - a
     seg = np.flatnonzero(d != 0.0)
     first = np.ceil(np.minimum(a[seg], b[seg]) / cell)
-    n = (np.floor(np.maximum(a[seg], b[seg]) / cell) - first + 1.0).astype(np.int64)
+    n = np.floor(np.maximum(a[seg], b[seg]) / cell) - first + 1.0
+    if n.sum() > DEFAULT_VERTEX_CAP:  # summed as floats, which cannot wrap
+        raise ValueError(
+            f"cell {cell!r} is too fine: one chunk of segments crosses more "
+            f"than {DEFAULT_VERTEX_CAP} gridlines"
+        )
+    n = n.astype(np.int64)
     seg = np.repeat(seg, n)
     # ragged arange: a segment's k-th crossing lies on gridline first + k
     line = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
@@ -113,10 +120,20 @@ def grid_count(poly: Polyline, cell: float) -> int:
     each open piece adds the cell of its midpoint, and each cut point, the
     segment's ends included, adds its own cell, which picks up cells
     touched only at their owned corner.
+
+    Raises ValueError where a cell index would reach 2**53, past which
+    float64 no longer holds every integer, and where one chunk of
+    segments crosses more than `DEFAULT_VERTEX_CAP` gridlines.
     """
     if not cell > 0.0:
         raise ValueError("cell must be positive")
     v = poly.vertices
+    reach = max(-float(v.min()), float(v.max()))  # max |coordinate|, no copy
+    if reach / cell >= 2.0**53:
+        raise ValueError(
+            f"cell {cell!r} is too fine for coordinates up to {reach!r}: "
+            "cell indices would reach 2**53"
+        )
     chunks = [
         _chunk_cells(v[lo : lo + _GRID_CHUNK + 1], cell)
         for lo in range(0, len(v) - 1, _GRID_CHUNK)
@@ -182,9 +199,18 @@ def divider_count(poly: Polyline, step: float) -> float:
     its own segment and 0 elsewhere, gives its smallest such root as the
     next anchor.  Counts are identical to solving the quadratic on every
     segment in turn.
+
+    The count cannot exceed arc length / step, so a step under arc length /
+    `DEFAULT_VERTEX_CAP` raises ValueError before any stepping.
     """
     if not step > 0.0:
         raise ValueError("step must be positive")
+    arc = poly.arc_length()
+    if arc / step > DEFAULT_VERTEX_CAP:
+        raise ValueError(
+            f"step {step!r} is too short: a curve of length {arc!r} would take "
+            f"more than {DEFAULT_VERTEX_CAP} steps"
+        )
     v = poly.vertices
     x, y = v.T
     nseg = len(v) - 1
@@ -239,26 +265,20 @@ def divider_count(poly: Polyline, step: float) -> float:
 # dimension regression
 
 
-def estimate_dimension(
-    rows: Sequence[MeasurementRow], exclude_saturated: bool = True
-) -> DimensionFit:
+def estimate_dimension(rows: Sequence[MeasurementRow]) -> DimensionFit:
     """OLS slope of ln(count) vs ln(1/dx) over the usable scales.
 
     Scales where the count stopped growing (count < 1.05x the previous
-    scale's count) are saturated and excluded by default; pass
-    exclude_saturated=False to fit every scale.  Needs at least 3 usable
-    scales with distinct dx.
+    scale's count) are saturated and left out of the fit.  Needs at least
+    3 usable scales with distinct dx.
     """
     ordered = sorted(rows, key=lambda r: -r.dx)
     if any(r.count < 1.0 for r in ordered):
         raise ValueError("counts must be >= 1")
-    if exclude_saturated:
-        usable = [ordered[0]]
-        for prev, row in zip(ordered, ordered[1:]):
-            if row.count >= SATURATION_RATIO * prev.count:
-                usable.append(row)
-    else:
-        usable = list(ordered)
+    usable = [ordered[0]]
+    for prev, row in zip(ordered, ordered[1:]):
+        if row.count >= SATURATION_RATIO * prev.count:
+            usable.append(row)
     if len({r.dx for r in usable}) < 3:
         raise ValueError(
             f"need at least 3 usable scales with distinct dx, have {len(usable)}"

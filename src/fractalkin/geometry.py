@@ -51,9 +51,6 @@ class GeneratorSpec:
             raise ValueError(
                 f"displacements must sum to (rho, 0), got {tuple(total)}"
             )
-        ds = math.log(n) / math.log(rho)
-        if ds < 1.0 - 1e-12:
-            raise ValueError(f"similarity dimension {ds} < 1")
         d.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "displacements", d)

@@ -18,18 +18,20 @@ from .geometry import Polyline
 from .serialize import fnum
 
 _PANEL_GAP = 10.0
+#: padding on every side of the drawing, as a fraction of its larger extent
+_MARGIN = 0.05
 #: vertices per formatted piece of path data
 _PATH_CHUNK = 8192
 
 
 @dataclass(frozen=True)
 class RenderOptions:
-    """Pixel geometry and optional resolution-grid overlay."""
+    """Pixel geometry and optional resolution-grid overlay.  The drawing
+    keeps a fixed margin of 5% of its larger extent on every side."""
 
     width: int = 640
     height: int = 480
     stroke_width: float = 1.0
-    margin: float = 0.05
     grid_step: float | None = None  # world units; lines at integer multiples
 
     def __post_init__(self) -> None:
@@ -37,8 +39,6 @@ class RenderOptions:
             raise ValueError("width and height must be positive")
         if not self.stroke_width > 0.0:
             raise ValueError("stroke width must be positive")
-        if not 0.0 <= self.margin < 0.4:
-            raise ValueError("margin fraction must lie in [0, 0.4)")
         if self.grid_step is not None and not self.grid_step > 0.0:
             raise ValueError("grid_step must be positive")
 
@@ -51,7 +51,7 @@ class _Viewport:
         extent = max(x1 - x0, y1 - y0)
         if extent == 0.0:
             raise ValueError("degenerate polyline: zero extent in both axes")
-        pad = opts.margin * extent
+        pad = _MARGIN * extent
         # a straight-line bbox has zero height; pad flat axes so the
         # viewport keeps a finite span
         flat = 0.5 * extent
@@ -68,21 +68,20 @@ class _Viewport:
         self.oy = 0.5 * (opts.height - self.scale * (self.wy1 - self.wy0))
         self.height = opts.height
 
-    def to_px(self, x: float, y: float) -> tuple[float, float]:
+    def to_px(self, x, y):
+        """Pixel coordinates of world floats or of numpy arrays of them."""
         px = self.ox + (x - self.wx0) * self.scale
         py = self.height - self.oy - (y - self.wy0) * self.scale
         return px, py
 
 
 def _path_d(poly: Polyline, view: _Viewport) -> Iterator[str]:
-    """The path data in pieces of `_PATH_CHUNK` vertices: `to_px` in numpy,
-    the same operations in the same order, and '%.17g', which is `fnum`."""
+    """The path data in pieces of `_PATH_CHUNK` vertices: `to_px` on the
+    block's columns, and '%.17g', which is `fnum`."""
     v = poly.vertices
     for start in range(0, len(v), _PATH_CHUNK):
         blk = v[start:start + _PATH_CHUNK]
-        px = np.empty_like(blk)
-        px[:, 0] = view.ox + (blk[:, 0] - view.wx0) * view.scale
-        px[:, 1] = view.height - view.oy - (blk[:, 1] - view.wy0) * view.scale
+        px = np.column_stack(view.to_px(blk[:, 0], blk[:, 1]))
         fmt = "L%.17g %.17g" * len(blk)
         if start == 0:
             fmt = "M" + fmt[1:]
@@ -90,22 +89,19 @@ def _path_d(poly: Polyline, view: _Viewport) -> Iterator[str]:
 
 
 def _grid_lines(view: _Viewport, step: float, stroke_width: float) -> list[str]:
+    """The vertical gridlines, then the horizontal ones, across the view."""
     lines = []
     width = stroke_width * 0.5
-    for i in range(math.ceil(view.wx0 / step), math.floor(view.wx1 / step) + 1):
-        x0, y0 = view.to_px(i * step, view.wy0)
-        x1, y1 = view.to_px(i * step, view.wy1)
-        lines.append(
-            f'<line x1="{fnum(x0)}" y1="{fnum(y0)}" x2="{fnum(x1)}" y2="{fnum(y1)}" '
-            f'stroke="#bbbbbb" stroke-width="{fnum(width)}"/>'
-        )
-    for j in range(math.ceil(view.wy0 / step), math.floor(view.wy1 / step) + 1):
-        x0, y0 = view.to_px(view.wx0, j * step)
-        x1, y1 = view.to_px(view.wx1, j * step)
-        lines.append(
-            f'<line x1="{fnum(x0)}" y1="{fnum(y0)}" x2="{fnum(x1)}" y2="{fnum(y1)}" '
-            f'stroke="#bbbbbb" stroke-width="{fnum(width)}"/>'
-        )
+    for lo, hi, ends in (
+        (view.wx0, view.wx1, lambda c: ((c, view.wy0), (c, view.wy1))),
+        (view.wy0, view.wy1, lambda c: ((view.wx0, c), (view.wx1, c))),
+    ):
+        for i in range(math.ceil(lo / step), math.floor(hi / step) + 1):
+            (x0, y0), (x1, y1) = (view.to_px(*p) for p in ends(i * step))
+            lines.append(
+                f'<line x1="{fnum(x0)}" y1="{fnum(y0)}" x2="{fnum(x1)}" y2="{fnum(y1)}" '
+                f'stroke="#bbbbbb" stroke-width="{fnum(width)}"/>'
+            )
     return lines
 
 
@@ -122,14 +118,19 @@ def _panel(poly: Polyline, view: _Viewport, opts: RenderOptions) -> Iterator[str
     )
 
 
+def _svg_open(width, height: int) -> str:
+    """The `<svg>` open tag; `width` goes in as given, text or number."""
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">\n'
+    )
+
+
 def write_svg(poly: Polyline, fp: TextIO, opts: RenderOptions = RenderOptions()) -> None:
     """Write the single-panel SVG document of `render_svg` to the text
     stream `fp` piece by piece, so the whole document is never in memory."""
     view = _Viewport(poly, opts)  # raises before anything is written
-    fp.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{opts.width}" '
-        f'height="{opts.height}" viewBox="0 0 {opts.width} {opts.height}">\n'
-    )
+    fp.write(_svg_open(opts.width, opts.height))
     fp.writelines(_panel(poly, view, opts))
     fp.write("</svg>\n")
 
@@ -148,11 +149,7 @@ def render_panels(
     if not polys:
         raise ValueError("render_panels needs at least one polyline")
     total_w = opts.width * len(polys) + _PANEL_GAP * (len(polys) - 1)
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fnum(total_w)}" '
-        f'height="{opts.height}" viewBox="0 0 {fnum(total_w)} {opts.height}">'
-    )
-    pieces = [head + "\n"]
+    pieces = [_svg_open(fnum(total_w), opts.height)]
     for i, poly in enumerate(polys):
         dx = i * (opts.width + _PANEL_GAP)
         pieces.append(f'<g transform="translate({fnum(dx)} 0)">\n')

@@ -54,17 +54,61 @@ def test_generate_line_stdout_endpoints(runner):
     assert data["vertices"][-1] == [1.0, 0.0]
 
 
-def test_generate_level7_stdout_matches_file(tmp_path):
+STREAM_CASES = {
     # 16,385 vertices: the streamed writer crosses a chunk seam
-    out = tmp_path / "k7.json"
+    "generate": ["generate", "--generator", "koch", "--level", "7"],
+    "brownian": ["brownian", "--n", "9000", "--seed", "3"],
+    "analyze-json": ["analyze", "--generator", "koch", "--k-max", "12"],
+    "analyze-csv": ["analyze", "--generator", "koch", "--k-max", "12", "--format", "csv"],
+    "measure-json": ["measure", "--scales", "1..4"],
+    "measure-csv": ["measure", "--scales", "1..4", "--method", "divider",
+                    "--format", "csv"],
+}
+
+
+def koch_input(tmp_path, level=4):
+    """A Koch polyline file for `measure --input`."""
+    src = tmp_path / f"koch{level}.json"
+    src.write_text(json_text(polyline_to_dict(refine(base_segment(1.0),
+                                                     builtin("koch"), level))))
+    return src
+
+
+@pytest.mark.parametrize("args", STREAM_CASES.values(), ids=STREAM_CASES.keys())
+def test_stdout_matches_out_file(tmp_path, args):
+    if args[0] == "measure":
+        args = args + ["--input", str(koch_input(tmp_path))]
+    out = tmp_path / "out"
     runner = split_runner()
-    args = ["generate", "--generator", "koch", "--level", "7"]
     res = invoke(runner, args)
     assert res.exit_code == 0
     assert invoke(runner, args + ["--out", str(out)]).exit_code == 0
     assert res.stdout_bytes == out.read_bytes()
-    poly = refine(base_segment(1.0), builtin("koch"), 7)
-    assert out.read_text() == json_text(polyline_to_dict(poly))
+
+
+def test_failing_command_leaves_no_out_file(tmp_path):
+    # two scales are too few for the fit, which fails after the counts
+    out = tmp_path / "out.json"
+    res = split_runner().invoke(main, ["measure", "--input", str(koch_input(tmp_path)),
+                                       "--scales", "1..2", "--out", str(out)])
+    assert res.exit_code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--method", "divider", "--scales", "357..357"], "too short"),
+    (["--method", "divider", "--scales", "200..200"], "too short"),
+    (["--scales", "18..18"], "gridlines"),
+    (["--scales", "40..40"], "2**53"),
+], ids=["divider-357", "divider-200", "grid-18", "grid-40"])
+def test_measure_refuses_scales_finer_than_it_can_count(tmp_path, args, message):
+    res = split_runner().invoke(main, ["measure", "--input", str(koch_input(tmp_path, 2)),
+                                       "--no-fit"] + args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a clean error, not a traceback
+    assert res.stdout == ""
+    assert message in res.stderr
+    assert res.stderr.count("\n") == 1
 
 
 def test_generate_cesaro_svg(runner, tmp_path):

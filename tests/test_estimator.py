@@ -153,6 +153,21 @@ def test_grid_count_far_from_origin():
     assert grid_count(poly, 1.0) == 2
 
 
+@pytest.mark.parametrize("x0", [1e15, 1e18])
+def test_grid_count_refuses_indices_past_float64_integers(x0):
+    # 1024 x 1024 in cells of 1/16 counts 32769 at the origin; at these
+    # offsets the indices pass 2^53 and the count came out 24577 and 16385
+    poly = Polyline(np.array([[x0, 0.0], [x0 + 1024.0, 0.0], [x0 + 1024.0, 1024.0]]))
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        grid_count(poly, 1.0 / 16.0)
+
+
+def test_grid_count_refuses_crossings_past_the_cap():
+    # Koch L2 at dx = 3^-18 needs ~3.4e8 crossings per axis in one chunk
+    with pytest.raises(ValueError, match="gridlines"):
+        grid_count(koch_level(2), 3.0**-18)
+
+
 # ---------------------------------------------------------------------------
 # divider stepping
 
@@ -183,6 +198,13 @@ def test_divider_validation():
     seg = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         divider_count(seg, -1.0)
+
+
+def test_divider_refuses_steps_past_the_cap():
+    # the square of this step underflows to 0: the walk used to report
+    # 2.149e170 steps and length 1 for a curve of length 16/9
+    with pytest.raises(ValueError, match="too short"):
+        divider_count(koch_level(2), 4.65e-171)
 
 
 def divider_oracle(poly: Polyline, step: float) -> float:
@@ -330,10 +352,6 @@ def test_estimate_dimension_saturation_exclusion():
     fit = estimate_dimension(rows)
     assert fit.k_fit_range == (0, 2)
     assert fit.ds_hat == pytest.approx(2.0, abs=1e-12)
-    # override keeps every scale and drags the slope down
-    full = estimate_dimension(rows, exclude_saturated=False)
-    assert full.k_fit_range == (0, 5)
-    assert full.ds_hat < 1.7
 
 
 def test_estimate_dimension_needs_three_scales():

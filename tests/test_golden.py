@@ -3,9 +3,13 @@
 A change that alters one of these files on purpose regenerates it with
 the command in its row (add ``--out tests/data/<file>``; a `measure` row
 first writes its input polyline with the row's `generate` or `brownian`
-command) and names every changed byte in its change notes.
+command) and names every changed byte in its change notes.  The camera
+figure is what ``scripts/camera_figures.py`` writes with its defaults.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +17,8 @@ from click.testing import CliRunner
 
 from fractalkin.cli import main
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 GOLDEN = [
     ("analyze_peano_k12.json",
@@ -65,3 +70,14 @@ def test_measure_output_matches_golden_bytes(tmp_path, name, make, args):
                         + ["--out", str(out)], catch_exceptions=False)
     assert res.exit_code == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_camera_figure_matches_golden_bytes(tmp_path):
+    # three koch panels with the level-2 grid overlay: <g>, <line> and <path>
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "camera_figures.py"),
+                    "--out-dir", str(tmp_path)], env=env, check=True,
+                   capture_output=True)
+    golden = (DATA / "camera_koch.svg").read_bytes()
+    assert (tmp_path / "koch_cameras.svg").read_bytes() == golden

@@ -299,14 +299,13 @@ def rendered_by_oracle(fn, *args):
     std=st.sampled_from([1e-200, 1e-9, 1.0, 3.7e5, 1e150]),
     shift=st.sampled_from([0.0, -1e-3, 2.0**33, -1e12]),
     width=st.integers(1, 2000), height=st.integers(1, 2000),
-    margin=st.sampled_from([0.0, 0.05, 0.3999]),
 )
-def test_svg_path_matches_per_vertex_oracle(n, seed, std, shift, width, height, margin):
+def test_svg_path_matches_per_vertex_oracle(n, seed, std, shift, width, height):
     # a walk of step std, shifted by a multiple of std away from the origin
     v = brownian_path(n, seed, std).vertices + shift * std
     assume(not np.all(v[1:] == v[:-1], axis=1).any())
     poly = Polyline(v)
-    view = render._Viewport(poly, RenderOptions(width=width, height=height, margin=margin))
+    view = render._Viewport(poly, RenderOptions(width=width, height=height))
     assert "".join(render._path_d(poly, view)) == path_d_oracle(poly, view)
 
 
@@ -317,7 +316,7 @@ def test_svg_documents_match_per_vertex_oracle():
     # 16385 vertices: two full pieces of path data and one more vertex
     koch7 = refine(base_segment(1.0), builtin("koch"), 7)
     assert len(koch7.vertices) == 2 * render._PATH_CHUNK + 1
-    opts = RenderOptions(width=333, height=211, margin=0.1, grid_step=1.0 / 27.0)
+    opts = RenderOptions(width=333, height=211, grid_step=1.0 / 27.0)
     for poly in (koch, cesaro, walk, koch7):
         assert render_svg(poly, opts) == rendered_by_oracle(render_svg, poly, opts)
     polys = [koch, cesaro, walk, base_segment(1.0)]
@@ -359,8 +358,6 @@ def test_render_byte_deterministic():
 def test_render_options_validation():
     with pytest.raises(ValueError):
         RenderOptions(width=0)
-    with pytest.raises(ValueError):
-        RenderOptions(margin=0.4)
     with pytest.raises(ValueError):
         RenderOptions(stroke_width=0.0)
     with pytest.raises(ValueError):
