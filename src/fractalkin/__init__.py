@@ -44,7 +44,6 @@ from .measures import (
     regime_bounds,
     resolution,
     scale_table,
-    velocity_at_scale,
 )
 from .render import RenderOptions, render_panels, render_svg
 

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import DEFAULT_VERTEX_CAP, Polyline
+from .measures import _check_k
 
 #: PRNG contract for brownian_path, recorded in output metadata.
 BROWNIAN_PRNG = "numpy Philox(4x64) via SeedSequence; standard_normal (ziggurat)"
@@ -319,9 +320,9 @@ def measure_polyline(
         raise ValueError(f"unknown method {method!r}")
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 0:
-        raise ValueError("scale indices must be integers >= 0")
+    ks = sorted(set(_check_k(k) for k in ks))
+    if not ks:
+        raise ValueError("scale indices must be non-empty")
     l0 = poly.diameter() if base_length is None else float(base_length)
     if not l0 > 0.0:
         raise ValueError("base length must be positive")

@@ -2,8 +2,9 @@
 
 Everything here is a pure function of (k, rho, N, L0, dt): the resolution
 ladder, length/area at scale, the surface-change factor gamma, and the
-similarity-dimension bound regimes.  Float results follow the stated
-closed forms.  On the D_s = 2 line, 1 - rho^-k is not representable in
+similarity-dimension bound regimes.  Every float is its exact closed form
+correctly rounded (`Bounded.settle`), save `gamma(k, rho, ds)`, a float
+formula of a continuous D_s.  On the D_s = 2 line 1 - rho^-k is 1.0 in
 float64 once rho^-k drops below the epsilon of 1.0, so the strict bounds
 are decided in exact arithmetic: `gamma_exact_critical` here, and
 `kinematics.verify_bounds` for the products of any generator.
@@ -11,9 +12,12 @@ are decided in exact arithmetic: `gamma_exact_critical` here, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
+from typing import Callable
 
 from .geometry import GeneratorSpec
 
@@ -25,6 +29,12 @@ REGIME_CRITICAL = "critical"
 REGIME_SUB = "sub"
 REGIME_CLASSICAL = "classical"
 REGIMES = (REGIME_SUPER, REGIME_CRITICAL, REGIME_SUB, REGIME_CLASSICAL)
+
+#: significant digits of every decimal bound
+BOUND_DIGITS = 60
+#: every operation on a lower (upper) bound rounds down (up), unbounded in exponent
+DOWN = Context(prec=BOUND_DIGITS, rounding=ROUND_FLOOR, Emin=MIN_EMIN, Emax=MAX_EMAX)
+UP = Context(prec=BOUND_DIGITS, rounding=ROUND_CEILING, Emin=MIN_EMIN, Emax=MAX_EMAX)
 
 
 @dataclass(frozen=True)
@@ -75,23 +85,85 @@ class RegimeBound:
         return above and below
 
 
-def _scaled_power(x: float, ratio: Fraction, k: int) -> float:
-    """x * ratio^k, correctly rounded, for when the float power overflows.
+@dataclass(slots=True)
+class Bounded:
+    """A rational value >= 0 with decimal bounds lo <= value <= hi (every
+    closed form here is >= 0, since N >= rho).  `exact()` returns it as an
+    unreduced integer pair (numerator, denominator > 0); with thousands of
+    digits at deep k, it is formed only where the bounds cannot settle a
+    float."""
 
-    The result underflows toward 0.0 or, past float64, is math.inf.  The
-    exact k-th power is formed only where log2 of the result lies within
-    a unit of the float64 range; outside it the result is 0.0 or inf
-    without that cost (thousands of digits at large k).
-    """
-    log2 = math.log2(x) + k * (math.log2(ratio.numerator) - math.log2(ratio.denominator))
-    if log2 < -1076:  # below half the smallest subnormal, 2^-1075
-        return 0.0
-    if log2 > 1025:  # past the largest finite float, just under 2^1024
-        return math.inf
-    try:
-        return float(Fraction(x) * ratio**k)
-    except OverflowError:
-        return math.inf
+    lo: Decimal
+    hi: Decimal
+    exact: Callable[[], tuple[int, int]]
+
+    @classmethod
+    def of(cls, x: Fraction) -> Bounded:
+        if x < 0:
+            raise ValueError("lengths, times and masses must be positive")
+        n, d = x.as_integer_ratio()
+        return cls(DOWN.divide(n, d), UP.divide(n, d), lambda: (n, d))
+
+    def times(self, c: Bounded) -> Bounded:
+        """self * c, for c > 0 (a negative self.lo bounds a value >= 0 all
+        the same once scaled)."""
+
+        def exact():
+            (n1, d1), (n2, d2) = self.exact(), c.exact()
+            return n1 * n2, d1 * d2
+
+        return Bounded(DOWN.multiply(self.lo, c.lo), UP.multiply(self.hi, c.hi), exact)
+
+    def minus(self, other: Bounded) -> Bounded:
+        """self - other, its exact value formed at most once."""
+        formed = []
+
+        def exact():
+            if not formed:
+                (n1, d1), (n2, d2) = self.exact(), other.exact()
+                formed.append((n1 - n2, d1) if d1 == d2 else (n1 * d2 - n2 * d1, d1 * d2))
+            return formed[0]
+
+        return Bounded(DOWN.subtract(self.lo, other.hi), UP.subtract(self.hi, other.lo), exact)
+
+    def settle(self) -> float:
+        """The correctly rounded float64, inf past its range: float() of a
+        Decimal and int / int are correctly rounded, and rounding is monotone,
+        so bounds that round to one float settle it (-0.0 == 0.0 is no
+        exception, as the value is >= 0 and hi gives +0.0)."""
+        hi = float(self.hi)
+        if float(self.lo) == hi:
+            return hi
+        n, d = self.exact()
+        try:
+            return n / d
+        except OverflowError:
+            return math.inf
+
+
+@functools.lru_cache(maxsize=3)
+def _ladder(ratio: Fraction, digits: int) -> Callable[[int], Bounded]:
+    """Bounded ratio^k for any k >= 0, each bound one rounded multiply from
+    the bound at k - 1.  Every bound reached is kept, in one ladder per
+    ratio and precision: the tables and bound checks of one generator walk
+    each of its three powers once."""
+    n, d = ratio.as_integer_ratio()
+    step, lo, hi = Bounded.of(ratio), [Decimal(1)], [Decimal(1)]
+
+    def at(k: int) -> Bounded:
+        while len(lo) <= k:
+            lo.append(DOWN.multiply(lo[-1], step.lo))
+            hi.append(UP.multiply(hi[-1], step.hi))
+        return Bounded(lo[k], hi[k], lambda: (n**k, d**k))
+
+    return at
+
+
+def ladders(spec: GeneratorSpec) -> tuple[Callable[[int], Bounded], ...]:
+    """The ladders of rho^-k, (N/rho)^k and (N/rho^2)^k: dx_k, L_k and A_k
+    in units of L0 and L0^2.  gamma(k) is the third less the first."""
+    rho = Fraction(spec.rho)
+    return tuple(_ladder(x, DOWN.prec) for x in (1 / rho, spec.n / rho, spec.n / rho**2))
 
 
 def _check_k(k) -> int:
@@ -110,10 +182,7 @@ def resolution(k: int, dx0: float, rho: float) -> float:
         raise ValueError("dx0 must be positive")
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
-    try:
-        return dx0 / rho**k
-    except OverflowError:  # rho^k past float64; the quotient underflows toward 0
-        return _scaled_power(dx0, 1 / Fraction(rho), k)
+    return _ladder(1 / Fraction(rho), DOWN.prec)(k).times(Bounded.of(Fraction(dx0))).settle()
 
 
 def cell_count(spec: GeneratorSpec, k: int) -> int:
@@ -126,43 +195,22 @@ def length_at_scale(k: int, spec: GeneratorSpec, l0: float) -> float:
 
     inf once the length passes the float64 range (peano from k = 647).
     """
-    k = _check_k(k)
-    try:
-        return l0 * (spec.n / spec.rho) ** k
-    except OverflowError:
-        return _scaled_power(l0, spec.n / Fraction(spec.rho), k)
-
-
-def velocity_at_scale(k: int, spec: GeneratorSpec, l0: float, dt: float) -> float:
-    """Scale velocity: length at scale k over the traversal time."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    return length_at_scale(k, spec, l0) / dt
+    return ladders(spec)[1](_check_k(k)).times(Bounded.of(Fraction(l0))).settle()
 
 
 def area_at_scale(k: int, spec: GeneratorSpec, l0: float) -> float:
-    """Area measure at scale k: L0^2 * rho^(k (D_s - 2)).
+    """Area measure at scale k: L0^2 * (N/rho^2)^k = L0^2 * rho^(k (D_s - 2)).
 
     Identically N^k * dx_k^2 and dx_k * L_k; the closed form is the
     implemented route, the identities are checked by the test suite.
-    inf only once the area itself passes the float64 range (a super-regime
-    generator at large k): where the power alone overflows, the product is
-    formed in log space, so a small L0 can still give a finite area.
     """
-    k = _check_k(k)
-    e = k * (spec.ds - 2.0)
-    try:
-        return l0 * l0 * spec.rho**e
-    except OverflowError:
-        try:
-            return math.exp(2.0 * math.log(l0) + e * math.log(spec.rho))
-        except OverflowError:
-            return math.inf
+    return ladders(spec)[2](_check_k(k)).times(Bounded.of(Fraction(l0) ** 2)).settle()
 
 
 def gamma(k: int, rho: float, ds: float) -> float:
-    """Surface-change factor rho^(k (D_s - 2)) - rho^-k.
+    """Surface-change factor rho^(k (D_s - 2)) - rho^-k of a continuous D_s.
 
+    A float formula; the tables take gamma(k) exactly from N and rho.
     Exactly 0.0 for ds == 1 (both powers reduce to the same expression).
     For ds == 2 the true value 1 - rho^-k collapses to 1.0 in float64 once
     rho^-k < eps; `verify_bounds` decides the strict upper bound exactly.
@@ -192,16 +240,15 @@ def gamma_exact_critical(k: int, rho: float) -> Fraction:
     return 1 - Fraction(rho) ** (-k)
 
 
-def delta_area(k: int, spec: GeneratorSpec, l0: float) -> float:
-    """Per-scale surface change dx_k * dL_k = L0^2 * gamma(k, rho, D_s).
+def gamma_at(spec: GeneratorSpec, k: int) -> Bounded:
+    """gamma(k) = (N/rho^2)^k - rho^-k, bounded."""
+    res, _, area = (ladder(_check_k(k)) for ladder in ladders(spec))
+    return area.minus(res)
 
-    Where gamma is inf, L0^2 rho^-k lies far below the rounding of
-    L0^2 rho^(k (D_s - 2)), so the change is the area measure itself.
-    """
-    g = gamma(k, spec.rho, spec.ds)
-    if g == math.inf:
-        return area_at_scale(k, spec, l0)
-    return l0 * l0 * g
+
+def delta_area(k: int, spec: GeneratorSpec, l0: float) -> float:
+    """Per-scale surface change dx_k * dL_k = L0^2 * gamma(k)."""
+    return gamma_at(spec, k).times(Bounded.of(Fraction(l0) ** 2)).settle()
 
 
 def classify_ds(ds: float) -> str:
@@ -255,30 +302,26 @@ def regime_bounds(ds: float, l0: float) -> RegimeBound:
 def scale_table(
     spec: GeneratorSpec, l0: float, dt: float, k_max: int
 ) -> list[ScaleRow]:
-    """Rows for k = 0..k_max with every per-scale quantity filled in."""
+    """Rows for k = 0..k_max with every per-scale quantity filled in, each
+    float correctly rounded from its exact closed form."""
     k_max = _check_k(k_max)
     if not l0 > 0.0:
         raise ValueError("l0 must be positive")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    powers = ladders(spec)
+    x = Fraction(l0)
+    per_l0, per_area, per_speed = (Bounded.of(c) for c in (x, x * x, x / Fraction(dt)))
     rows = []
     for k in range(k_max + 1):
-        lk = length_at_scale(k, spec, l0)
+        res, length, area = (ladder(k) for ladder in powers)
+        g, lk = area.minus(res), length.times(per_l0)
         try:
             n_k = float(cell_count(spec, k))
         except OverflowError:  # N^k beyond float range; the ladder keeps going
             n_k = math.inf
-        rows.append(
-            ScaleRow(
-                k=k,
-                dx_k=resolution(k, l0, spec.rho),
-                N_k=n_k,
-                L_k=lk,
-                A_k=area_at_scale(k, spec, l0),
-                v_k=lk / dt,
-                gamma=gamma(k, spec.rho, spec.ds),
-                dA_k0=delta_area(k, spec, l0),
-                dL_k=lk - l0,
-            )
-        )
+        rows.append(ScaleRow(
+            k=k, dx_k=res.times(per_l0).settle(), N_k=n_k, L_k=lk.settle(),
+            A_k=area.times(per_area).settle(), v_k=length.times(per_speed).settle(),
+            gamma=g.settle(), dA_k0=g.times(per_area).settle(), dL_k=lk.minus(per_l0).settle()))
     return rows

@@ -25,7 +25,6 @@ from fractalkin.measures import (
     length_at_scale,
     resolution,
     scale_table,
-    velocity_at_scale,
 )
 from fractalkin.serialize import (
     bounds_report_from_dict,
@@ -79,9 +78,10 @@ def test_c02_line_invariance():
         line = builtin("line")
         l0, dt = 2.5, 0.5
         v0 = l0 / dt
+        rows = scale_table(line, l0, dt, 20)
         for k in range(21):
             assert abs(length_at_scale(k, line, l0) - l0) <= 1e-12 * l0
-            assert abs(velocity_at_scale(k, line, l0, dt) - v0) <= 1e-12 * v0
+            assert abs(rows[k].v_k - v0) <= 1e-12 * v0
 
 
 def test_c03_area_law():

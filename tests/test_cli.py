@@ -194,6 +194,19 @@ def test_analyze_k_max_2000(runner, generator):
     assert all(r["pass"] for r in doc["bounds"]["rows"])
 
 
+@pytest.mark.parametrize("generator,k_max", [
+    (["peano"], 2000), (["koch"], 2000), (["cesaro", "--angle", "85"], 3000),
+], ids=["peano", "koch", "cesaro-85"])
+def test_analyze_uncertainty_products_equal_bound_products(runner, generator, k_max):
+    # dP_k and the bounds product are both 2 eta0 gamma(k), correctly rounded
+    args = ["analyze", "--generator", *generator, "--k-max", str(k_max),
+            "--mass", "1.7", "--dt", "0.9", "--l0", "1.3"]
+    doc = json.loads(invoke(runner, args).output)
+    products = [row["product"] for row in doc["bounds"]["rows"]]
+    assert len(products) == k_max
+    assert [row["dP_k"] for row in doc["uncertainty"][1:]] == products
+
+
 def test_measure_koch_level6(runner, tmp_path):
     poly = refine(base_segment(1.0), builtin("koch"), 6)
     src = tmp_path / "k6.json"
@@ -267,6 +280,15 @@ def test_analyze_float_overflow_is_exit_1(runner):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)  # a clean error, not a traceback
     assert "too large" in res.output
+
+
+def test_analyze_eta0_underflow_is_exit_1():
+    # eta0 = 0.0 made every regime interval the point 0 and every row pass
+    res = split_runner().invoke(main, ["analyze", "--generator", "koch", "--k-max", "2",
+                                       "--l0", "1e-200"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "too small" in res.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -400,6 +400,15 @@ def test_measure_polyline_validation():
         measure_polyline(poly, [1, 2, 3], method="laser")
 
 
+def test_measure_polyline_rejects_fractional_scale_indices():
+    # int() used to truncate them: [1.7, 2.2, 3.9] measured k = 1, 2, 3
+    poly = koch_level(2)
+    with pytest.raises(ValueError, match="integer"):
+        measure_polyline(poly, [1.7, 2.2, 3.9], rho=3.0, fit=False)
+    rows = measure_polyline(poly, [1.0, np.int64(2)], rho=3.0, fit=False).rows
+    assert [row.k for row in rows] == [1, 2]
+
+
 # ---------------------------------------------------------------------------
 # brownian paths
 

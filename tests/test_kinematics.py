@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fractalkin import kinematics, serialize
+from fractalkin import kinematics, measures, serialize
 from fractalkin.geometry import GeneratorSpec, base_segment, builtin, refine
 from fractalkin.kinematics import (
     ParticleContext,
@@ -16,7 +16,15 @@ from fractalkin.kinematics import (
     uncertainty_table,
     verify_bounds,
 )
-from fractalkin.measures import classify_ds, gamma, length_at_scale, resolution
+from fractalkin.measures import (
+    area_at_scale,
+    classify_ds,
+    delta_area,
+    gamma,
+    length_at_scale,
+    resolution,
+    scale_table,
+)
 
 UNIT_CTX = ParticleContext(m=1.0, dt=1.0, L0=1.0)
 C06_CTX = ParticleContext(m=1.7, dt=0.9, L0=1.3)
@@ -77,6 +85,14 @@ def test_context_validation(bad):
     kwargs.update(bad)
     with pytest.raises(ValueError):
         ParticleContext(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(L0=1e-200), dict(m=1e-300, L0=1e-20), dict(dt=1e300, L0=1e-10)])
+def test_context_rejects_eta0_underflow(kwargs):
+    # eta0 = 0.0 collapses every regime interval to the point 0
+    with pytest.raises(ValueError, match="too small"):
+        ParticleContext(**{**dict(m=1.0, dt=1.0, L0=1.0), **kwargs})
+    assert ParticleContext(m=1.0, dt=1.0, L0=1e-150).eta0 > 0.0
 
 
 def test_areolar_velocity_examples():
@@ -251,6 +267,25 @@ def test_verify_bounds_rejects_k0():
         verify_bounds(builtin("koch"), UNIT_CTX, [])
 
 
+def test_verify_bounds_rejects_fractional_k():
+    # int() used to truncate them: [1.5, 2.9] reported k = 1, 2
+    with pytest.raises(ValueError, match="integer"):
+        verify_bounds(builtin("koch"), UNIT_CTX, [1.5, 2.9])
+    with pytest.raises(ValueError):
+        verify_bounds(builtin("koch"), UNIT_CTX, [-1, 2])
+    report = verify_bounds(builtin("koch"), UNIT_CTX, [1.0, np.int64(2)])
+    assert [row.k for row in report.rows] == [1, 2]
+
+
+@pytest.mark.parametrize("k_max", [-1, 2.5, True])
+def test_uncertainty_table_rejects_bad_k_max(k_max):
+    # -1 gave [] and 2.5 gave rows k = 0..2, where scale_table refuses both
+    with pytest.raises(ValueError):
+        uncertainty_table(builtin("koch"), UNIT_CTX, k_max)
+    with pytest.raises(ValueError):
+        scale_table(builtin("koch"), 1.0, 1.0, k_max)
+
+
 def test_critical_products_increase_below_2eta0():
     # exact products: strictly increasing in k and < 2 eta0 for all k <= 50,
     # and every row passes, although in float64 the product saturates at
@@ -285,16 +320,83 @@ def test_critical_lower_bound_attained_at_rho2_k1():
 
 @pytest.fixture
 def exact_route_ks(monkeypatch):
-    """The k of every row that `verify_bounds` hands to the exact route."""
+    """The k of every row whose exact gamma(k) a `kinematics` function forms
+    (once a row at most): the rows that the bounds leave to the exact route."""
     ks = []
-    exact_row = kinematics._exact_row
+    ladders = kinematics.ladders
 
-    def counted(spec, k, *args):
-        ks.append(k)
-        return exact_row(spec, k, *args)
+    def counted(spec):
+        res, length, area = ladders(spec)
 
-    monkeypatch.setattr(kinematics, "_exact_row", counted)
+        def area_at(k):
+            bounded = area(k)
+
+            def exact():
+                ks.append(k)
+                return bounded.exact()
+
+            return measures.Bounded(bounded.lo, bounded.hi, exact)
+
+        return res, length, area_at
+
+    monkeypatch.setattr(kinematics, "ladders", counted)
     return ks
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """One flag per `Bounded.settle` call, in call order: whether the
+    bounds left the float to the exact value."""
+    flags = []
+    settle = measures.Bounded.settle
+
+    def recorded(self):
+        took = []
+
+        def exact():
+            took.append(True)
+            return self.exact()
+
+        value = settle(measures.Bounded(self.lo, self.hi, exact))
+        flags.append(bool(took))
+        return value
+
+    monkeypatch.setattr(measures.Bounded, "settle", recorded)
+    return flags
+
+
+SCALE_FIELDS = ("dx_k", "L_k", "A_k", "v_k", "gamma", "dA_k0", "dL_k")
+UNCERTAINTY_FIELDS = ("dV_k", "dP_k")
+
+
+def tables_oracle(spec: GeneratorSpec, ctx: ParticleContext, k: int) -> dict[str, float]:
+    """Every float field of the scale and uncertainty rows at scale k: its
+    closed form as an exact quotient of integers, rounded once (int / int
+    is correctly rounded), or inf past the float64 range."""
+    a, b = spec.rho.as_integer_ratio()  # rho = a / b
+    (lp, lq), (tp, tq), (mp, mq) = (x.as_integer_ratio() for x in (ctx.L0, ctx.dt, ctx.m))
+    # rho^-k = res / d, (N/rho)^k = length / d, (N/rho^2)^k = area / d^2
+    res, length, d = b**k, (spec.n * b) ** k, a**k
+    area = (spec.n * b * b) ** k
+    g = area - res * d  # gamma(k) = g / d^2
+
+    def rounded(num: int, den: int) -> float:
+        try:
+            return num / den
+        except OverflowError:
+            return math.inf
+
+    return {
+        "dx_k": rounded(lp * res, lq * d),
+        "L_k": rounded(lp * length, lq * d),
+        "A_k": rounded(lp * lp * area, lq * lq * d * d),
+        "v_k": rounded(lp * length * tq, lq * d * tp),
+        "gamma": rounded(g, d * d),
+        "dA_k0": rounded(lp * lp * g, lq * lq * d * d),
+        "dL_k": rounded(lp * (length - d), lq * d),
+        "dV_k": rounded(lp * lp * g * tq, lq * lq * d * d * tp),
+        "dP_k": rounded(mp * lp * lp * g * tq, mq * lq * lq * d * d * tp),
+    }
 
 
 def test_verify_bounds_takes_exact_route_only_where_bounds_cannot_settle(exact_route_ks):
@@ -310,22 +412,40 @@ def test_verify_bounds_takes_exact_route_only_where_bounds_cannot_settle(exact_r
     assert report.rows[0].product == UNIT_CTX.eta0
 
 
-def test_verify_bounds_exact_at_any_bound_precision(monkeypatch, exact_route_ks):
+def test_verify_bounds_exact_at_any_bound_precision(monkeypatch, exact_route_ks, fallbacks):
     # with 19 digits the bounds often straddle a float64 rounding boundary,
-    # so both routes run; every row must still match the oracle
-    monkeypatch.setattr(kinematics, "BOUND_DIGITS", 19)
+    # so both routes run; every bounds row and every float field of both
+    # tables must still match the oracle, and every field takes each route
+    monkeypatch.setattr(measures.DOWN, "prec", 19)
+    monkeypatch.setattr(measures.UP, "prec", 19)
     ks = exact_route_ks
     specs = [spec_for(CESARO85_RHO, 4), spec_for(2.0, 5), spec_for(3.0, 4),
-             spec_for(math.sqrt(6), 6), spec_for(3.0, 9)]
-    rows = 0
+             spec_for(math.sqrt(6), 6), spec_for(3.0, 9), builtin("line")]
+    rows = verify_ks = 0
+    took = dict.fromkeys(SCALE_FIELDS + UNCERTAINTY_FIELDS, 0)
     for spec in specs:
         for ctx in (UNIT_CTX, C06_CTX):
+            del ks[:]
             report = verify_bounds(spec, ctx, range(1, 121))
+            verify_ks += len(ks)
             rows += len(report.rows)
             for row in report.rows:
                 p, passed = bounds_oracle(spec, ctx, row.k)
                 assert (row.product, row.passed) == (oracle_float(p), passed), (spec.name, row.k)
-    assert 0 < len(ks) < rows / 2
+            # each table settles the fields of a row in field order
+            for fields, table in ((SCALE_FIELDS, lambda: scale_table(spec, ctx.L0, ctx.dt, 120)),
+                                  (UNCERTAINTY_FIELDS, lambda: uncertainty_table(spec, ctx, 120))):
+                del fallbacks[:]
+                got = table()
+                assert len(fallbacks) == len(fields) * len(got)
+                for i, field in enumerate(fields):
+                    took[field] += sum(fallbacks[i::len(fields)])
+                for row in got:
+                    want = tables_oracle(spec, ctx, row.k)
+                    for field in fields:
+                        assert getattr(row, field) == want[field], (spec.name, row.k, field)
+    assert 0 < verify_ks < rows / 2
+    assert all(0 < n < rows for n in took.values()), took
 
 
 def test_correspondence_monotonicity():
@@ -337,6 +457,54 @@ def test_correspondence_monotonicity():
     ]
     assert all(b > a for a, b in zip(products, products[1:]))
     assert uncertainty_product(5, builtin("cesaro", angle_deg=1.0), UNIT_CTX) < 1e-5
+
+
+TABLE_SPECS = {
+    "line": builtin("line"),
+    "koch": builtin("koch"),
+    "peano": builtin("peano"),
+    "cesaro-85": builtin("cesaro", angle_deg=85.0),
+    "cesaro-30": builtin("cesaro", angle_deg=30.0),
+    "super-2-5": spec_for(2.0, 5),
+}
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    name=st.sampled_from(sorted(TABLE_SPECS)),
+    k=st.integers(0, 3000),
+    l0=st.floats(0.01, 100.0),
+    m=st.floats(0.01, 100.0),
+    dt=st.floats(0.01, 100.0),
+)
+# deep k: koch L_k drifted ~600 ulp at k = 2437 on the float route; cesaro-85
+# carries a 49-bit numerator in rho; super 2/5 passes float64 at k = 3181
+@example(name="koch", k=2437, l0=1.0, m=1.0, dt=1.0)
+@example(name="cesaro-85", k=2993, l0=1.3, m=1.7, dt=0.9)
+@example(name="cesaro-85", k=2997, l0=1.3, m=1.7, dt=0.9)
+@example(name="cesaro-85", k=3000, l0=1.3, m=1.7, dt=0.9)
+@example(name="super-2-5", k=3183, l0=1.3, m=1.7, dt=0.9)
+@example(name="super-2-5", k=3187, l0=1.3, m=1.7, dt=0.9)
+@example(name="super-2-5", k=3190, l0=1.3, m=1.7, dt=0.9)
+def test_tables_match_exact_oracle(name, k, l0, m, dt):
+    # every float field of the last rows of both tables, and of the per-k
+    # functions, is the correctly rounded closed form, and dP_k is the
+    # bounds product of the same k
+    spec, ctx = TABLE_SPECS[name], ParticleContext(m=m, dt=dt, L0=l0)
+    scale = scale_table(spec, l0, dt, k)
+    unc = uncertainty_table(spec, ctx, k)
+    ks = range(max(0, k - 3), k + 1)
+    for j in ks:
+        got = {**{f: getattr(scale[j], f) for f in SCALE_FIELDS},
+               **{f: getattr(unc[j], f) for f in UNCERTAINTY_FIELDS}}
+        assert got == tables_oracle(spec, ctx, j), (name, j)
+    per_k = (resolution(k, l0, spec.rho), length_at_scale(k, spec, l0), area_at_scale(k, spec, l0),
+             delta_area(k, spec, l0), areolar_velocity_change(k, spec, ctx),
+             uncertainty_product(k, spec, ctx))
+    assert per_k == tuple(got[f] for f in ("dx_k", "L_k", "A_k", "dA_k0", "dV_k", "dP_k"))
+    if k >= 1:
+        bounds = verify_bounds(spec, ctx, range(max(1, k - 3), k + 1)).rows
+        assert all(row.product == unc[row.k].dP_k for row in bounds)
 
 
 def test_uncertainty_table_rows():

@@ -18,7 +18,6 @@ from fractalkin.measures import (
     regime_bounds,
     resolution,
     scale_table,
-    velocity_at_scale,
 )
 
 LOG3_4 = math.log(4.0) / math.log(3.0)
@@ -64,9 +63,9 @@ def _overflows(base, k):
 
 @pytest.mark.parametrize("name", ["koch", "peano", "cesaro"])
 def test_powers_past_float_range_match_fraction_oracle(name):
-    # once the float power overflows, resolution and length_at_scale are the
-    # correctly rounded x * ratio^k; bands of k straddle log2 of the result
-    # at the 0.0 cutoff (-1076) and the inf cutoff (1025) of that route
+    # where the float power overflows, resolution and length_at_scale are
+    # still the correctly rounded x * ratio^k; bands of k straddle log2 of
+    # the result at the edges of float64, 0.0 (-1076) and inf (1025)
     spec = builtin(name, angle_deg=85.0) if name == "cesaro" else builtin(name)
     rho = Fraction(spec.rho)
     outcomes = set()
@@ -115,17 +114,17 @@ def test_peano_length_against_polyline_oracle():
 
 def test_velocity_examples():
     line, koch = builtin("line"), builtin("koch")
-    for k in range(10):
-        assert velocity_at_scale(k, line, 1.0, 1.0) == 1.0
-    assert velocity_at_scale(1, koch, 1.0, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-12)
+    for row in scale_table(line, 1.0, 1.0, 9):
+        assert row.v_k == 1.0
+    assert scale_table(koch, 1.0, 1.0, 1)[1].v_k == pytest.approx(4.0 / 3.0, rel=1e-12)
     # repeated-multiplication oracle for (4/3)^10 / 2
     expected = 1.0
     for _ in range(10):
         expected *= 4.0 / 3.0
     expected /= 2.0
-    assert velocity_at_scale(10, koch, 1.0, 2.0) == pytest.approx(expected, rel=1e-12)
+    assert scale_table(koch, 1.0, 2.0, 10)[10].v_k == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
-        velocity_at_scale(1, koch, 1.0, 0.0)
+        scale_table(koch, 1.0, 0.0, 1)
 
 
 def test_area_examples():
