@@ -6,6 +6,7 @@ import argparse
 from pathlib import Path
 
 from fractalkin.geometry import base_segment, builtin, refine
+from fractalkin.measures import resolution
 from fractalkin.render import RenderOptions, render_panels
 
 
@@ -16,7 +17,7 @@ def camera_series(name: str, levels, l0: float, out_dir: Path) -> Path:
     # one shared overlay at the finest camera's resolution
     opts = RenderOptions(
         width=320, height=240, stroke_width=1.2,
-        grid_step=l0 / spec.rho ** max(levels),
+        grid_step=resolution(max(levels), l0, spec.rho),
     )
     path = out_dir / f"{name}_cameras.svg"
     path.write_text(render_panels(polys, opts))

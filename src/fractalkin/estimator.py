@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_VERTEX_CAP, Polyline
-from .measures import _check_k
+from .geometry import DEFAULT_VERTEX_CAP, Polyline, _check_k
+from .measures import resolution
 
 #: PRNG contract for brownian_path, recorded in output metadata.
 BROWNIAN_PRNG = "numpy Philox(4x64) via SeedSequence; standard_normal (ziggurat)"
@@ -309,7 +309,7 @@ def measure_polyline(
     fit: bool = True,
     workers: int | None = None,
 ) -> MeasurementResult:
-    """Run a resolution-ladder sweep dx_k = L0 / rho^k over the polyline.
+    """Run a resolution-ladder sweep dx_k = L0 / rho^k, correctly rounded, over the polyline.
 
     L0 defaults to the largest axis-aligned extent of the polyline.  The
     scales are counted one after another.  `workers` is accepted and
@@ -327,7 +327,11 @@ def measure_polyline(
     if not l0 > 0.0:
         raise ValueError("base length must be positive")
     counter = grid_count if method == GRID_METHOD else divider_count
-    scales = [l0 / rho**k for k in ks]
+    scales = []
+    for k in ks:  # every scale is checked before any is counted
+        scales.append(resolution(k, l0, rho))
+        if scales[-1] == 0.0:
+            raise ValueError(f"scale k={k} is too fine: L0 / rho^k underflows to 0")
     counts = [float(counter(poly, dx)) for dx in scales]
     rows = tuple(
         MeasurementRow(k=k, dx=dx, count=c, length=c * dx)

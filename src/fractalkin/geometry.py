@@ -121,6 +121,16 @@ def base_segment(l0: float = 1.0) -> Polyline:
     return Polyline(np.array([[0.0, 0.0], [l0, 0.0]]), level=0)
 
 
+def _check_k(k) -> int:
+    """A scale or refinement index as an int: any integral value >= 0 but a bool."""
+    if isinstance(k, bool) or int(k) != k:
+        raise ValueError("k must be an integer")
+    k = int(k)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return k
+
+
 def similarity_dimension(spec: GeneratorSpec) -> float:
     """ln N / ln rho for a generator with N children at scale factor rho."""
     return math.log(spec.n) / math.log(spec.rho)
@@ -136,10 +146,7 @@ def refine(base: Polyline, spec: GeneratorSpec, k: int) -> Polyline:
     Raises ValueError when the resulting vertex count would exceed
     `DEFAULT_VERTEX_CAP` (vertex count grows like N^k).
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError("k must be an integer")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _check_k(k)
     n = spec.n
     total = base.n_segments * n**k + 1
     if total > DEFAULT_VERTEX_CAP:

@@ -14,8 +14,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
 
-from .geometry import GeneratorSpec
-from .measures import DOWN, UP, Bounded, RegimeBound, _check_k, classify_ds, gamma_at, ladders
+from .geometry import GeneratorSpec, _check_k
+from .measures import DOWN, UP, Bounded, RegimeBound, classify_ds, gamma_at, ladders
 from .measures import regime_interval
 
 
@@ -35,25 +35,25 @@ class ParticleContext:
         for label, value in (("m", self.m), ("dt", self.dt), ("L0", self.L0)):
             if not value > 0.0:
                 raise ValueError(f"{label} must be positive, got {value}")
-        if self.eta0 == math.inf:  # V0, E0 and eta0 overflow together
-            raise ValueError("eta0 = m L0^2 / (2 dt) is too large for float64")
+        if math.inf in (self.eta0, self.E0, self.V0):  # JSON holds no inf
+            raise ValueError("eta0 = m L0^2 / (2 dt), E0 or V0 is too large for float64")
         if self.eta0 == 0.0:  # every regime interval would collapse to 0
             raise ValueError("eta0 = m L0^2 / (2 dt) is too small for float64")
 
     @property
     def V0(self) -> float:
         """Base-scale speed L0/dt."""
-        return self.L0 / self.dt
+        return Bounded.of(Fraction(self.L0) / Fraction(self.dt)).settle()
 
     @property
     def E0(self) -> float:
-        """Base-scale kinetic energy m V0^2 / 2."""
-        return 0.5 * self.m * self.V0 * self.V0
+        """Base-scale kinetic energy m V0^2 / 2 = m L0^2 / (2 dt^2)."""
+        return Bounded.of(self.eta0_exact() / Fraction(self.dt)).settle()
 
     @property
     def eta0(self) -> float:
-        """Action scale E0 * dt = m L0^2 / (2 dt)."""
-        return self.E0 * self.dt
+        """Action scale E0 * dt = m L0^2 / (2 dt), correctly rounded like V0 and E0."""
+        return Bounded.of(self.eta0_exact()).settle()
 
     def eta0_exact(self) -> Fraction:
         """eta0 as an exact rational of the (float, hence rational) inputs."""

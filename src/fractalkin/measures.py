@@ -19,7 +19,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Dec
 from fractions import Fraction
 from typing import Callable
 
-from .geometry import GeneratorSpec
+from .geometry import GeneratorSpec, _check_k
 
 #: absolute tolerance used when classifying D_s as exactly 1 or 2
 DS_EQUALITY_TOL = 1e-12
@@ -166,13 +166,11 @@ def ladders(spec: GeneratorSpec) -> tuple[Callable[[int], Bounded], ...]:
     return tuple(_ladder(x, DOWN.prec) for x in (1 / rho, spec.n / rho, spec.n / rho**2))
 
 
-def _check_k(k) -> int:
-    if isinstance(k, bool) or int(k) != k:
-        raise ValueError("k must be an integer")
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return k
+def _l0(l0: float) -> Fraction:
+    """The base length as an exact rational, refused unless positive."""
+    if not l0 > 0.0:
+        raise ValueError("l0 must be positive")
+    return Fraction(l0)
 
 
 def resolution(k: int, dx0: float, rho: float) -> float:
@@ -195,7 +193,7 @@ def length_at_scale(k: int, spec: GeneratorSpec, l0: float) -> float:
 
     inf once the length passes the float64 range (peano from k = 647).
     """
-    return ladders(spec)[1](_check_k(k)).times(Bounded.of(Fraction(l0))).settle()
+    return ladders(spec)[1](_check_k(k)).times(Bounded.of(_l0(l0))).settle()
 
 
 def area_at_scale(k: int, spec: GeneratorSpec, l0: float) -> float:
@@ -204,7 +202,7 @@ def area_at_scale(k: int, spec: GeneratorSpec, l0: float) -> float:
     Identically N^k * dx_k^2 and dx_k * L_k; the closed form is the
     implemented route, the identities are checked by the test suite.
     """
-    return ladders(spec)[2](_check_k(k)).times(Bounded.of(Fraction(l0) ** 2)).settle()
+    return ladders(spec)[2](_check_k(k)).times(Bounded.of(_l0(l0) ** 2)).settle()
 
 
 def gamma(k: int, rho: float, ds: float) -> float:
@@ -248,7 +246,7 @@ def gamma_at(spec: GeneratorSpec, k: int) -> Bounded:
 
 def delta_area(k: int, spec: GeneratorSpec, l0: float) -> float:
     """Per-scale surface change dx_k * dL_k = L0^2 * gamma(k)."""
-    return gamma_at(spec, k).times(Bounded.of(Fraction(l0) ** 2)).settle()
+    return gamma_at(spec, k).times(Bounded.of(_l0(l0) ** 2)).settle()
 
 
 def classify_ds(ds: float) -> str:
@@ -291,12 +289,10 @@ def regime_interval(ds: float, unit) -> RegimeBound:
 def regime_bounds(ds: float, l0: float) -> RegimeBound:
     """Bounds on dx_k * dL_k implied by the similarity dimension.
 
-    The regime table with unit L0^2/2: for example L0^2/2 <= dx_k dL_k < L0^2
-    on the D_s = 2 line.  With l0 = 1 these are the bounds on gamma.
+    The regime table with unit L0^2/2, correctly rounded: for example
+    L0^2/2 <= dx_k dL_k < L0^2 on the D_s = 2 line; with l0 = 1, the bounds on gamma.
     """
-    if not l0 > 0.0:
-        raise ValueError("l0 must be positive")
-    return regime_interval(ds, 0.5 * l0 * l0)
+    return regime_interval(ds, Bounded.of(_l0(l0) ** 2 / 2).settle())
 
 
 def scale_table(
@@ -305,12 +301,10 @@ def scale_table(
     """Rows for k = 0..k_max with every per-scale quantity filled in, each
     float correctly rounded from its exact closed form."""
     k_max = _check_k(k_max)
-    if not l0 > 0.0:
-        raise ValueError("l0 must be positive")
+    x = _l0(l0)
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     powers = ladders(spec)
-    x = Fraction(l0)
     per_l0, per_area, per_speed = (Bounded.of(c) for c in (x, x * x, x / Fraction(dt)))
     rows = []
     for k in range(k_max + 1):

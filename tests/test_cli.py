@@ -111,6 +111,19 @@ def test_measure_refuses_scales_finer_than_it_can_count(tmp_path, args, message)
     assert res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["grid", "divider"])
+def test_measure_refuses_a_scale_that_underflows(tmp_path, method):
+    # L0 / 3^700 is below the smallest float64: the scale is refused by its k
+    out = tmp_path / "out.json"
+    res = split_runner().invoke(main, ["measure", "--input", str(koch_input(tmp_path, 2)),
+                                       "--method", method, "--scales", "700..700",
+                                       "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a clean error, not a traceback
+    assert res.stderr == "Error: scale k=700 is too fine: L0 / rho^k underflows to 0\n"
+    assert not out.exists()
+
+
 def test_generate_cesaro_svg(runner, tmp_path):
     out = tmp_path / "c.svg"
     res = invoke(runner, ["generate", "--generator", "cesaro", "--angle", "85",

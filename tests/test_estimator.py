@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fractalkin.estimator import (
     measure_polyline,
 )
 from fractalkin.geometry import Polyline, base_segment, builtin, refine
+from fractalkin.measures import resolution
 
 LOG3_4 = math.log(4.0) / math.log(3.0)
 
@@ -407,6 +409,21 @@ def test_measure_polyline_rejects_fractional_scale_indices():
         measure_polyline(poly, [1.7, 2.2, 3.9], rho=3.0, fit=False)
     rows = measure_polyline(poly, [1.0, np.int64(2)], rho=3.0, fit=False).rows
     assert [row.k for row in rows] == [1, 2]
+
+
+@pytest.mark.parametrize("rho,ks", [(2.5, range(0, 30)), (3.0, range(30, 60))])
+def test_measure_polyline_dx_is_the_correctly_rounded_ladder(rho, ks):
+    # L0 / rho**k rounded twice where rho^k is inexact in float64; a tiny
+    # polyline keeps every scale countable
+    seg = Polyline(np.array([[0.0, 0.0], [1e-30, 0.0]]))
+    rows = measure_polyline(seg, ks, rho=rho, base_length=1.0, fit=False).rows
+    assert [row.dx for row in rows] == [resolution(k, 1.0, rho) for k in ks]
+    assert [row.dx for row in rows] == [float(1 / Fraction(rho) ** k) for k in ks]
+
+
+def test_measure_polyline_refuses_an_underflowing_scale():
+    with pytest.raises(ValueError, match="scale k=700 is too fine"):
+        measure_polyline(koch_level(2), [1, 700], rho=3.0, fit=False)
 
 
 # ---------------------------------------------------------------------------

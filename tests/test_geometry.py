@@ -135,6 +135,15 @@ def test_refine_rejects_bad_k():
         refine(base, builtin("koch"), -1)
     with pytest.raises(ValueError):
         refine(base, builtin("koch"), 1.5)
+    with pytest.raises(ValueError):
+        refine(base, builtin("koch"), True)
+
+
+@pytest.mark.parametrize("k", [2.0, np.int64(2)])
+def test_refine_takes_any_integral_k(k):
+    # the one scale-index rule of scale_table and refine alike
+    poly = refine(base_segment(1.0), builtin("koch"), k)
+    assert poly.level == 2 and poly.n_segments == 16
 
 
 def test_arc_length_law_builtins():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -87,12 +88,45 @@ def test_context_validation(bad):
         ParticleContext(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [dict(L0=1e-200), dict(m=1e-300, L0=1e-20), dict(dt=1e300, L0=1e-10)])
+@pytest.mark.parametrize("kwargs", [dict(L0=1e-200), dict(m=1e-300, L0=1e-20), dict(dt=1e300, L0=1e-20)])
 def test_context_rejects_eta0_underflow(kwargs):
     # eta0 = 0.0 collapses every regime interval to the point 0
     with pytest.raises(ValueError, match="too small"):
         ParticleContext(**{**dict(m=1.0, dt=1.0, L0=1.0), **kwargs})
     assert ParticleContext(m=1.0, dt=1.0, L0=1e-150).eta0 > 0.0
+
+
+@pytest.mark.parametrize("kwargs,eta0", [
+    (dict(m=1e-320, dt=1e100, L0=1e90), 4.9999443359134144e-241),
+    (dict(m=1e-300, dt=1e100, L0=1e90), 5e-221),
+])
+def test_context_judges_the_exact_eta0(kwargs, eta0):
+    # a chain of float products underflowed here, though eta0 is a normal float
+    assert ParticleContext(**kwargs).eta0 == eta0
+
+
+def test_context_refuses_any_scale_past_float64():
+    # eta0 = 5e299 fits, E0 = eta0 / dt does not
+    with pytest.raises(ValueError, match="too large"):
+        ParticleContext(m=1.0, dt=1e-300, L0=1.0)
+
+
+#: m, dt and L0 each take one of these values: 1,728 contexts
+CONTEXT_GRID = (0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.7, 2.3, 3.1, 4.9, 7.7)
+
+
+def test_context_scales_and_bounds_share_one_eta0():
+    peano = builtin("peano")
+    assert C06_CTX.E0 == 1.7734567901234568  # m V0^2 / 2 in floats gives ...566
+    for m, dt, l0 in itertools.product(CONTEXT_GRID, repeat=3):
+        ctx = ParticleContext(m=m, dt=dt, L0=l0)
+        x = Fraction(l0) / Fraction(dt)
+        assert (ctx.V0, ctx.E0, ctx.eta0) == (
+            float(x), float(Fraction(m) * x * x / 2), float(ctx.eta0_exact())), ctx
+        # on the D_s = 2 line eta0 <= product < 2 eta0, so no row rounds outside
+        report = verify_bounds(peano, ctx, range(1, 80))
+        assert report.eta0 == ctx.eta0
+        assert all(row.lower <= row.product <= row.upper for row in report.rows), ctx
 
 
 def test_areolar_velocity_examples():

@@ -347,6 +347,21 @@ def test_scale_table_row_identities():
                 assert row.dA_k0 == pytest.approx(row.dx_k * row.dL_k, rel=1e-12)
 
 
+@pytest.mark.parametrize("l0", [0.0, -1.0])
+@pytest.mark.parametrize("per_k", [length_at_scale, area_at_scale, delta_area])
+def test_per_k_measures_refuse_nonpositive_l0(per_k, l0):
+    with pytest.raises(ValueError, match="l0 must be positive"):
+        per_k(1, builtin("koch"), l0)
+
+
+def test_regime_bounds_unit_is_correctly_rounded():
+    # L0^2/2 settled from the exact rational, subnormal L0^2 included
+    for l0 in (1.3, 0.1, 1e-160, 3.3e-162, 1e154):
+        unit = float(Fraction(l0) ** 2 / 2)
+        crit = regime_bounds(2.0, l0)
+        assert (crit.lower, crit.upper) == (unit, 2 * unit), l0
+
+
 def test_scale_table_validation():
     with pytest.raises(ValueError):
         scale_table(builtin("koch"), 0.0, 1.0, 3)
