@@ -58,17 +58,10 @@ class MeasurementResult:
 # grid counting
 
 
-#: segments per array pass of grid_count: deduplicating cells per chunk bounds
-#: the arrays alive at once on long walks at fine scales
+#: segments per array pass of grid_count.  A pass lays out its cells in path
+#: order, drops each cell equal to the one before it and keeps the distinct
+#: rest, so the arrays alive at once stay bounded on long walks at fine scales
 _GRID_CHUNK = 1 << 13
-
-
-def _unique_rows(ij: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (n, 2) array of cell indices."""
-    ij = ij[np.lexsort((ij[:, 1], ij[:, 0]))]
-    keep = np.ones(len(ij), dtype=bool)
-    keep[1:] = (ij[1:] != ij[:-1]).any(axis=1)
-    return ij[keep]
 
 
 def _axis_crossings(a: np.ndarray, b: np.ndarray, cell: float):
@@ -76,15 +69,16 @@ def _axis_crossings(a: np.ndarray, b: np.ndarray, cell: float):
     cross the gridlines of one axis; segments with a == b cross none.
     Raises ValueError past `DEFAULT_VERTEX_CAP` crossings."""
     d = b - a
-    seg = np.flatnonzero(d != 0.0)
-    first = np.ceil(np.minimum(a[seg], b[seg]) / cell)
-    n = np.floor(np.maximum(a[seg], b[seg]) / cell) - first + 1.0
+    first = np.ceil(np.minimum(a, b) / cell)
+    n = np.floor(np.maximum(a, b) / cell) - first + 1.0
+    seg = np.flatnonzero((n > 0.0) & (d != 0.0))
+    n = n[seg]
     if n.sum() > DEFAULT_VERTEX_CAP:  # summed as floats, which cannot wrap
         raise ValueError(
             f"cell {cell!r} is too fine: one chunk of segments crosses more "
             f"than {DEFAULT_VERTEX_CAP} gridlines"
         )
-    n = n.astype(np.int64)
+    first, n = first[seg], n.astype(np.int64)
     seg = np.repeat(seg, n)
     # ragged arange: a segment's k-th crossing lies on gridline first + k
     line = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
@@ -93,21 +87,80 @@ def _axis_crossings(a: np.ndarray, b: np.ndarray, cell: float):
     return seg[inside], t[inside]
 
 
-def _chunk_cells(v: np.ndarray, cell: float) -> np.ndarray:
-    """The distinct (i, j) cells, one per row, of the supercover of v."""
-    a, d = v[:-1], v[1:] - v[:-1]
-    sx, tx = _axis_crossings(a[:, 0], v[1:, 0], cell)
-    sy, ty = _axis_crossings(a[:, 1], v[1:, 1], cell)
-    ends = np.arange(len(a))
-    seg = np.concatenate([ends, ends, sx, sy])
-    t = np.concatenate([np.zeros(len(a)), np.ones(len(a)), tx, ty])
-    order = np.lexsort((t, seg))
-    seg, t = seg[order], t[order]
-    same = seg[1:] == seg[:-1]
-    seg = np.concatenate([seg, seg[1:][same]])
-    t = np.concatenate([t, 0.5 * (t[:-1][same] + t[1:][same])])
-    cells = np.floor((a[seg] + t[:, None] * d[seg]) / cell).astype(np.int64)
-    return _unique_rows(cells)
+def _drop_repeats(z: np.ndarray) -> np.ndarray:
+    """z without each value that equals the one before it."""
+    keep = np.ones(len(z), dtype=bool)
+    np.not_equal(z[1:], z[:-1], out=keep[1:])
+    return z[keep]
+
+
+def _distinct(z: np.ndarray) -> np.ndarray:
+    """The distinct values of z, sorted; sorts z in place."""
+    z.sort(kind="stable")
+    return _drop_repeats(z)
+
+
+def _crossings(x: np.ndarray, y: np.ndarray, cell: float):
+    """Segment indices and parameters t in (0, 1) of the gridline crossings
+    of the polyline with vertices (x, y), sorted by segment, then t."""
+    sx, tx = _axis_crossings(x[:-1], x[1:], cell)
+    sy, ty = _axis_crossings(y[:-1], y[1:], cell)
+    key = np.empty(len(sx) + len(sy), dtype=complex)  # segment + t*1j
+    key.real = np.concatenate([sx, sy])
+    key.imag = np.concatenate([tx, ty])
+    # each axis comes ordered by segment, so the stable sort (timsort)
+    # mostly merges runs
+    key.sort(kind="stable")
+    return key.real.astype(np.intp), key.imag.copy()
+
+
+def _path_cells(x: np.ndarray, y: np.ndarray, cell: float) -> np.ndarray:
+    """The supercover cells of the polyline with vertices (x, y), in path order.
+
+    A cell (i, j) is held as the complex number i + j*1j: numpy sorts
+    complex numbers by real part, then imaginary part, and float64 holds
+    every index below 2**53 exactly, so no key is packed.  A segment with m
+    gridline crossings gives 2m + 3 cells: its start, the midpoint of each
+    of its m + 1 pieces with the crossing that ends each piece but the
+    last, and its end.
+    """
+    ax, ay = x[:-1], y[:-1]
+    dx, dy = x[1:] - ax, y[1:] - ay
+    seg, t = _crossings(x, y, cell)
+    z = np.empty(3 * len(ax) + 2 * len(seg), dtype=complex)
+
+    def put(at, param, which=slice(None)):
+        # z[at] = the cell of the point a + param*d of the segments `which`
+        for part, a, d in ((z.real, ax, dx), (z.imag, ay, dy)):
+            p = d[which] * param
+            p += a[which]
+            p /= cell
+            part[at] = np.floor(p, out=p)
+
+    # whole-array passes: the start, midpoint and end of every segment.  The
+    # midpoint is the one piece of a segment that crosses no gridline; the
+    # pieces of the other segments overwrite it below
+    m = np.bincount(seg, minlength=len(ax))
+    start = 3 * np.arange(len(ax)) + 2 * (np.cumsum(m) - m)
+    put(start, 0.0)
+    put(start + 1, 0.5)
+    put(start + 2 * m + 2, 1.0)
+    # per crossing: the i-th, on segment s, comes after the 3 cells of each
+    # segment up to s and the 2 of each crossing before it
+    at = 3 * seg + np.arange(2, 2 * len(seg) + 1, 2)
+    put(at, t, seg)
+    first = np.ones(len(seg), dtype=bool)  # the first crossing of its segment
+    np.not_equal(seg[1:], seg[:-1], out=first[1:])
+    last = np.roll(first, -1)
+    put(at[last] + 1, 0.5 * (t[last] + 1.0), seg[last])  # the piece after the last
+    mid = np.empty_like(t)  # of the piece that ends at each crossing
+    mid[1:] = t[:-1]
+    mid[first] = 0.0
+    mid += t
+    mid *= 0.5
+    at -= 1
+    put(at, mid, seg)
+    return z
 
 
 def grid_count(poly: Polyline, cell: float) -> int:
@@ -122,6 +175,14 @@ def grid_count(poly: Polyline, cell: float) -> int:
     segment's ends included, adds its own cell, which picks up cells
     touched only at their owned corner.
 
+    The point at parameter t of the segment a -> b is a + t*(b - a), the
+    end included (t = 1).  The cost is whole-array passes over the segments
+    plus work per crossing: the start, midpoint and end cells of every
+    segment come from whole arrays, and only the crossings inside (0, 1)
+    are sorted by (segment, t).  The cells are laid out in path order, each
+    cell equal to the one before it is dropped, and the rest are sorted to
+    count the distinct ones.
+
     Raises ValueError where a cell index would reach 2**53, past which
     float64 no longer holds every integer, and where one chunk of
     segments crosses more than `DEFAULT_VERTEX_CAP` gridlines.
@@ -135,11 +196,12 @@ def grid_count(poly: Polyline, cell: float) -> int:
             f"cell {cell!r} is too fine for coordinates up to {reach!r}: "
             "cell indices would reach 2**53"
         )
-    chunks = [
-        _chunk_cells(v[lo : lo + _GRID_CHUNK + 1], cell)
-        for lo in range(0, len(v) - 1, _GRID_CHUNK)
-    ]
-    return len(_unique_rows(np.concatenate(chunks)))
+    chunks = []
+    for lo in range(0, len(v) - 1, _GRID_CHUNK):
+        blk = v[lo : lo + _GRID_CHUNK + 1]
+        x, y = np.ascontiguousarray(blk[:, 0]), np.ascontiguousarray(blk[:, 1])
+        chunks.append(_distinct(_drop_repeats(_path_cells(x, y, cell))))
+    return len(_distinct(np.concatenate(chunks)))
 
 
 # ---------------------------------------------------------------------------

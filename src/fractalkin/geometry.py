@@ -123,7 +123,11 @@ def base_segment(l0: float = 1.0) -> Polyline:
 
 def _check_k(k) -> int:
     """A scale or refinement index as an int: any integral value >= 0 but a bool."""
-    if isinstance(k, bool) or int(k) != k:
+    try:
+        integral = not isinstance(k, bool) and int(k) == k
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        integral = False
+    if not integral:
         raise ValueError("k must be an integer")
     k = int(k)
     if k < 0:

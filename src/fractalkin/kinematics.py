@@ -35,8 +35,11 @@ class ParticleContext:
         for label, value in (("m", self.m), ("dt", self.dt), ("L0", self.L0)):
             if not value > 0.0:
                 raise ValueError(f"{label} must be positive, got {value}")
-        if math.inf in (self.eta0, self.E0, self.V0):  # JSON holds no inf
-            raise ValueError("eta0 = m L0^2 / (2 dt), E0 or V0 is too large for float64")
+        # JSON holds no inf, and the critical regime ends at 2 eta0; eta0 is
+        # correctly rounded and doubling is exact, so 2 * eta0 overflows
+        # exactly where the correctly rounded 2 eta0 does
+        if math.inf in (2.0 * self.eta0, self.E0, self.V0):
+            raise ValueError("2 eta0 = m L0^2 / dt, E0 or V0 is too large for float64")
         if self.eta0 == 0.0:  # every regime interval would collapse to 0
             raise ValueError("eta0 = m L0^2 / (2 dt) is too small for float64")
 

@@ -304,6 +304,16 @@ def test_analyze_eta0_underflow_is_exit_1():
     assert res.stderr.count("\n") == 1 and "too small" in res.stderr
 
 
+def test_analyze_refuses_a_critical_upper_end_past_float64():
+    # eta0 = 1.62e308 fits but 2 eta0 does not: the regime and the bounds
+    # rows were written with "upper": null, which marks the super regime
+    res = split_runner().invoke(main, ["analyze", "--generator", "peano", "--k-max", "2",
+                                       "--l0", "1.8e154"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "2 eta0" in res.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["analyze", "--generator", "koch", "--k-max", "2", "--mass", "nan"],
     ["analyze", "--generator", "koch", "--k-max", "2", "--mass", "inf"],

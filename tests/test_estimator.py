@@ -123,17 +123,69 @@ def supercover_oracle(poly: Polyline, cell: float) -> int:
     return len(cells)
 
 
+def _unique_rows(ij: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, 2) array of cell indices."""
+    ij = ij[np.lexsort((ij[:, 1], ij[:, 0]))]
+    keep = np.ones(len(ij), dtype=bool)
+    keep[1:] = (ij[1:] != ij[:-1]).any(axis=1)
+    return ij[keep]
+
+
+def rows_oracle(poly: Polyline, cell: float) -> int:
+    """Reference grid count in whole-array numpy, the same supercover as
+    `supercover_oracle`: every segment's ends and crossings go through one
+    (segment, t) sort, the pieces' midpoints are added, and all those
+    points are floored to (i, j) rows and deduplicated in one pass."""
+    v = poly.vertices
+    a, d = v[:-1], v[1:] - v[:-1]
+    sx, tx = estimator._axis_crossings(a[:, 0], v[1:, 0], cell)
+    sy, ty = estimator._axis_crossings(a[:, 1], v[1:, 1], cell)
+    ends = np.arange(len(a))
+    seg = np.concatenate([ends, ends, sx, sy])
+    t = np.concatenate([np.zeros(len(a)), np.ones(len(a)), tx, ty])
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    same = seg[1:] == seg[:-1]
+    seg = np.concatenate([seg, seg[1:][same]])
+    t = np.concatenate([t, 0.5 * (t[:-1][same] + t[1:][same])])
+    cells = np.floor((a[seg] + t[:, None] * d[seg]) / cell).astype(np.int64)
+    return len(_unique_rows(cells))
+
+
+def test_grid_count_matches_rows_oracle_on_koch():
+    # vertices on the ladder's gridlines, few crossings per segment
+    poly = koch_level(7)
+    for k in range(0, 9):
+        dx = resolution(k, poly.diameter(), 3.0)
+        assert grid_count(poly, dx) == rows_oracle(poly, dx), k
+
+
+def test_grid_count_matches_rows_oracle_on_brownian():
+    # off-lattice, and most segments cross gridlines at the finest scales
+    poly = brownian_path(20000, 7)
+    for k in range(2, 13):
+        dx = resolution(k, poly.diameter(), 2.0)
+        assert grid_count(poly, dx) == rows_oracle(poly, dx), k
+
+
 # quarter-cell lattice coordinates hit gridlines and corners; the rest do not
 _coord = st.one_of(
     st.integers(min_value=-12, max_value=12).map(lambda q: q / 4.0),
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
 )
 
+# offsets in cells: near the origin, and with cell indices near 2^32
+_offset = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(-1000, 1000).map(lambda q: q + 2**32),
+    st.integers(-1000, 1000).map(lambda q: q - 2**32),
+)
+
 
 @settings(deadline=None)
 @given(
     points=st.lists(st.tuples(_coord, _coord), min_size=2, max_size=30),
-    offset=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+    offset=st.tuples(_offset, _offset),
     cell=st.sampled_from([1.0, 0.5, 1.0 / 3.0, 0.1]),
     chunk=st.sampled_from([1, 2, 3, estimator._GRID_CHUNK]),
 )
@@ -144,7 +196,8 @@ def test_grid_count_matches_supercover_oracle(points, offset, cell, chunk):
     poly = Polyline(v)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimator, "_GRID_CHUNK", chunk)
-        assert grid_count(poly, cell) == supercover_oracle(poly, cell)
+        count = grid_count(poly, cell)
+    assert count == supercover_oracle(poly, cell) == rows_oracle(poly, cell)
 
 
 def test_grid_count_far_from_origin():

@@ -139,6 +139,14 @@ def test_refine_rejects_bad_k():
         refine(base, builtin("koch"), True)
 
 
+@pytest.mark.parametrize("k", [math.inf, math.nan, None])
+def test_refine_refuses_non_integral_k_with_one_message(k):
+    # int(k) raised OverflowError, "cannot convert float NaN to integer"
+    # and TypeError for these three
+    with pytest.raises(ValueError, match="^k must be an integer$"):
+        refine(base_segment(1.0), builtin("koch"), k)
+
+
 @pytest.mark.parametrize("k", [2.0, np.int64(2)])
 def test_refine_takes_any_integral_k(k):
     # the one scale-index rule of scale_table and refine alike

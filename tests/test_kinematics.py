@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,22 @@ def test_context_refuses_any_scale_past_float64():
     # eta0 = 5e299 fits, E0 = eta0 / dt does not
     with pytest.raises(ValueError, match="too large"):
         ParticleContext(m=1.0, dt=1e-300, L0=1.0)
+
+
+@pytest.mark.parametrize("dt,refused", [(1.0 + 2.0**-51, False), (1.0 + 2.0**-52, True)])
+def test_context_judges_the_exact_critical_upper_end(dt, refused):
+    # the D_s = 2 regime ends at 2 eta0 = m L0^2 / dt, which rounds past
+    # float64 from the midpoint between the largest float64 and 2**1024 on.
+    # Here it lies a hair above the largest float64 (kept, rounding to it)
+    # or past that midpoint (refused), while eta0, E0 and V0 all fit
+    m, l0 = sys.float_info.max, 1.0 + 2.0**-52
+    exact = Fraction(m) * Fraction(l0) ** 2 / Fraction(dt)
+    assert (exact >= 2**1024 - 2**970) == refused
+    if refused:
+        with pytest.raises(ValueError, match="2 eta0 = m L0\\^2 / dt, .* too large"):
+            ParticleContext(m=m, dt=dt, L0=l0)
+    else:
+        assert 2.0 * ParticleContext(m=m, dt=dt, L0=l0).eta0 == m
 
 
 #: m, dt and L0 each take one of these values: 1,728 contexts
