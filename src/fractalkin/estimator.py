@@ -218,12 +218,20 @@ _DIVIDER_SLICE = 16
 _DIVIDER_MARGIN = 1e-6
 
 
-def _far_vertex(x: np.ndarray, y: np.ndarray, lo: int, ax: float, ay: float,
-                far2: float) -> int:
+def _far_vertex(xy: memoryview, x: np.ndarray, y: np.ndarray, lo: int, ax: float,
+                ay: float, far2: float) -> int:
     """Index of the first vertex at or after `lo` whose squared distance from
-    (ax, ay) is >= far2, or len(x) if there is none."""
+    (ax, ay) is >= far2, or len(x) if there is none.  `xy` is the flat float
+    view of the vertices that `x` and `y` are the columns of."""
     n = len(x)
-    size = _DIVIDER_SLICE
+    hi = min(lo + _DIVIDER_SLICE, n)
+    for i in range(lo, hi):
+        dx = xy[2 * i] - ax
+        dy = xy[2 * i + 1] - ay
+        if dx * dx + dy * dy >= far2:
+            return i
+    lo = hi
+    size = 2 * _DIVIDER_SLICE
     while lo < n:
         hi = min(lo + size, n)
         dx = x[lo:hi] - ax
@@ -253,15 +261,19 @@ def divider_count(poly: Polyline, step: float) -> float:
 
     Squared distance from the anchor is convex along a segment, so a
     segment whose two ends both lie well inside the chord circle cannot
-    hold a hit.  Each step searches the vertices ahead with numpy, in
-    slices of 16 vertices that double in size, for the first vertex at
-    squared distance >= step2 * (1 - 1e-6).  The chord quadratic is then
-    solved only on the segment ending at that vertex and, after a miss,
-    on each following segment that starts at such a vertex.  The first
-    segment with a root t in (u, 1], u being the anchor's parameter on
-    its own segment and 0 elsewhere, gives its smallest such root as the
-    next anchor.  Counts are identical to solving the quadratic on every
-    segment in turn.
+    hold a hit.  Each step searches the vertices ahead for the first one
+    at squared distance >= step2 * (1 - 1e-6): the first 16 one at a time
+    on Python floats, then numpy slices of 32 vertices that double in
+    size.  The chord quadratic is then solved only on the segment ending
+    at that vertex and, after a miss, on each following segment that
+    starts at such a vertex.  The first segment with a root t in (u, 1],
+    u being the anchor's parameter on its own segment and 0 elsewhere,
+    gives its smallest such root as the next anchor.  Counts are identical
+    to solving the quadratic on every segment in turn.
+
+    All chord arithmetic is plain float64, one rounding per operation:
+    no fused multiply-add and no BLAS dot product, so the count is the
+    same on every CPU and numpy build.
 
     The count cannot exceed arc length / step, so a step under arc length /
     `DEFAULT_VERTEX_CAP` raises ValueError before any stepping.
@@ -276,8 +288,10 @@ def divider_count(poly: Polyline, step: float) -> float:
         )
     v = poly.vertices
     x, y = v.T
+    # zero-copy: vertices are C-contiguous float64, so vertex i is xy[2i], xy[2i+1]
+    xy = memoryview(v).cast("B").cast("d")
     nseg = len(v) - 1
-    anchor = v[0]
+    ax, ay = xy[0], xy[1]
     seg = 0
     u = 0.0
     full_steps = 0
@@ -285,21 +299,20 @@ def divider_count(poly: Polyline, step: float) -> float:
     far2 = step2 * (1.0 - _DIVIDER_MARGIN)
     while True:
         hit = None
-        ax, ay = float(anchor[0]), float(anchor[1])
         j, lo = seg, seg + 1  # the anchor, not v[seg], starts segment seg
         while True:
-            j = max(_far_vertex(x, y, lo, ax, ay, far2) - 1, j)
+            j = max(_far_vertex(xy, x, y, lo, ax, ay, far2) - 1, j)
             if j >= nseg:
                 break
             ulo = u if j == seg else 0.0
-            a = v[j]
-            d = v[j + 1] - a
-            w = a - anchor
-            qa = float(d @ d)
-            qb = 2.0 * float(w @ d)
-            qc = float(w @ w) - step2
+            a0, a1 = xy[2 * j], xy[2 * j + 1]
+            d0, d1 = xy[2 * j + 2] - a0, xy[2 * j + 3] - a1
+            w0, w1 = a0 - ax, a1 - ay
+            qa = d0 * d0 + d1 * d1
+            qb = 2.0 * (w0 * d0 + w1 * d1)
+            qc = (w0 * w0 + w1 * w1) - step2
             disc = qb * qb - 4.0 * qa * qc
-            if qa == 0.0:  # d @ d underflowed: the equation is linear, qb t + qc = 0
+            if qa == 0.0:  # |d|^2 underflowed: the equation is linear, qb t + qc = 0
                 roots = (-qc / qb,) if qb != 0.0 else ()
             elif disc >= 0.0:
                 root = math.sqrt(disc)
@@ -318,9 +331,11 @@ def divider_count(poly: Polyline, step: float) -> float:
         if hit is None:
             break
         seg, u = hit
-        anchor = v[seg] + u * (v[seg + 1] - v[seg])
+        a0, a1 = xy[2 * seg], xy[2 * seg + 1]
+        ax = a0 + u * (xy[2 * seg + 2] - a0)
+        ay = a1 + u * (xy[2 * seg + 3] - a1)
         full_steps += 1
-    tail = float(np.hypot(*(v[-1] - anchor)))
+    tail = float(np.hypot(xy[-2] - ax, xy[-1] - ay))
     return full_steps + tail / step
 
 

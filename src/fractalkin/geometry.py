@@ -73,7 +73,7 @@ class Polyline:
     level: int | None = None
 
     def __post_init__(self) -> None:
-        v = np.array(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float, order="C")  # divider_count reads it flat
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
         if not np.isfinite(v).all():

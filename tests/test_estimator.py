@@ -262,6 +262,15 @@ def test_divider_refuses_steps_past_the_cap():
         divider_count(koch_level(2), 4.65e-171)
 
 
+def test_divider_reads_column_major_vertices():
+    # Polyline stores a column-major input row-major, as the divider's flat
+    # float view of the vertices needs
+    rows = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.5]])
+    cols = Polyline(np.asfortranarray(rows))
+    assert cols.vertices.flags.c_contiguous
+    assert divider_count(cols, 0.7) == divider_count(Polyline(rows), 0.7)
+
+
 def divider_oracle(poly: Polyline, step: float) -> float:
     """Reference divider count, one segment at a time: from the anchor, solve
     the chord quadratic on every segment in turn and take the first root
@@ -278,13 +287,15 @@ def divider_oracle(poly: Polyline, step: float) -> float:
         j, ulo = seg, u
         while j < nseg:
             a = v[j]
-            d = v[j + 1] - a
-            w = a - anchor
-            qa = float(d @ d)
-            qb = 2.0 * float(w @ d)
-            qc = float(w @ w) - step2
+            # plain float64 sums of products, as in divider_count: `d @ d` goes
+            # to BLAS, whose kernel may fuse the multiply-add
+            d0, d1 = v[j + 1] - a
+            w0, w1 = a - anchor
+            qa = float(d0 * d0 + d1 * d1)
+            qb = 2.0 * float(w0 * d0 + w1 * d1)
+            qc = float(w0 * w0 + w1 * w1) - step2
             disc = qb * qb - 4.0 * qa * qc
-            if qa == 0.0:  # d @ d underflowed: the equation is linear, qb t + qc = 0
+            if qa == 0.0:  # |d|^2 underflowed: the equation is linear, qb t + qc = 0
                 roots = (-qc / qb,) if qb != 0.0 else ()
             elif disc >= 0.0:
                 root = math.sqrt(disc)
@@ -363,6 +374,23 @@ def test_divider_ladder_pins():
     peano = refine(base_segment(), builtin("peano"), 6)
     assert [divider_count(peano, 3.0**-k) for k in range(6)] == [
         9**k + 1e-9 for k in range(6)]
+    # the brownian-walk benchmark's divider ladder
+    walk = measure_polyline(brownian_path(100_000, 7), range(4, 10), rho=2.0,
+                            method="divider", fit=False)
+    assert [r.count for r in walk.rows] == [
+        97.5661789912328, 392.4624661848025, 1445.7522101083528, 5244.369584553512,
+        17966.46717413154, 54737.91898612022]
+
+
+def test_divider_count_is_plain_float64():
+    # a BLAS dot product that fuses the multiply-add (OpenBLAS's Haswell ddot
+    # does on some inputs) moves these counts in their last bits
+    cesaro = refine(base_segment(), builtin("cesaro", angle_deg=85.0), 5)
+    step = resolution(5, cesaro.diameter(), 3.0)
+    assert divider_count(cesaro, step) == divider_oracle(cesaro, step) == 5120.000050043661
+    koch = koch_level(3)
+    step = resolution(2, koch.diameter(), 2.0)
+    assert divider_count(koch, step) == divider_oracle(koch, step) == 4.66577383946962
 
 
 @pytest.mark.parametrize("vertices,steps", [
@@ -372,7 +400,7 @@ def test_divider_ladder_pins():
     ([[1, 0], [0, 0], [1e-170, 1e-170], [0, 1]], [(1 + 1e-7) / (1 - 1e-9), 0.5]),
 ])
 def test_divider_segment_shorter_than_underflow(vertices, steps):
-    # d @ d underflows to 0 on the 1e-170 segment; the chord test must not
+    # |d|^2 underflows to 0 on the 1e-170 segment; the chord test must not
     # divide by it, and the segment changes no count
     poly = Polyline(np.array(vertices, dtype=float))
     without = Polyline(np.delete(poly.vertices, 2, axis=0))
