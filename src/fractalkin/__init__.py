@@ -26,21 +26,16 @@ from .kinematics import (
     BoundsRow,
     ParticleContext,
     UncertaintyRow,
-    areolar_velocity_change,
     classify_regime,
-    uncertainty_product,
     uncertainty_table,
     verify_bounds,
 )
 from .measures import (
     RegimeBound,
     ScaleRow,
-    area_at_scale,
     classify_ds,
-    delta_area,
     gamma,
     gamma_exact_critical,
-    length_at_scale,
     regime_bounds,
     resolution,
     scale_table,

@@ -215,7 +215,7 @@ def measure(input_path, scales, rho, method, fit, fmt, out):
 @main.command()
 @click.option("--n", type=click.IntRange(min=2), required=True,
               help="Number of vertices (flag or config file).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--step-std", type=_POSITIVE, default=1.0, show_default=True,
               help="Per-axis standard deviation of each increment.")
 @click.option("--out", type=click.Path(), default=None,

@@ -348,7 +348,9 @@ def estimate_dimension(rows: Sequence[MeasurementRow]) -> DimensionFit:
 
     Scales where the count stopped growing (count < 1.05x the previous
     scale's count) are saturated and left out of the fit.  Needs at least
-    3 usable scales with distinct dx.
+    3 usable scales with distinct dx.  The fit is the closed-form centred
+    least-squares line on Python floats (`math.log`, `math.fsum`), so its
+    bytes depend on no BLAS kernel, SIMD path or Python version.
     """
     ordered = sorted(rows, key=lambda r: -r.dx)
     if any(r.count < 1.0 for r in ordered):
@@ -357,21 +359,25 @@ def estimate_dimension(rows: Sequence[MeasurementRow]) -> DimensionFit:
     for prev, row in zip(ordered, ordered[1:]):
         if row.count >= SATURATION_RATIO * prev.count:
             usable.append(row)
-    if len({r.dx for r in usable}) < 3:
+    x = [-math.log(r.dx) for r in usable]  # ln(1/dx), with no 1/dx to overflow
+    if len(set(x)) < 3:  # so that the spread of x cannot be 0
         raise ValueError(
             f"need at least 3 usable scales with distinct dx, have {len(usable)}"
         )
-    x = np.log([1.0 / r.dx for r in usable])
-    y = np.log([r.count for r in usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(resid @ resid)
-    ss_tot = float(((y - y.mean()) @ (y - y.mean())))
+    y = [math.log(r.count) for r in usable]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    cx = [a - x_mean for a in x]
+    cy = [b - y_mean for b in y]
+    slope = math.fsum(a * b for a, b in zip(cx, cy)) / math.fsum(a * a for a in cx)
+    intercept = y_mean - slope * x_mean
+    resid = [b - (slope * a + intercept) for a, b in zip(x, y)]
+    ss_res = math.fsum(e * e for e in resid)
+    ss_tot = math.fsum(b * b for b in cy)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     ks = [r.k for r in usable]
     return DimensionFit(
-        ds_hat=float(slope),
-        intercept=float(intercept),
+        ds_hat=slope,
+        intercept=intercept,
         r2=r2,
         k_fit_range=(min(ks), max(ks)),
     )
@@ -427,10 +433,13 @@ def brownian_path(n: int, seed: int, step_std: float = 1.0) -> Polyline:
 
     Uses the Philox counter-based generator seeded through SeedSequence
     (splittable, so derived streams stay reproducible) and numpy's
-    ziggurat normal sampler; see BROWNIAN_PRNG.
+    ziggurat normal sampler; see BROWNIAN_PRNG.  Raises ValueError, before
+    anything is allocated, past `DEFAULT_VERTEX_CAP` vertices.
     """
     if int(n) != n or n < 2:
         raise ValueError("n must be an integer >= 2")
+    if n > DEFAULT_VERTEX_CAP:
+        raise ValueError(f"a walk of {int(n)} vertices is above the cap of {DEFAULT_VERTEX_CAP}")
     if not step_std > 0.0:
         raise ValueError("step_std must be positive")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

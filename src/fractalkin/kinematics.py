@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .geometry import GeneratorSpec, _check_k
-from .measures import DOWN, UP, Bounded, RegimeBound, classify_ds, gamma_at, ladders
-from .measures import regime_interval
+from .measures import DOWN, UP, Bounded, RegimeBound, classify_ds, gammas, regime_interval
 
 
 @dataclass(frozen=True)
@@ -107,16 +106,6 @@ class BoundsReport:
         return not self.violations
 
 
-def areolar_velocity_change(k: int, spec: GeneratorSpec, ctx: ParticleContext) -> float:
-    """dx_k * dv_k = dx_k * dL_k / dt = L0^2 gamma(k) / dt = 2 eta0 gamma(k) / m."""
-    return gamma_at(spec, k).times(Bounded.of(2 * ctx.eta0_exact() / Fraction(ctx.m))).settle()
-
-
-def uncertainty_product(k: int, spec: GeneratorSpec, ctx: ParticleContext) -> float:
-    """Position-momentum product at scale k: m dx_k dL_k / dt = 2 eta0 gamma(k)."""
-    return gamma_at(spec, k).times(Bounded.of(2 * ctx.eta0_exact())).settle()
-
-
 def classify_regime(ds: float, ctx: ParticleContext) -> RegimeBound:
     """Bounds on dx_k * dp_k in action units: the regime table with unit eta0.
 
@@ -125,20 +114,27 @@ def classify_regime(ds: float, ctx: ParticleContext) -> RegimeBound:
     return regime_interval(ds, ctx.eta0)
 
 
+def _products(
+    spec: GeneratorSpec, ctx: ParticleContext, ks: Iterable[int]
+) -> Iterator[tuple[int, Bounded, Bounded, Bounded, Bounded]]:
+    """(k, rho^-k, (N/rho^2)^k, gamma(k), 2 eta0 gamma(k)) for each k of `ks`,
+    bounded: the one place the product dx_k * dp_k is formed."""
+    per_product = Bounded.of(2 * ctx.eta0_exact())
+    for k, res, area, g in gammas(spec, ks):
+        yield k, res, area, g, g.times(per_product)
+
+
 def uncertainty_table(
     spec: GeneratorSpec, ctx: ParticleContext, k_max: int
 ) -> list[UncertaintyRow]:
     """Rows of areolar velocity/momentum changes for k = 0..k_max."""
     k_max = _check_k(k_max)
     regime = classify_ds(spec.ds)
-    res, _, area = ladders(spec)
-    two_eta0 = 2 * ctx.eta0_exact()
-    per_dv, per_dp = Bounded.of(two_eta0 / Fraction(ctx.m)), Bounded.of(two_eta0)
+    per_dv = Bounded.of(2 * ctx.eta0_exact() / Fraction(ctx.m))
     rows = []
-    for k in range(k_max + 1):
-        g = area(k).minus(res(k))
+    for k, _, _, g, product in _products(spec, ctx, range(k_max + 1)):
         rows.append(UncertaintyRow(
-            k=k, dV_k=g.times(per_dv).settle(), dP_k=g.times(per_dp).settle(), regime=regime))
+            k=k, dV_k=g.times(per_dv).settle(), dP_k=product.settle(), regime=regime))
     return rows
 
 
@@ -180,15 +176,11 @@ def verify_bounds(
         raise ValueError("bound checking applies to k >= 1 only")
     ds = spec.ds
     bound = classify_regime(ds, ctx)
-    res_at, _, area_at = ladders(spec)
-    per_product = Bounded.of(2 * ctx.eta0_exact())
     table = regime_interval(ds, Decimal("0.5"))
     rows = []
-    for k in ks:
-        res, area = res_at(k), area_at(k)
-        g = area.minus(res)
+    for k, res, area, g, product in _products(spec, ctx, ks):
         passed = _passes(area, res, g, ds, table)
-        rows.append(BoundsRow(k=k, product=g.times(per_product).settle(), lower=bound.lower,
+        rows.append(BoundsRow(k=k, product=product.settle(), lower=bound.lower,
                               upper=bound.upper, passed=passed))
     return BoundsReport(
         spec_name=spec.name,

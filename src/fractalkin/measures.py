@@ -1,13 +1,14 @@
 """Closed-form multiscale measures of a self-similar trajectory.
 
 Everything here is a pure function of (k, rho, N, L0, dt): the resolution
-ladder, length/area at scale, the surface-change factor gamma, and the
-similarity-dimension bound regimes.  Every float is its exact closed form
-correctly rounded (`Bounded.settle`), save `gamma(k, rho, ds)`, a float
-formula of a continuous D_s.  On the D_s = 2 line 1 - rho^-k is 1.0 in
-float64 once rho^-k drops below the epsilon of 1.0, so the strict bounds
-are decided in exact arithmetic: `gamma_exact_critical` here, and
-`kinematics.verify_bounds` for the products of any generator.
+ladder, the scale table (length, area and the surface-change factor gamma
+at every scale), and the similarity-dimension bound regimes.  Every float
+is its exact closed form correctly rounded (`Bounded.settle`), save
+`gamma(k, rho, ds)`, a float formula of a continuous D_s.  On the D_s = 2
+line 1 - rho^-k is 1.0 in float64 once rho^-k drops below the epsilon of
+1.0, so the strict bounds are decided in exact arithmetic:
+`gamma_exact_critical` here, and `kinematics.verify_bounds` for the
+products of any generator.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .geometry import GeneratorSpec, _check_k
 
@@ -161,9 +162,20 @@ def _ladder(ratio: Fraction, digits: int) -> Callable[[int], Bounded]:
 
 def ladders(spec: GeneratorSpec) -> tuple[Callable[[int], Bounded], ...]:
     """The ladders of rho^-k, (N/rho)^k and (N/rho^2)^k: dx_k, L_k and A_k
-    in units of L0 and L0^2.  gamma(k) is the third less the first."""
+    in units of L0 and L0^2."""
     rho = Fraction(spec.rho)
     return tuple(_ladder(x, DOWN.prec) for x in (1 / rho, spec.n / rho, spec.n / rho**2))
+
+
+def gammas(
+    spec: GeneratorSpec, ks: Iterable[int]
+) -> Iterator[tuple[int, Bounded, Bounded, Bounded]]:
+    """(k, rho^-k, (N/rho^2)^k, gamma(k)) for each k of `ks`, bounded: the one
+    place gamma(k) = (N/rho^2)^k - rho^-k, dA_k0 in units of L0^2, is formed."""
+    res_at, _, area_at = ladders(spec)
+    for k in ks:
+        res, area = res_at(k), area_at(k)
+        yield k, res, area, area.minus(res)
 
 
 def _l0(l0: float) -> Fraction:
@@ -186,23 +198,6 @@ def resolution(k: int, dx0: float, rho: float) -> float:
 def cell_count(spec: GeneratorSpec, k: int) -> int:
     """Exact number of generator cells at level k: N^k (Python integer)."""
     return spec.n ** _check_k(k)
-
-
-def length_at_scale(k: int, spec: GeneratorSpec, l0: float) -> float:
-    """Trajectory length as measured at scale k: L0 * (N/rho)^k.
-
-    inf once the length passes the float64 range (peano from k = 647).
-    """
-    return ladders(spec)[1](_check_k(k)).times(Bounded.of(_l0(l0))).settle()
-
-
-def area_at_scale(k: int, spec: GeneratorSpec, l0: float) -> float:
-    """Area measure at scale k: L0^2 * (N/rho^2)^k = L0^2 * rho^(k (D_s - 2)).
-
-    Identically N^k * dx_k^2 and dx_k * L_k; the closed form is the
-    implemented route, the identities are checked by the test suite.
-    """
-    return ladders(spec)[2](_check_k(k)).times(Bounded.of(_l0(l0) ** 2)).settle()
 
 
 def gamma(k: int, rho: float, ds: float) -> float:
@@ -236,17 +231,6 @@ def gamma_exact_critical(k: int, rho: float) -> Fraction:
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
     return 1 - Fraction(rho) ** (-k)
-
-
-def gamma_at(spec: GeneratorSpec, k: int) -> Bounded:
-    """gamma(k) = (N/rho^2)^k - rho^-k, bounded."""
-    res, _, area = (ladder(_check_k(k)) for ladder in ladders(spec))
-    return area.minus(res)
-
-
-def delta_area(k: int, spec: GeneratorSpec, l0: float) -> float:
-    """Per-scale surface change dx_k * dL_k = L0^2 * gamma(k)."""
-    return gamma_at(spec, k).times(Bounded.of(_l0(l0) ** 2)).settle()
 
 
 def classify_ds(ds: float) -> str:
@@ -304,12 +288,12 @@ def scale_table(
     x = _l0(l0)
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    powers = ladders(spec)
+    length_at = ladders(spec)[1]
     per_l0, per_area, per_speed = (Bounded.of(c) for c in (x, x * x, x / Fraction(dt)))
     rows = []
-    for k in range(k_max + 1):
-        res, length, area = (ladder(k) for ladder in powers)
-        g, lk = area.minus(res), length.times(per_l0)
+    for k, res, area, g in gammas(spec, range(k_max + 1)):
+        length = length_at(k)
+        lk = length.times(per_l0)
         try:
             n_k = float(cell_count(spec, k))
         except OverflowError:  # N^k beyond float range; the ladder keeps going

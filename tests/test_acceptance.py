@@ -16,16 +16,8 @@ from click.testing import CliRunner
 from fractalkin.cli import main as cli_main
 from fractalkin.estimator import brownian_path, measure_polyline
 from fractalkin.geometry import base_segment, builtin, refine
-from fractalkin.kinematics import ParticleContext, uncertainty_product, verify_bounds
-from fractalkin.measures import (
-    area_at_scale,
-    classify_ds,
-    gamma,
-    gamma_exact_critical,
-    length_at_scale,
-    resolution,
-    scale_table,
-)
+from fractalkin.kinematics import ParticleContext, uncertainty_table, verify_bounds
+from fractalkin.measures import classify_ds, gamma, gamma_exact_critical, scale_table
 from fractalkin.serialize import (
     bounds_report_from_dict,
     bounds_report_to_dict,
@@ -80,19 +72,19 @@ def test_c02_line_invariance():
         v0 = l0 / dt
         rows = scale_table(line, l0, dt, 20)
         for k in range(21):
-            assert abs(length_at_scale(k, line, l0) - l0) <= 1e-12 * l0
+            assert abs(rows[k].L_k - l0) <= 1e-12 * l0
             assert abs(rows[k].v_k - v0) <= 1e-12 * v0
 
 
 def test_c03_area_law():
     with criterion(3, "koch A_k = (4/9)^k, A_k = dx_k L_k, monotone to 0, k <= 40"):
-        koch = builtin("koch")
+        rows = scale_table(builtin("koch"), 1.0, 1.0, 40)
         prev = math.inf
         for k in range(41):
-            a = area_at_scale(k, koch, 1.0)
+            a = rows[k].A_k
             closed = (4.0 / 9.0) ** k
             assert abs(a - closed) <= 1e-12 * closed
-            identity = resolution(k, 1.0, 3.0) * length_at_scale(k, koch, 1.0)
+            identity = rows[k].dx_k * rows[k].L_k
             assert abs(a - identity) <= 1e-12 * identity
             assert a < prev
             prev = a
@@ -143,14 +135,14 @@ def test_c05_uncertainty_regimes():
                 assert p > prev, row.k
             prev = p
         prev = math.inf
-        for k in range(1, 51):
-            p = uncertainty_product(k, koch, UNIT_CTX)
-            assert 0.0 < p < 1.0, k
-            assert p < prev, k
+        for row in uncertainty_table(koch, UNIT_CTX, 50)[1:]:
+            p = row.dP_k
+            assert 0.0 < p < 1.0, row.k
+            assert p < prev, row.k
             prev = p
         assert prev < 1e-15  # koch products vanish with k
-        for k in range(1, 51):
-            assert uncertainty_product(k, line, UNIT_CTX) == 0.0
+        for row in uncertainty_table(line, UNIT_CTX, 50)[1:]:
+            assert row.dP_k == 0.0
         # attainment of the critical lower bound: gamma(1, 2, 2) = 1/2
         assert gamma(1, 2.0, 2.0) == 0.5
         from fractalkin.geometry import GeneratorSpec
@@ -159,7 +151,7 @@ def test_c05_uncertainty_regimes():
             "rho2", 2.0,
             np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]),
         )
-        assert uncertainty_product(1, limit_spec, UNIT_CTX) == UNIT_CTX.eta0
+        assert uncertainty_table(limit_spec, UNIT_CTX, 1)[1].dP_k == UNIT_CTX.eta0
 
 
 def test_c06_dual_route_identity():
@@ -168,11 +160,12 @@ def test_c06_dual_route_identity():
         specs += [builtin("cesaro", angle_deg=a) for a in (30.0, 60.0, 85.0)]
         ctx = ParticleContext(m=1.7, dt=0.9, L0=1.3)
         for spec in specs:
+            # (a) from the scale table's dx_k and L_k, (b) the uncertainty table's dP_k
+            scale, unc = scale_table(spec, ctx.L0, ctx.dt, 40), uncertainty_table(spec, ctx, 40)
             for k in range(41):
-                dx = resolution(k, ctx.L0, spec.rho)
-                dl = length_at_scale(k, spec, ctx.L0) - ctx.L0
-                route_a = ctx.m * dx * dl / ctx.dt
-                route_b = uncertainty_product(k, spec, ctx)
+                dl = scale[k].L_k - ctx.L0
+                route_a = ctx.m * scale[k].dx_k * dl / ctx.dt
+                route_b = unc[k].dP_k
                 if route_a == 0.0:
                     assert route_b == 0.0, (spec.name, k)
                 else:
@@ -214,13 +207,13 @@ def test_c09_correspondence_monotonicity():
                       "toward the D_s -> 1 end"):
         thetas = (61.0, 70.0, 80.0, 89.0)
         products = [
-            uncertainty_product(5, builtin("cesaro", angle_deg=t), UNIT_CTX)
+            uncertainty_table(builtin("cesaro", angle_deg=t), UNIT_CTX, 5)[5].dP_k
             for t in thetas
         ]
         for a, b in zip(products, products[1:]):
             assert b > a
         tail = [
-            uncertainty_product(5, builtin("cesaro", angle_deg=t), UNIT_CTX)
+            uncertainty_table(builtin("cesaro", angle_deg=t), UNIT_CTX, 5)[5].dP_k
             for t in (30.0, 10.0, 3.0, 1.0)
         ]
         for a, b in zip(tail, tail[1:]):

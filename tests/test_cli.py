@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fractalkin import estimator
 from fractalkin.cli import main
 from fractalkin.geometry import base_segment, builtin, refine
 from fractalkin.measures import scale_table
@@ -358,6 +359,22 @@ def test_brownian_deterministic_files(runner, tmp_path):
 def test_brownian_n1_usage_error(runner):
     res = runner.invoke(main, ["brownian", "--n", "1"])
     assert res.exit_code == 2
+
+
+def test_brownian_negative_seed_usage_error():
+    # numpy refused it at run time, exit 1; a flag's range is a usage error
+    res = split_runner().invoke(main, ["brownian", "--n", "5", "--seed", "-1"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "--seed" in res.stderr
+
+
+def test_brownian_refuses_past_vertex_cap(monkeypatch):
+    monkeypatch.setattr(estimator, "DEFAULT_VERTEX_CAP", 50)
+    res = split_runner().invoke(main, ["brownian", "--n", "51"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "above the cap of 50" in res.stderr
 
 
 def test_help_on_every_subcommand(runner):

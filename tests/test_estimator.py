@@ -422,6 +422,9 @@ def test_estimate_dimension_exact_power_law():
     assert fit.ds_hat == pytest.approx(1.5, abs=1e-12)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
     assert fit.k_fit_range == (0, 4)
+    # subnormal dx, where 1/dx overflows to inf but ln(1/dx) is finite
+    tiny = [MeasurementRow(k=r.k, dx=r.dx * 2.0**-1030, count=r.count, length=0.0) for r in rows]
+    assert estimate_dimension(tiny).ds_hat == pytest.approx(1.5, abs=1e-12)
 
 
 def test_estimate_dimension_saturation_exclusion():
@@ -453,6 +456,65 @@ def test_estimate_dimension_rejects_counts_below_one():
     ]
     with pytest.raises(ValueError):
         estimate_dimension(rows)
+
+
+def reference_fit(rows):
+    """The saturation rule and the least-squares line of ln(count) against
+    ln(1/dx), from the textbook normal equations in exact rationals of the
+    same logs, each result rounded once; None below 3 usable scales."""
+    ordered = sorted(rows, key=lambda r: -r.dx)
+    usable = [ordered[0]] + [row for prev, row in zip(ordered, ordered[1:])
+                             if row.count >= 1.05 * prev.count]
+    if len(usable) < 3:
+        return None
+    x = [Fraction(-math.log(r.dx)) for r in usable]
+    y = [Fraction(math.log(r.count)) for r in usable]
+    n, sx, sy = len(x), sum(x), sum(y)
+    sxx, sxy = sum(a * a for a in x), sum(a * b for a, b in zip(x, y))
+    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    intercept = (sy - slope * sx) / n
+    ss_res = sum((b - slope * a - intercept) ** 2 for a, b in zip(x, y))
+    ss_tot = sum((b - sy / n) ** 2 for b in y)
+    r2 = 1 if ss_tot == 0 else 1 - ss_res / ss_tot
+    ks = [r.k for r in usable]
+    return float(slope), float(intercept), float(r2), (min(ks), max(ks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rho=st.floats(min_value=1.5, max_value=10.0),
+    k0=st.integers(min_value=0, max_value=30),
+    first=st.floats(min_value=1.0, max_value=1e6),
+    growth=st.lists(st.floats(min_value=0.0, max_value=12.0), min_size=2, max_size=12),
+)
+def test_estimate_dimension_matches_reference_fit(rho, k0, first, growth):
+    # each scale multiplies the count by e^g, g in [0, 12]: some scales saturate
+    counts = [first]
+    for g in growth:
+        counts.append(counts[-1] * math.exp(g))
+    rows = [MeasurementRow(k=k0 + i, dx=resolution(k0 + i, 1.0, rho), count=c, length=0.0)
+            for i, c in enumerate(counts)]
+    want = reference_fit(rows)
+    if want is None:
+        with pytest.raises(ValueError, match="need at least 3 usable scales"):
+            estimate_dimension(rows)
+        return
+    slope, intercept, r2, ks = want
+    fit = estimate_dimension(rows)
+    assert fit.k_fit_range == ks
+    assert fit.ds_hat == pytest.approx(slope, rel=1e-9, abs=1e-9)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-9, abs=1e-9)
+    assert fit.r2 == pytest.approx(r2, abs=1e-9)
+
+
+def test_estimate_dimension_is_plain_float(monkeypatch):
+    # np.polyfit and `@` go through LAPACK and OpenBLAS, whose kernel, picked
+    # at run time, moved the fit in its last bits; the fit uses no numpy
+    rows = [MeasurementRow(k=k, dx=3.0**-k, count=c, length=0.0)
+            for k, c in enumerate([1.0, 4.0, 17.0, 68.0, 290.0, 1230.0, 4893.0])]
+    want = estimate_dimension(rows)
+    monkeypatch.setattr(estimator, "np", None)
+    assert estimate_dimension(rows) == want
 
 
 def test_straight_segment_dimension_near_one():
@@ -531,6 +593,19 @@ def test_brownian_validation():
         brownian_path(1, seed=0)
     with pytest.raises(ValueError):
         brownian_path(10, seed=0, step_std=0.0)
+
+
+def test_brownian_refuses_past_vertex_cap(monkeypatch):
+    # refused before numpy is asked for the (n - 1) x 2 increments
+    monkeypatch.setattr(estimator, "DEFAULT_VERTEX_CAP", 50)
+    assert brownian_path(50, seed=0).n_vertices == 50
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled past the cap")
+
+    monkeypatch.setattr(estimator.np.random, "Generator", unreachable)
+    with pytest.raises(ValueError, match="51 vertices is above the cap of 50"):
+        brownian_path(51, seed=0)
 
 
 def test_brownian_metadata_block():

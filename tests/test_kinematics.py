@@ -8,25 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fractalkin import kinematics, measures, serialize
+from fractalkin import measures, serialize
 from fractalkin.geometry import GeneratorSpec, base_segment, builtin, refine
 from fractalkin.kinematics import (
     ParticleContext,
-    areolar_velocity_change,
     classify_regime,
-    uncertainty_product,
     uncertainty_table,
     verify_bounds,
 )
-from fractalkin.measures import (
-    area_at_scale,
-    classify_ds,
-    delta_area,
-    gamma,
-    length_at_scale,
-    resolution,
-    scale_table,
-)
+from fractalkin.measures import classify_ds, gamma, resolution, scale_table
 
 UNIT_CTX = ParticleContext(m=1.0, dt=1.0, L0=1.0)
 C06_CTX = ParticleContext(m=1.7, dt=0.9, L0=1.3)
@@ -148,39 +138,40 @@ def test_context_scales_and_bounds_share_one_eta0():
 
 def test_areolar_velocity_examples():
     line, koch = builtin("line"), builtin("koch")
-    for k in range(15):
-        assert areolar_velocity_change(k, line, UNIT_CTX) == 0.0
-    # oracle: delta_area(1) = (1/3)(4/3 - 1) = 1/9, divided by dt
-    assert areolar_velocity_change(1, koch, UNIT_CTX) == pytest.approx(1 / 9, rel=1e-12)
+    for row in uncertainty_table(line, UNIT_CTX, 14):
+        assert row.dV_k == 0.0
+    # oracle: dA_k0 at k = 1 is (1/3)(4/3 - 1) = 1/9, divided by dt
+    assert uncertainty_table(koch, UNIT_CTX, 1)[1].dV_k == pytest.approx(1 / 9, rel=1e-12)
     ctx3 = ParticleContext(m=1.0, dt=3.0, L0=1.0)
-    assert areolar_velocity_change(1, koch, ctx3) == pytest.approx(1 / 27, rel=1e-12)
+    assert uncertainty_table(koch, ctx3, 1)[1].dV_k == pytest.approx(1 / 27, rel=1e-12)
 
 
 def test_uncertainty_product_examples():
     line, koch, peano = builtin("line"), builtin("koch"), builtin("peano")
-    for k in range(10):
-        assert uncertainty_product(k, line, UNIT_CTX) == 0.0
+    for row in uncertainty_table(line, UNIT_CTX, 9):
+        assert row.dP_k == 0.0
     # peano k=1: 2 * (1/2) * (2/3), inside [eta0, 2 eta0) = [1/2, 1)
-    p = uncertainty_product(1, peano, UNIT_CTX)
+    p = uncertainty_table(peano, UNIT_CTX, 1)[1].dP_k
     assert p == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert 0.5 <= p < 1.0
     # koch k=1 oracle from the refined polyline: m dx_1 (L_1 - L_0) / dt
     poly = refine(base_segment(1.0), koch, 1)
     oracle = 1.0 * (1.0 / 3.0) * (poly.arc_length() - 1.0) / 1.0
-    assert uncertainty_product(1, koch, UNIT_CTX) == pytest.approx(oracle, rel=1e-12)
+    assert uncertainty_table(koch, UNIT_CTX, 1)[1].dP_k == pytest.approx(oracle, rel=1e-12)
 
 
 def test_dual_route_identity():
-    # (a) m dx_k dL_k / dt from closed-form L_k vs (b) 2 eta0 gamma(k)
+    # (a) m dx_k dL_k / dt from the scale table's dx_k and L_k vs (b) the
+    # uncertainty table's 2 eta0 gamma(k)
     specs = [builtin(n) for n in ("line", "koch", "peano")]
     specs += [builtin("cesaro", angle_deg=a) for a in (30.0, 60.0, 85.0)]
     ctx = ParticleContext(m=1.3, dt=0.7, L0=2.1)
     for spec in specs:
+        scale, unc = scale_table(spec, ctx.L0, ctx.dt, 40), uncertainty_table(spec, ctx, 40)
         for k in range(41):
-            dx = resolution(k, ctx.L0, spec.rho)
-            dl = length_at_scale(k, spec, ctx.L0) - ctx.L0
-            route_a = ctx.m * dx * dl / ctx.dt
-            route_b = uncertainty_product(k, spec, ctx)
+            dl = scale[k].L_k - ctx.L0
+            route_a = ctx.m * scale[k].dx_k * dl / ctx.dt
+            route_b = unc[k].dP_k
             if route_a == 0.0:
                 assert route_b == 0.0
             else:
@@ -201,8 +192,8 @@ def test_scale_invariance_of_products(alpha, beta, k):
         m=alpha, dt=beta, L0=math.sqrt(beta / alpha)
     )
     assert scaled.eta0 == pytest.approx(base.eta0, rel=1e-12)
-    p0 = uncertainty_product(k, koch, base)
-    p1 = uncertainty_product(k, koch, scaled)
+    p0 = uncertainty_table(koch, base, k)[k].dP_k
+    p1 = uncertainty_table(koch, scaled, k)[k].dP_k
     if p0 == 0.0:
         assert p1 == 0.0
     else:
@@ -354,7 +345,7 @@ def test_critical_products_increase_below_2eta0():
             assert p > prev
         prev = p
     assert report.rows[-1].product == 2 * UNIT_CTX.eta0  # the float saturation
-    assert uncertainty_product(50, peano, UNIT_CTX) == 2 * UNIT_CTX.eta0
+    assert uncertainty_table(peano, UNIT_CTX, 50)[50].dP_k == 2 * UNIT_CTX.eta0
 
 
 def test_critical_lower_bound_attained_at_rho2_k1():
@@ -362,7 +353,7 @@ def test_critical_lower_bound_attained_at_rho2_k1():
     assert gamma(1, 2.0, 2.0) == 0.5
     spec = rho2_critical_spec()
     assert spec.ds == pytest.approx(2.0, abs=1e-12)
-    assert uncertainty_product(1, spec, UNIT_CTX) == UNIT_CTX.eta0
+    assert uncertainty_table(spec, UNIT_CTX, 1)[1].dP_k == UNIT_CTX.eta0
     assert bounds_oracle(spec, UNIT_CTX, 1) == (UNIT_CTX.eta0_exact(), True)
     report = verify_bounds(spec, UNIT_CTX, [1])
     assert report.all_passed
@@ -371,10 +362,10 @@ def test_critical_lower_bound_attained_at_rho2_k1():
 
 @pytest.fixture
 def exact_route_ks(monkeypatch):
-    """The k of every row whose exact gamma(k) a `kinematics` function forms
-    (once a row at most): the rows that the bounds leave to the exact route."""
+    """The k of every row whose exact gamma(k) is formed (once a row at
+    most): the rows that the bounds leave to the exact route."""
     ks = []
-    ladders = kinematics.ladders
+    ladders = measures.ladders
 
     def counted(spec):
         res, length, area = ladders(spec)
@@ -390,7 +381,7 @@ def exact_route_ks(monkeypatch):
 
         return res, length, area_at
 
-    monkeypatch.setattr(kinematics, "ladders", counted)
+    monkeypatch.setattr(measures, "ladders", counted)
     return ks
 
 
@@ -503,11 +494,11 @@ def test_correspondence_monotonicity():
     # products shrink with the opening angle (D_s -> 1 limit): strictly
     # increasing over theta in {61, 70, 80, 89} at k = 5, tending to 0
     products = [
-        uncertainty_product(5, builtin("cesaro", angle_deg=a), UNIT_CTX)
+        uncertainty_table(builtin("cesaro", angle_deg=a), UNIT_CTX, 5)[5].dP_k
         for a in (61.0, 70.0, 80.0, 89.0)
     ]
     assert all(b > a for a, b in zip(products, products[1:]))
-    assert uncertainty_product(5, builtin("cesaro", angle_deg=1.0), UNIT_CTX) < 1e-5
+    assert uncertainty_table(builtin("cesaro", angle_deg=1.0), UNIT_CTX, 5)[5].dP_k < 1e-5
 
 
 TABLE_SPECS = {
@@ -538,9 +529,9 @@ TABLE_SPECS = {
 @example(name="super-2-5", k=3187, l0=1.3, m=1.7, dt=0.9)
 @example(name="super-2-5", k=3190, l0=1.3, m=1.7, dt=0.9)
 def test_tables_match_exact_oracle(name, k, l0, m, dt):
-    # every float field of the last rows of both tables, and of the per-k
-    # functions, is the correctly rounded closed form, and dP_k is the
-    # bounds product of the same k
+    # every float field of the last rows of both tables, and the resolution
+    # dx_k, is the correctly rounded closed form, and dP_k is the bounds
+    # product of the same k
     spec, ctx = TABLE_SPECS[name], ParticleContext(m=m, dt=dt, L0=l0)
     scale = scale_table(spec, l0, dt, k)
     unc = uncertainty_table(spec, ctx, k)
@@ -549,10 +540,7 @@ def test_tables_match_exact_oracle(name, k, l0, m, dt):
         got = {**{f: getattr(scale[j], f) for f in SCALE_FIELDS},
                **{f: getattr(unc[j], f) for f in UNCERTAINTY_FIELDS}}
         assert got == tables_oracle(spec, ctx, j), (name, j)
-    per_k = (resolution(k, l0, spec.rho), length_at_scale(k, spec, l0), area_at_scale(k, spec, l0),
-             delta_area(k, spec, l0), areolar_velocity_change(k, spec, ctx),
-             uncertainty_product(k, spec, ctx))
-    assert per_k == tuple(got[f] for f in ("dx_k", "L_k", "A_k", "dA_k0", "dV_k", "dP_k"))
+    assert resolution(k, l0, spec.rho) == got["dx_k"]
     if k >= 1:
         bounds = verify_bounds(spec, ctx, range(max(1, k - 3), k + 1)).rows
         assert all(row.product == unc[row.k].dP_k for row in bounds)

@@ -8,13 +8,10 @@ from fractalkin.geometry import base_segment, builtin, refine
 from fractalkin.kinematics import ParticleContext, verify_bounds
 from fractalkin.measures import (
     ScaleRow,
-    area_at_scale,
     cell_count,
     classify_ds,
-    delta_area,
     gamma,
     gamma_exact_critical,
-    length_at_scale,
     regime_bounds,
     resolution,
     scale_table,
@@ -63,16 +60,19 @@ def _overflows(base, k):
 
 @pytest.mark.parametrize("name", ["koch", "peano", "cesaro"])
 def test_powers_past_float_range_match_fraction_oracle(name):
-    # where the float power overflows, resolution and length_at_scale are
-    # still the correctly rounded x * ratio^k; bands of k straddle log2 of
-    # the result at the edges of float64, 0.0 (-1076) and inf (1025)
+    # where the float power overflows, resolution and the scale table's L_k
+    # are still the correctly rounded x * ratio^k; bands of k straddle log2
+    # of the result at the edges of float64, 0.0 (-1076) and inf (1025)
     spec = builtin(name, angle_deg=85.0) if name == "cesaro" else builtin(name)
     rho = Fraction(spec.rho)
     outcomes = set()
     for x in (1.0, 1.3, 1e-300, 1e16, 5e-324):
+        # rows up to the top of the highest band of L_k
+        top = round((1025 - math.log2(x)) / math.log2(spec.n / rho)) + 25
+        rows = scale_table(spec, x, 1.0, top)
         for fn, ratio, base in (
             (lambda k: resolution(k, x, spec.rho), 1 / rho, spec.rho),
-            (lambda k: length_at_scale(k, spec, x), spec.n / rho, spec.n / spec.rho),
+            (lambda k: rows[k].L_k, spec.n / rho, spec.n / spec.rho),
         ):
             step = math.log2(ratio)
             for cut in (-1076, 1025):
@@ -95,12 +95,12 @@ def test_powers_past_float_range_match_fraction_oracle(name):
 
 def test_line_length_invariant_exact():
     line = builtin("line")
-    for k in range(21):
-        assert length_at_scale(k, line, 1.0) == 1.0
+    for row in scale_table(line, 1.0, 1.0, 20):
+        assert row.L_k == 1.0
 
 
 def test_koch_length_example():
-    assert length_at_scale(3, builtin("koch"), 1.0) == pytest.approx(
+    assert scale_table(builtin("koch"), 1.0, 1.0, 3)[3].L_k == pytest.approx(
         64.0 / 27.0, rel=1e-12
     )
 
@@ -109,7 +109,7 @@ def test_peano_length_against_polyline_oracle():
     # oracle: sum the segment lengths of the level-2 refinement
     poly = refine(base_segment(1.0), builtin("peano"), 2)
     assert poly.arc_length() == pytest.approx(9.0, rel=1e-12)
-    assert length_at_scale(2, builtin("peano"), 1.0) == pytest.approx(9.0, rel=1e-12)
+    assert scale_table(builtin("peano"), 1.0, 1.0, 2)[2].L_k == pytest.approx(9.0, rel=1e-12)
 
 
 def test_velocity_examples():
@@ -129,20 +129,22 @@ def test_velocity_examples():
 
 def test_area_examples():
     koch, peano, line = builtin("koch"), builtin("peano"), builtin("line")
-    assert area_at_scale(1, koch, 1.0) == pytest.approx(4.0 / 9.0, rel=1e-12)
+    assert scale_table(koch, 1.0, 1.0, 1)[1].A_k == pytest.approx(4.0 / 9.0, rel=1e-12)
+    peano_rows = scale_table(peano, 1.0, 1.0, 17)
     for k in (0, 3, 17):
-        assert area_at_scale(k, peano, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert peano_rows[k].A_k == pytest.approx(1.0, rel=1e-12)
     # oracle: N^k (dx_k)^2 = 3^4 * (3^-4)^2
     oracle = 3**4 * (3.0**-4) ** 2
-    assert area_at_scale(4, line, 1.0) == pytest.approx(oracle, rel=1e-12)
+    assert scale_table(line, 1.0, 1.0, 4)[4].A_k == pytest.approx(oracle, rel=1e-12)
 
 
 def test_area_identity_with_cell_count():
     # the area measure must equal N^k (dx_k)^2, its cell-count route
     for spec in all_test_specs():
+        rows = scale_table(spec, 1.0, 1.0, 40)
         for k in range(0, 41, 5):
             direct = cell_count(spec, k) * resolution(k, 1.0, spec.rho) ** 2
-            assert area_at_scale(k, spec, 1.0) == pytest.approx(direct, rel=1e-12)
+            assert rows[k].A_k == pytest.approx(direct, rel=1e-12)
 
 
 def test_cell_count_exact_integer():
@@ -198,11 +200,12 @@ def test_gamma_exact_critical_strict_upper_bound():
 
 def test_delta_area_examples():
     line, koch = builtin("line"), builtin("koch")
-    for k in range(0, 20):
-        assert delta_area(k, line, 1.0) == 0.0
-    assert delta_area(1, koch, 1.0) == pytest.approx((1 / 3) * (4 / 3 - 1), rel=1e-12)
-    assert delta_area(2, koch, 1.0) == pytest.approx((1 / 9) * (16 / 9 - 1), rel=1e-12)
-    assert delta_area(2, koch, 1.0) == pytest.approx(7.0 / 81.0, rel=1e-12)
+    for row in scale_table(line, 1.0, 1.0, 19):
+        assert row.dA_k0 == 0.0
+    koch_rows = scale_table(koch, 1.0, 1.0, 2)
+    assert koch_rows[1].dA_k0 == pytest.approx((1 / 3) * (4 / 3 - 1), rel=1e-12)
+    assert koch_rows[2].dA_k0 == pytest.approx((1 / 9) * (16 / 9 - 1), rel=1e-12)
+    assert koch_rows[2].dA_k0 == pytest.approx(7.0 / 81.0, rel=1e-12)
     # the exact value: with L0 = 1 and eta0 = 1/2 the bounds product is dA
     row = verify_bounds(koch, ParticleContext(1.0, 1.0, 1.0), [2]).rows[0]
     assert row.product == float(Fraction(7, 81))
@@ -348,10 +351,9 @@ def test_scale_table_row_identities():
 
 
 @pytest.mark.parametrize("l0", [0.0, -1.0])
-@pytest.mark.parametrize("per_k", [length_at_scale, area_at_scale, delta_area])
-def test_per_k_measures_refuse_nonpositive_l0(per_k, l0):
+def test_scale_table_refuses_nonpositive_l0(l0):
     with pytest.raises(ValueError, match="l0 must be positive"):
-        per_k(1, builtin("koch"), l0)
+        scale_table(builtin("koch"), l0, 1.0, 1)
 
 
 def test_regime_bounds_unit_is_correctly_rounded():
@@ -377,10 +379,11 @@ def test_scale_table_validation():
 def test_closed_forms_match_polyline_measurement(name, kmax):
     spec = builtin(name)
     base = base_segment(1.0)
+    rows = scale_table(spec, 1.0, 1.0, kmax)
     for k in range(kmax + 1):
         poly = refine(base, spec, k)
         measured_l = poly.arc_length()
-        assert length_at_scale(k, spec, 1.0) == pytest.approx(measured_l, rel=1e-9)
+        assert rows[k].L_k == pytest.approx(measured_l, rel=1e-9)
         dx = resolution(k, 1.0, spec.rho)
         measured_a = poly.n_segments * dx * dx
-        assert area_at_scale(k, spec, 1.0) == pytest.approx(measured_a, rel=1e-9)
+        assert rows[k].A_k == pytest.approx(measured_a, rel=1e-9)
