@@ -351,9 +351,15 @@ def test_scale_table_row_identities():
 
 
 @pytest.mark.parametrize("l0", [0.0, -1.0])
-def test_scale_table_refuses_nonpositive_l0(l0):
+@pytest.mark.parametrize(
+    "field",
+    ["L_k", "A_k", "dA_k0"],
+    # the ids keep the names of the per-k functions these fields replaced
+    ids=["length_at_scale", "area_at_scale", "delta_area"],
+)
+def test_per_k_measures_refuse_nonpositive_l0(field, l0):
     with pytest.raises(ValueError, match="l0 must be positive"):
-        scale_table(builtin("koch"), l0, 1.0, 1)
+        getattr(scale_table(builtin("koch"), l0, 1.0, 1)[1], field)
 
 
 def test_regime_bounds_unit_is_correctly_rounded():
