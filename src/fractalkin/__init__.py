@@ -18,6 +18,7 @@ from .geometry import (
     Polyline,
     base_segment,
     builtin,
+    integer_generator,
     refine,
     similarity_dimension,
 )
@@ -34,9 +35,6 @@ from .measures import (
     RegimeBound,
     ScaleRow,
     classify_ds,
-    gamma,
-    gamma_exact_critical,
-    regime_bounds,
     resolution,
     scale_table,
 )

@@ -273,7 +273,10 @@ def divider_count(poly: Polyline, step: float) -> float:
 
     All chord arithmetic is plain float64, one rounding per operation:
     no fused multiply-add and no BLAS dot product, so the count is the
-    same on every CPU and numpy build.
+    same on every CPU and numpy build.  It runs on the vertices and step
+    scaled by the power of two that brings the step into [1/2, 1), so a
+    curve and step scaled together by a power of two count the same, bit
+    for bit, while every coordinate stays a normal float.
 
     The count cannot exceed arc length / step, so a step under arc length /
     `DEFAULT_VERTEX_CAP` raises ValueError before any stepping.
@@ -286,9 +289,13 @@ def divider_count(poly: Polyline, step: float) -> float:
             f"step {step!r} is too short: a curve of length {arc!r} would take "
             f"more than {DEFAULT_VERTEX_CAP} steps"
         )
-    v = poly.vertices
+    # count in units of 2^e, the step's binade: the scaling is exact for
+    # normal floats, and the chord quadratic's terms stay near 1 at any scale
+    e = math.frexp(step)[1]
+    v = np.ldexp(poly.vertices, -e)
+    step = math.ldexp(step, -e)
     x, y = v.T
-    # zero-copy: vertices are C-contiguous float64, so vertex i is xy[2i], xy[2i+1]
+    # v is C-contiguous float64, so vertex i is xy[2i], xy[2i+1]
     xy = memoryview(v).cast("B").cast("d")
     nseg = len(v) - 1
     ax, ay = xy[0], xy[1]

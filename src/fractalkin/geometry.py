@@ -226,3 +226,19 @@ def builtin(name: str, angle_deg: float | None = None) -> GeneratorSpec:
         disp = np.array([[1.0, 0.0], [c, s], [c, -s], [1.0, 0.0]])
         return GeneratorSpec(f"cesaro-{angle_deg:g}", rho, disp)
     raise ValueError(f"unknown generator {name!r}; choose from {BUILTIN_NAMES}")
+
+
+def integer_generator(n: int, rho: int) -> GeneratorSpec:
+    """A generator with N = n children at integer scale factor rho <= n.
+
+    Its unit steps are rho forward steps (rho - 1 and the Koch tent pair
+    when n - rho is odd), then (n - rho) // 2 up/down pairs.  The closed
+    forms depend on n and rho alone, so every integer pair is realised.
+    """
+    if int(n) != n or int(rho) != rho or not 2 <= rho <= n:
+        raise ValueError(f"need integers 2 <= rho <= N, got N={n}, rho={rho}")
+    n, rho = int(n), int(rho)
+    odd = (n - rho) % 2
+    steps = ([(1.0, 0.0)] * (rho - odd) + [(0.5, _SQRT3_2), (0.5, -_SQRT3_2)] * odd
+             + [(0.0, 1.0), (0.0, -1.0)] * ((n - rho) // 2))
+    return GeneratorSpec(f"n{n}-rho{rho}", float(rho), np.array(steps))

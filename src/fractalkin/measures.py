@@ -1,14 +1,11 @@
 """Closed-form multiscale measures of a self-similar trajectory.
 
 Everything here is a pure function of (k, rho, N, L0, dt): the resolution
-ladder, the scale table (length, area and the surface-change factor gamma
-at every scale), and the similarity-dimension bound regimes.  Every float
-is its exact closed form correctly rounded (`Bounded.settle`), save
-`gamma(k, rho, ds)`, a float formula of a continuous D_s.  On the D_s = 2
-line 1 - rho^-k is 1.0 in float64 once rho^-k drops below the epsilon of
-1.0, so the strict bounds are decided in exact arithmetic:
-`gamma_exact_critical` here, and `kinematics.verify_bounds` for the
-products of any generator.
+ladder, the scale table (length, area and the surface-change factor
+gamma(k) = (N/rho^2)^k - rho^-k at every scale), and the
+similarity-dimension bound regimes.  Every float is its exact closed form
+correctly rounded (`Bounded.settle`).  gamma(k) is formed in `gammas`
+alone; `kinematics.verify_bounds` decides the strict bounds on it exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ class RegimeBound:
     """An interval bound for one similarity-dimension regime.
 
     `lower`/`upper` delimit the admissible values of the bounded quantity
-    (dx_k * dL_k in length^2 units, or dx_k * dp_k in action units);
+    (dx_k * dp_k in action units, or gamma(k) itself);
     strictness flags say whether each endpoint is excluded.  The classical
     regime degenerates to the single point 0.
     """
@@ -178,13 +175,6 @@ def gammas(
         yield k, res, area, area.minus(res)
 
 
-def _l0(l0: float) -> Fraction:
-    """The base length as an exact rational, refused unless positive."""
-    if not l0 > 0.0:
-        raise ValueError("l0 must be positive")
-    return Fraction(l0)
-
-
 def resolution(k: int, dx0: float, rho: float) -> float:
     """Minimum detectable length at ladder index k: dx0 / rho^k."""
     k = _check_k(k)
@@ -198,39 +188,6 @@ def resolution(k: int, dx0: float, rho: float) -> float:
 def cell_count(spec: GeneratorSpec, k: int) -> int:
     """Exact number of generator cells at level k: N^k (Python integer)."""
     return spec.n ** _check_k(k)
-
-
-def gamma(k: int, rho: float, ds: float) -> float:
-    """Surface-change factor rho^(k (D_s - 2)) - rho^-k of a continuous D_s.
-
-    A float formula; the tables take gamma(k) exactly from N and rho.
-    Exactly 0.0 for ds == 1 (both powers reduce to the same expression).
-    For ds == 2 the true value 1 - rho^-k collapses to 1.0 in float64 once
-    rho^-k < eps; `verify_bounds` decides the strict upper bound exactly.
-    inf where rho^(k (D_s - 2)) passes the float64 range (ds > 2 at large
-    k): rho^-k < 1 cannot bring the difference back into range.
-    """
-    k = _check_k(k)
-    if not rho > 1.0:
-        raise ValueError("rho must be > 1")
-    if ds < 1.0 - 1e-12:
-        raise ValueError("ds must be >= 1")
-    try:
-        return rho ** (k * (ds - 2.0)) - rho ** (-k)
-    except OverflowError:
-        return math.inf
-
-
-def gamma_exact_critical(k: int, rho: float) -> Fraction:
-    """Exact gamma on the D_s = 2 line, 1 - rho^-k, for any float rho > 1.
-
-    Every float is a rational, so the strict bounds 1/2 <= gamma < 1 can
-    be decided exactly even for non-integer rho.
-    """
-    k = _check_k(k)
-    if not rho > 1.0:
-        raise ValueError("rho must be > 1")
-    return 1 - Fraction(rho) ** (-k)
 
 
 def classify_ds(ds: float) -> str:
@@ -270,25 +227,18 @@ def regime_interval(ds: float, unit) -> RegimeBound:
     return RegimeBound(regime, zero, zero, False, False)
 
 
-def regime_bounds(ds: float, l0: float) -> RegimeBound:
-    """Bounds on dx_k * dL_k implied by the similarity dimension.
-
-    The regime table with unit L0^2/2, correctly rounded: for example
-    L0^2/2 <= dx_k dL_k < L0^2 on the D_s = 2 line; with l0 = 1, the bounds on gamma.
-    """
-    return regime_interval(ds, Bounded.of(_l0(l0) ** 2 / 2).settle())
-
-
 def scale_table(
     spec: GeneratorSpec, l0: float, dt: float, k_max: int
 ) -> list[ScaleRow]:
     """Rows for k = 0..k_max with every per-scale quantity filled in, each
     float correctly rounded from its exact closed form."""
     k_max = _check_k(k_max)
-    x = _l0(l0)
+    if not l0 > 0.0:
+        raise ValueError("l0 must be positive")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     length_at = ladders(spec)[1]
+    x = Fraction(l0)
     per_l0, per_area, per_speed = (Bounded.of(c) for c in (x, x * x, x / Fraction(dt)))
     rows = []
     for k, res, area, g in gammas(spec, range(k_max + 1)):

@@ -15,9 +15,9 @@ from click.testing import CliRunner
 
 from fractalkin.cli import main as cli_main
 from fractalkin.estimator import brownian_path, measure_polyline
-from fractalkin.geometry import base_segment, builtin, refine
+from fractalkin.geometry import base_segment, builtin, integer_generator, refine
 from fractalkin.kinematics import ParticleContext, uncertainty_table, verify_bounds
-from fractalkin.measures import classify_ds, gamma, gamma_exact_critical, scale_table
+from fractalkin.measures import classify_ds, scale_table
 from fractalkin.serialize import (
     bounds_report_from_dict,
     bounds_report_to_dict,
@@ -92,29 +92,17 @@ def test_c03_area_law():
 
 
 def test_c04_gamma_regime_sweep():
-    with criterion(4, "gamma regimes over rho 2..10 x D_s 1.0..3.0 x k 1..50, < 1 s"):
+    with criterion(4, "every regime at each rho 2..10 (N in rho, rho+1, rho^2-1, rho^2, "
+                      "rho^2+1, rho^3), bounds decided exactly for k 1..50, < 1 s"):
         start = time.perf_counter()
-        violations = 0
         for rho in range(2, 11):
-            for tenth in range(10, 31):
-                ds = tenth / 10.0
-                regime = classify_ds(ds)
-                for k in range(1, 51):
-                    if regime == "classical":
-                        ok = gamma(k, float(rho), ds) == 0.0
-                    elif regime == "critical":
-                        # strict upper bound is invisible to float64 at
-                        # large k; decide it in exact rationals
-                        g = gamma_exact_critical(k, float(rho))
-                        ok = Fraction(1, 2) <= g < 1
-                    elif regime == "sub":
-                        g = gamma(k, float(rho), ds)
-                        ok = 0.0 < g < 1.0
-                    else:
-                        ok = gamma(k, float(rho), ds) > 0.5
-                    violations += not ok
+            regimes = set()
+            for n in {rho, rho + 1, rho * rho - 1, rho * rho, rho * rho + 1, rho**3}:
+                spec = integer_generator(n, rho)
+                assert verify_bounds(spec, UNIT_CTX, range(1, 51)).all_passed, spec.name
+                regimes.add(classify_ds(spec.ds))
+            assert regimes == {"classical", "sub", "critical", "super"}, rho
         elapsed = time.perf_counter() - start
-        assert violations == 0
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
@@ -128,7 +116,7 @@ def test_c05_uncertainty_regimes():
         assert report.all_passed
         prev = None
         for row in report.rows:
-            p = 2 * eta0 * gamma_exact_critical(row.k, 3.0)  # peano: N = rho^2
+            p = 2 * eta0 * (1 - Fraction(1, 3**row.k))  # peano: N = rho^2
             assert row.product == float(p), row.k
             assert eta0 <= p < 2 * eta0, row.k
             if prev is not None:
@@ -143,14 +131,9 @@ def test_c05_uncertainty_regimes():
         assert prev < 1e-15  # koch products vanish with k
         for row in uncertainty_table(line, UNIT_CTX, 50)[1:]:
             assert row.dP_k == 0.0
-        # attainment of the critical lower bound: gamma(1, 2, 2) = 1/2
-        assert gamma(1, 2.0, 2.0) == 0.5
-        from fractalkin.geometry import GeneratorSpec
-
-        limit_spec = GeneratorSpec(
-            "rho2", 2.0,
-            np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]),
-        )
+        # attainment of the critical lower bound: rho = 2, N = 4 gives gamma(1) = 1/2
+        limit_spec = integer_generator(4, 2)
+        assert scale_table(limit_spec, 1.0, 1.0, 1)[1].gamma == 0.5
         assert uncertainty_table(limit_spec, UNIT_CTX, 1)[1].dP_k == UNIT_CTX.eta0
 
 

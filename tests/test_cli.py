@@ -281,6 +281,21 @@ def test_measure_divider_csv(runner, tmp_path):
     assert len(lines) == 5
 
 
+def test_measure_divider_counts_koch_at_l0_2_300_as_at_l0_1(runner, tmp_path):
+    # 2.037035976334486e+90 is 2^300; there the chord quadratic on raw
+    # coordinates overflowed and the divider counted 3, 9 and 27
+    columns = []
+    for l0 in ("1", "2.037035976334486e+90"):
+        path = tmp_path / f"koch_{l0}.json"
+        invoke(runner, ["generate", "--generator", "koch", "--level", "3", "--l0", l0,
+                        "--out", str(path)])
+        res = invoke(runner, ["measure", "--input", str(path), "--method", "divider",
+                              "--scales", "1..3", "--format", "csv"])
+        columns.append([line.split(",")[2] for line in res.output.strip().split("\n")])
+    assert columns[0] == columns[1]
+    assert columns[1] == ["count", "4.0000000011250005", "16.000000001050566", "64.000000001050552"]
+
+
 def test_measure_runtime_error_is_exit_1(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"level": None, "vertices": [[0.0, 0.0]]}))

@@ -409,6 +409,48 @@ def test_divider_segment_shorter_than_underflow(vertices, steps):
         assert count == divider_oracle(poly, step) == divider_count(without, step), step
 
 
+# coordinates that keep every bit under the scalings below: zero, or of
+# magnitude >= 2^-20, so that they and their differences stay normal floats
+# at 2^-900 (subnormal ones have already lost bits: Koch L3 scaled by 1e-310
+# has 15 grid cells, not 16)
+_normal_coord = st.one_of(
+    st.integers(min_value=-12, max_value=12).map(lambda q: q / 4.0),
+    st.floats(min_value=-3.0, max_value=3.0).filter(lambda c: c == 0.0 or abs(c) >= 2.0**-20),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    points=st.lists(st.tuples(_normal_coord, _normal_coord), min_size=2, max_size=30),
+    step=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.0 / 3.0]),
+                   st.floats(min_value=0.05, max_value=8.0)),
+    e=st.integers(min_value=-900, max_value=900),
+)
+def test_counts_do_not_change_under_power_of_two_scaling(points, step, e):
+    v = np.array(points, dtype=float)
+    v = v[np.r_[True, np.any(v[1:] != v[:-1], axis=1)]]
+    assume(len(v) >= 2)
+    poly, scaled = Polyline(v), Polyline(np.ldexp(v, e))
+    assert divider_count(scaled, math.ldexp(step, e)) == divider_count(poly, step)
+    assert grid_count(scaled, math.ldexp(step, e)) == grid_count(poly, step)
+
+
+@pytest.mark.parametrize("l0", [2.0**300, 2.0**-300, 2.0**-1000])
+def test_divider_koch_l3_at_extreme_scales(l0):
+    # the chord quadratic on raw coordinates counted 3, 9, 27 at 2^300 and
+    # 2.73, 5.58, 19.39 at 2^-300
+    koch = refine(base_segment(l0), builtin("koch"), 3)
+    assert [divider_count(koch, l0 / 3**k) for k in (1, 2, 3)] == [
+        4.0000000011250005, 16.000000001050566, 64.00000000105055]
+
+
+def test_divider_koch_l3_at_l0_1e80():
+    # 1e80 is no power of two, so its vertices round apart from those at l0 = 1
+    koch = refine(base_segment(1e80), builtin("koch"), 3)
+    rows = measure_polyline(koch, [1, 2, 3], method="divider", fit=False).rows
+    assert [r.count for r in rows] == [4.0000000011250005, 16.000000001050569, 64.00000000105055]
+
+
 # ---------------------------------------------------------------------------
 # dimension regression
 

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fractalkin import measures, serialize
-from fractalkin.geometry import GeneratorSpec, base_segment, builtin, refine
+from fractalkin.geometry import GeneratorSpec, base_segment, builtin, integer_generator, refine
 from fractalkin.kinematics import (
     ParticleContext,
     classify_regime,
     uncertainty_table,
     verify_bounds,
 )
-from fractalkin.measures import classify_ds, gamma, resolution, scale_table
+from fractalkin.measures import classify_ds, resolution, scale_table
 
 UNIT_CTX = ParticleContext(m=1.0, dt=1.0, L0=1.0)
 C06_CTX = ParticleContext(m=1.7, dt=0.9, L0=1.3)
@@ -53,13 +53,6 @@ def spec_for(rho: float, n: int) -> GeneratorSpec:
     s = math.sqrt(1.0 - c * c)
     disp = head + [[c, s], [c, -s]] * (n // 2)
     return GeneratorSpec(f"rho{rho!r}-n{n}", rho, np.array(disp))
-
-
-def rho2_critical_spec() -> GeneratorSpec:
-    # the theta -> 90 degree limit of the cesaro family: rho = 2, N = 4,
-    # similarity dimension exactly 2
-    disp = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
-    return GeneratorSpec("rho2-critical", 2.0, disp)
 
 
 def test_context_derived_quantities():
@@ -284,6 +277,41 @@ def test_verify_bounds_matches_fraction_oracle(rn, ks, ctx):
         assert row.product == oracle_float(p), (spec.name, row.k)
 
 
+@st.composite
+def integer_pair(draw):
+    """(N, rho) with integers rho = 2..10 and N = rho..rho^3, the regime
+    edges N = rho, rho^2 and their neighbours drawn often."""
+    rho = draw(st.integers(2, 10))
+    edges = [rho, rho + 1, rho * rho - 1, rho * rho, rho * rho + 1, rho**3]
+    return draw(st.one_of(st.sampled_from(edges), st.integers(rho, rho**3))), rho
+
+
+# the float gamma of a continuous D_s underflowed to 0.0 from k = 360 and
+# read as a violation of the sub regime; these k reach past that
+DEEP_KS = [1, 2, 50, 359, 360, 361, 480, 599, 600]
+
+
+@settings(deadline=None, max_examples=80)
+@given(pair=integer_pair(), ks=st.lists(st.integers(1, 600), max_size=3),
+       ctx=st.sampled_from([UNIT_CTX, C06_CTX]))
+@example(pair=(11, 10), ks=[], ctx=UNIT_CTX)  # D_s ~ 1.04, the sub edge
+@example(pair=(3, 2), ks=[], ctx=C06_CTX)
+@example(pair=(100, 10), ks=[], ctx=C06_CTX)
+def test_integer_generator_realises_every_pair(pair, ks, ctx):
+    n, rho = pair
+    spec = integer_generator(n, rho)
+    assert (spec.n, spec.rho) == (n, rho)
+    regime = classify_ds(spec.ds)
+    assert (regime == "classical") == (n == rho)
+    assert (regime == "critical") == (n == rho * rho)
+    report = verify_bounds(spec, ctx, DEEP_KS + ks)
+    assert [row.k for row in report.rows] == sorted(set(DEEP_KS + ks))
+    for row in report.rows:
+        p, passed = bounds_oracle(spec, ctx, row.k)
+        assert (row.product, row.passed) == (oracle_float(p), passed), (spec.name, row.k)
+        assert passed, (spec.name, row.k)
+
+
 @pytest.mark.parametrize("ctx,digest", [
     (UNIT_CTX, "9dd77ab24a439c71ee6b4acbdab049856cfe13da165669ee26d2778732562e1c"),
     (C06_CTX, "14b095f996b1e2fcee8b37ab4acfad058eb230b5be9b8d63d1956d96bba6e876"),
@@ -349,10 +377,10 @@ def test_critical_products_increase_below_2eta0():
 
 
 def test_critical_lower_bound_attained_at_rho2_k1():
-    # gamma(1, 2, 2) = 1/2 exactly, so the product equals eta0 on the nose
-    assert gamma(1, 2.0, 2.0) == 0.5
-    spec = rho2_critical_spec()
+    # rho = 2, N = 4: gamma(1) = 1/2 exactly, so the product equals eta0 on the nose
+    spec = integer_generator(4, 2)
     assert spec.ds == pytest.approx(2.0, abs=1e-12)
+    assert scale_table(spec, 1.0, 1.0, 1)[1].gamma == 0.5
     assert uncertainty_table(spec, UNIT_CTX, 1)[1].dP_k == UNIT_CTX.eta0
     assert bounds_oracle(spec, UNIT_CTX, 1) == (UNIT_CTX.eta0_exact(), True)
     report = verify_bounds(spec, UNIT_CTX, [1])
@@ -448,7 +476,7 @@ def test_verify_bounds_takes_exact_route_only_where_bounds_cannot_settle(exact_r
             assert verify_bounds(spec, ctx, range(1, 3001)).all_passed
     assert ks == []
     # 2 gamma(1) = 1 exactly for rho = 2, N = 4: the critical lower endpoint
-    report = verify_bounds(rho2_critical_spec(), UNIT_CTX, [1])
+    report = verify_bounds(integer_generator(4, 2), UNIT_CTX, [1])
     assert ks == [1]
     assert report.all_passed
     assert report.rows[0].product == UNIT_CTX.eta0

@@ -4,15 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalkin.geometry import base_segment, builtin, refine
+from fractalkin.geometry import base_segment, builtin, integer_generator, refine
 from fractalkin.kinematics import ParticleContext, verify_bounds
 from fractalkin.measures import (
     ScaleRow,
     cell_count,
     classify_ds,
-    gamma,
-    gamma_exact_critical,
-    regime_bounds,
+    gammas,
+    regime_interval,
     resolution,
     scale_table,
 )
@@ -156,46 +155,65 @@ def test_cell_count_exact_integer():
 # gamma
 
 
+def exact_gammas(spec, ks):
+    """gamma(k) for each k of `ks` as an exact Fraction, from `gammas`, after
+    checking it against (N/rho^2)^k - rho^-k in Fractions."""
+    rho = Fraction(spec.rho)
+    out = []
+    for k, _, _, g in gammas(spec, ks):
+        exact = Fraction(*g.exact())
+        assert exact == Fraction(spec.n) ** k / rho ** (2 * k) - rho**-k, (spec.name, k)
+        out.append(exact)
+    return out
+
+
 def test_gamma_classical_is_exact_zero():
-    for k in range(0, 51):
-        assert gamma(k, 3.0, 1.0) == 0.0
+    for spec in (builtin("line"), integer_generator(7, 7)):
+        for row in scale_table(spec, 1.0, 1.0, 50):
+            assert row.gamma == 0.0
 
 
 def test_gamma_critical_example():
-    assert gamma(1, 3.0, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert scale_table(builtin("peano"), 1.0, 1.0, 1)[1].gamma == pytest.approx(
+        2.0 / 3.0, rel=1e-15)
 
 
 def test_gamma_koch_against_polyline_oracle():
     # oracle: dx_1 * (L_1 - L_0) from the measured level-1 polyline
     poly = refine(base_segment(1.0), builtin("koch"), 1)
     oracle = (1.0 / 3.0) * (poly.arc_length() - 1.0)
-    assert gamma(1, 3.0, LOG3_4) == pytest.approx(oracle, rel=1e-12)
+    assert scale_table(builtin("koch"), 1.0, 1.0, 1)[1].gamma == pytest.approx(oracle, rel=1e-12)
     assert oracle == pytest.approx(1.0 / 9.0, rel=1e-12)
 
 
 def test_gamma_validation():
+    # gamma(k) exists only for a realisable generator: integers 2 <= rho <= N
+    for n, rho in ((3, 1), (2, 3), (4.5, 2), (9, 3.5)):
+        with pytest.raises(ValueError):
+            integer_generator(n, rho)
     with pytest.raises(ValueError):
-        gamma(1, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        gamma(1, 3.0, 0.5)
+        scale_table(integer_generator(4, 2), 1.0, 1.0, -1)
 
 
 def test_gamma_exact_matches_float_at_small_k():
-    # with eta0 = 1/2 the bounds product 2 eta0 gamma(k) is gamma itself,
-    # correctly rounded from exact integers
-    rows = verify_bounds(builtin("koch"), ParticleContext(1.0, 1.0, 1.0), range(1, 12)).rows
-    for row in rows:
+    # with eta0 = 1/2 the bounds product 2 eta0 gamma(k) is gamma itself;
+    # both it and the scale table's gamma are correctly rounded
+    koch = builtin("koch")
+    rows = verify_bounds(koch, ParticleContext(1.0, 1.0, 1.0), range(1, 12)).rows
+    table = scale_table(koch, 1.0, 1.0, 11)
+    for row, g in zip(rows, exact_gammas(koch, range(1, 12))):
         exact = Fraction(4**row.k, 9**row.k) - Fraction(1, 3**row.k)
-        assert row.product == float(exact)
-        assert gamma(row.k, 3.0, LOG3_4) == pytest.approx(float(exact), rel=1e-12)
+        assert g == exact
+        assert row.product == table[row.k].gamma == float(exact)
 
 
-def test_gamma_exact_critical_strict_upper_bound():
+def test_gamma_critical_strict_upper_bound():
     # at k = 50 the float value saturates at 1.0 but the exact one must not
-    assert gamma(50, 3.0, 2.0) == 1.0
-    g = gamma_exact_critical(50, 3.0)
-    assert g < 1
-    assert g == 1 - Fraction(1, 3**50)
+    peano = builtin("peano")
+    assert scale_table(peano, 1.0, 1.0, 50)[50].gamma == 1.0
+    (g,) = exact_gammas(peano, [50])
+    assert g == 1 - Fraction(1, 3**50) < 1
+    assert verify_bounds(peano, ParticleContext(1.0, 1.0, 1.0), [50]).all_passed
 
 
 def test_delta_area_examples():
@@ -212,94 +230,100 @@ def test_delta_area_examples():
 
 
 # ---------------------------------------------------------------------------
-# regime bounds
+# regime table
 
 
-def test_regime_bounds_shapes():
-    crit = regime_bounds(2.0, 1.0)
+def test_regime_interval_shapes():
+    crit = regime_interval(2.0, 0.5)
     assert (crit.regime, crit.lower, crit.upper) == ("critical", 0.5, 1.0)
     assert (crit.lower_strict, crit.upper_strict) == (False, True)
 
-    classical = regime_bounds(1.0, 2.0)
+    classical = regime_interval(1.0, 2.0)
     assert (classical.regime, classical.lower, classical.upper) == ("classical", 0.0, 0.0)
     assert classical.contains(0.0) and not classical.contains(1e-9)
 
-    sub = regime_bounds(LOG3_4, 1.0)
+    sub = regime_interval(LOG3_4, 0.5)
     assert (sub.regime, sub.lower, sub.upper) == ("sub", 0.0, 1.0)
     assert sub.lower_strict and sub.upper_strict
 
-    sup = regime_bounds(2.5, 1.0)
+    sup = regime_interval(2.5, 0.5)
     assert (sup.regime, sup.lower) == ("super", 0.5)
     assert math.isinf(sup.upper)
     assert sup.contains(1e12) and not sup.contains(0.5)
+
+    exact = regime_interval(2.0, Fraction(1, 2))
+    assert (exact.lower, exact.upper) == (Fraction(1, 2), 1)
+    assert exact.contains(1 - Fraction(1, 3**50))
 
 
 def test_regime_tolerance_and_rejection():
     assert classify_ds(2.0 + 5e-13) == "critical"
     assert classify_ds(1.0 - 5e-13) == "classical"
     with pytest.raises(ValueError):
-        regime_bounds(0.99, 1.0)
+        regime_interval(0.99, 0.5)
 
 
 # ---------------------------------------------------------------------------
-# gamma regime properties (the four dimension bands, with their preconditions)
+# gamma regime properties (the four dimension bands, with their preconditions),
+# on the integer generators: rho >= 2 and k >= 1
 
 
-@given(rho=st.integers(min_value=2, max_value=10), k=st.integers(min_value=1, max_value=50))
+_rho = st.integers(min_value=2, max_value=10)
+_k = st.integers(min_value=1, max_value=50)
+
+
+@given(rho=_rho, k=_k)
 def test_gamma_critical_band(rho, k):
-    # D_s = 2, rho >= 2, k >= 1: gamma in [1 - 1/rho, 1), increasing in k
-    g = gamma_exact_critical(k, float(rho))
+    # N = rho^2: gamma in [1 - 1/rho, 1), increasing in k
+    g_prev, g = exact_gammas(integer_generator(rho * rho, rho), [k - 1, k])
     assert 1 - Fraction(1, rho) <= g < 1
-    if k > 1:
-        assert g > gamma_exact_critical(k - 1, float(rho))
+    assert g > g_prev
 
 
 @settings(max_examples=60)
-@given(
-    rho=st.floats(min_value=2.0, max_value=10.0),
-    ds=st.floats(min_value=2.000001, max_value=3.0),
-    k=st.integers(min_value=1, max_value=50),
-)
-def test_gamma_super_lower_bound(rho, ds, k):
-    g = gamma(k, rho, ds)
-    assert g > 0.5
-    if k > 1:
-        assert g > gamma(k - 1, rho, ds)
+@given(rho=_rho, extra=st.integers(min_value=0), k=_k)
+def test_gamma_super_lower_bound(rho, extra, k):
+    # N in rho^2 + 1..rho^3
+    n = rho * rho + 1 + extra % (rho**3 - rho * rho)
+    g_prev, g = exact_gammas(integer_generator(n, rho), [k - 1, k])
+    assert g > Fraction(1, 2)
+    assert g > g_prev
 
 
 def test_gamma_super_unbounded():
-    assert gamma(200, 3.0, 2.5) > 1e40
+    # rho = 3, N = 16: D_s = ln 16 / ln 3 ~ 2.52
+    assert scale_table(integer_generator(16, 3), 1.0, 1.0, 200)[200].gamma > 1e40
 
 
 @settings(max_examples=60)
-@given(
-    rho=st.floats(min_value=1.1, max_value=10.0),
-    ds=st.floats(min_value=1.000001, max_value=1.999999),
-    k=st.integers(min_value=1, max_value=50),
-)
-def test_gamma_sub_band(rho, ds, k):
-    g = gamma(k, rho, ds)
-    assert 0.0 < g < 1.0
+@given(rho=st.integers(min_value=3, max_value=10), extra=st.integers(min_value=0), k=_k)
+def test_gamma_sub_band(rho, extra, k):
+    # N in rho + 1..rho^2 - 1 (rho = 2 has no such N)
+    n = rho + 1 + extra % (rho * rho - rho - 1)
+    (g,) = exact_gammas(integer_generator(n, rho), [k])
+    assert 0 < g < 1
 
 
 @settings(max_examples=40)
-@given(rho=st.floats(min_value=1.1, max_value=10.0), ds=st.floats(min_value=1.001, max_value=1.999))
-def test_gamma_sub_vanishes(rho, ds):
-    # gamma -> 0: past k* = ln(1e-9) / ((ds - 2) ln rho) the leading power
-    # is below 1e-9
-    k_star = math.ceil(math.log(1e-9) / ((ds - 2.0) * math.log(rho))) + 1
-    assert gamma(k_star, rho, ds) < 1e-9
+@given(rho=st.integers(min_value=3, max_value=10), extra=st.integers(min_value=0))
+def test_gamma_sub_vanishes(rho, extra):
+    # gamma -> 0: past k* = ln(1e-9) / ln(N / rho^2) the leading power is
+    # below 1e-9; k* reaches ~2,000 at N = 99, rho = 10
+    n = rho + 1 + extra % (rho * rho - rho - 1)
+    k_star = math.ceil(math.log(1e-9) / math.log(n / rho**2)) + 1
+    ((_, _, _, g),) = gammas(integer_generator(n, rho), [k_star])
+    assert 0.0 < g.settle() < 1e-9
 
 
 @settings(max_examples=60)
-@given(
-    rho=st.floats(min_value=1.5, max_value=10.0),
-    ds_lo=st.floats(min_value=1.0, max_value=2.8),
-    bump=st.floats(min_value=1e-4, max_value=0.5),
-    k=st.integers(min_value=1, max_value=40),
-)
-def test_gamma_monotone_in_ds(rho, ds_lo, bump, k):
-    assert gamma(k, rho, ds_lo + bump) > gamma(k, rho, ds_lo)
+@given(rho=_rho, n_lo=st.integers(min_value=0), bump=st.integers(min_value=1, max_value=50), k=_k)
+def test_gamma_monotone_in_ds(rho, n_lo, bump, k):
+    # at fixed rho, D_s = ln N / ln rho grows with N, and so does gamma(k)
+    n_lo = rho + n_lo % (rho**3 - rho)
+    n_hi = min(n_lo + bump, rho**3)
+    (lo,) = exact_gammas(integer_generator(n_lo, rho), [k])
+    (hi,) = exact_gammas(integer_generator(n_hi, rho), [k])
+    assert hi > lo
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +384,6 @@ def test_scale_table_row_identities():
 def test_per_k_measures_refuse_nonpositive_l0(field, l0):
     with pytest.raises(ValueError, match="l0 must be positive"):
         getattr(scale_table(builtin("koch"), l0, 1.0, 1)[1], field)
-
-
-def test_regime_bounds_unit_is_correctly_rounded():
-    # L0^2/2 settled from the exact rational, subnormal L0^2 included
-    for l0 in (1.3, 0.1, 1e-160, 3.3e-162, 1e154):
-        unit = float(Fraction(l0) ** 2 / 2)
-        crit = regime_bounds(2.0, l0)
-        assert (crit.lower, crit.upper) == (unit, 2 * unit), l0
 
 
 def test_scale_table_validation():
