@@ -46,6 +46,10 @@ MEASURE_GOLDEN = [
     ("measure_koch_l6_grid.json",
      ["generate", "--generator", "koch", "--level", "6"],
      ["--method", "grid", "--scales", "0..6"]),
+    # at these scales a segment crosses up to thousands of gridlines
+    ("measure_koch_l2_grid.csv",
+     ["generate", "--generator", "koch", "--level", "2"],
+     ["--method", "grid", "--format", "csv", "--scales", "6..10"]),
     ("measure_brownian3000_grid.csv",
      ["brownian", "--n", "3000", "--seed", "7"],
      ["--method", "grid", "--format", "csv", "--rho", "2", "--scales", "2..8"]),
