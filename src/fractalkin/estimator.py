@@ -114,52 +114,49 @@ def _crossings(x: np.ndarray, y: np.ndarray, cell: float):
     return key.real.astype(np.intp), key.imag.copy()
 
 
+def _point_params(x: np.ndarray, y: np.ndarray, cell: float):
+    """How many supercover points each segment of the polyline with
+    vertices (x, y) gives, and the parameters t of all of them in path order.
+
+    A segment with m gridline crossings gives 2m + 3 points: t = 0; for
+    each crossing, the midpoint of the piece it closes and then the
+    crossing itself; the midpoint of the last piece; t = 1.  Each t is
+    written once, a midpoint as (t before + t after) * 0.5.
+    """
+    seg, t = _crossings(x, y, cell)
+    reps = 2 * np.bincount(seg, minlength=len(x) - 1) + 3
+    end = np.cumsum(reps) - 1
+    p = np.empty(end[-1] + 1)
+    p[end] = 1.0
+    start = end - reps + 1
+    p[start] = 0.0
+    # the i-th crossing, on segment s, comes after the 3 points of each
+    # segment up to s and the 2 of each crossing before it
+    at = 3 * seg + np.arange(2, 2 * len(seg) + 1, 2)
+    p[at] = t
+    mid = np.concatenate([start, at]) + 1
+    p[mid] = (p[mid - 1] + p[mid + 1]) * 0.5
+    return reps, p
+
+
 def _path_cells(x: np.ndarray, y: np.ndarray, cell: float) -> np.ndarray:
     """The supercover cells of the polyline with vertices (x, y), in path order.
 
     A cell (i, j) is held as the complex number i + j*1j: numpy sorts
     complex numbers by real part, then imaginary part, and float64 holds
-    every index below 2**53 exactly, so no key is packed.  A segment with m
-    gridline crossings gives 2m + 3 cells: its start, the midpoint of each
-    of its m + 1 pieces with the crossing that ends each piece but the
-    last, and its end.
+    every index below 2**53 exactly, so no key is packed.  The cell of the
+    point at parameter t of the segment a -> b is floor((d*t + a) / cell)
+    per axis, d = b - a, taken for all the points of `_point_params` in
+    one pass per axis.
     """
-    ax, ay = x[:-1], y[:-1]
-    dx, dy = x[1:] - ax, y[1:] - ay
-    seg, t = _crossings(x, y, cell)
-    z = np.empty(3 * len(ax) + 2 * len(seg), dtype=complex)
-
-    def put(at, param, which=slice(None)):
-        # z[at] = the cell of the point a + param*d of the segments `which`
-        for part, a, d in ((z.real, ax, dx), (z.imag, ay, dy)):
-            p = d[which] * param
-            p += a[which]
-            p /= cell
-            part[at] = np.floor(p, out=p)
-
-    # whole-array passes: the start, midpoint and end of every segment.  The
-    # midpoint is the one piece of a segment that crosses no gridline; the
-    # pieces of the other segments overwrite it below
-    m = np.bincount(seg, minlength=len(ax))
-    start = 3 * np.arange(len(ax)) + 2 * (np.cumsum(m) - m)
-    put(start, 0.0)
-    put(start + 1, 0.5)
-    put(start + 2 * m + 2, 1.0)
-    # per crossing: the i-th, on segment s, comes after the 3 cells of each
-    # segment up to s and the 2 of each crossing before it
-    at = 3 * seg + np.arange(2, 2 * len(seg) + 1, 2)
-    put(at, t, seg)
-    first = np.ones(len(seg), dtype=bool)  # the first crossing of its segment
-    np.not_equal(seg[1:], seg[:-1], out=first[1:])
-    last = np.roll(first, -1)
-    put(at[last] + 1, 0.5 * (t[last] + 1.0), seg[last])  # the piece after the last
-    mid = np.empty_like(t)  # of the piece that ends at each crossing
-    mid[1:] = t[:-1]
-    mid[first] = 0.0
-    mid += t
-    mid *= 0.5
-    at -= 1
-    put(at, mid, seg)
+    reps, p = _point_params(x, y, cell)
+    z = np.empty(len(p), dtype=complex)
+    for part, v in ((z.real, x), (z.imag, y)):
+        q = np.repeat(v[1:] - v[:-1], reps)
+        q *= p
+        q += np.repeat(v[:-1], reps)
+        q /= cell
+        part[:] = np.floor(q, out=q)
     return z
 
 
@@ -176,10 +173,9 @@ def grid_count(poly: Polyline, cell: float) -> int:
     touched only at their owned corner.
 
     The point at parameter t of the segment a -> b is a + t*(b - a), the
-    end included (t = 1).  The cost is whole-array passes over the segments
-    plus work per crossing: the start, midpoint and end cells of every
-    segment come from whole arrays, and only the crossings inside (0, 1)
-    are sorted by (segment, t).  The cells are laid out in path order, each
+    end included (t = 1).  Only the crossings inside (0, 1) are sorted, by
+    (segment, t); the parameters of all the points go into one array in
+    path order, and their cells come from one pass over it per axis.  Each
     cell equal to the one before it is dropped, and the rest are sorted to
     count the distinct ones.
 
@@ -321,17 +317,16 @@ def divider_count(poly: Polyline, step: float) -> float:
             disc = qb * qb - 4.0 * qa * qc
             if qa == 0.0:  # |d|^2 underflowed: the equation is linear, qb t + qc = 0
                 roots = (-qc / qb,) if qb != 0.0 else ()
-            elif disc >= 0.0:
+            elif disc >= 0.0:  # qa > 0, so the roots come in ascending order
                 root = math.sqrt(disc)
                 roots = ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
             else:
                 roots = ()
-            best = None
             for t in roots:
-                if ulo < t <= 1.0 and (best is None or t < best):
-                    best = t
-            if best is not None:
-                hit = (j, best)
+                if ulo < t <= 1.0:
+                    hit = (j, t)
+                    break
+            if hit is not None:
                 break
             j += 1
             lo = j

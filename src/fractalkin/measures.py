@@ -168,9 +168,10 @@ def gammas(
     spec: GeneratorSpec, ks: Iterable[int]
 ) -> Iterator[tuple[int, Bounded, Bounded, Bounded]]:
     """(k, rho^-k, (N/rho^2)^k, gamma(k)) for each k of `ks`, bounded: the one
-    place gamma(k) = (N/rho^2)^k - rho^-k, dA_k0 in units of L0^2, is formed."""
+    place gamma(k) = (N/rho^2)^k - rho^-k, dA_k0 in units of L0^2, is formed.
+    Raises ValueError, as the tables do, on a k that is not an integer >= 0."""
     res_at, _, area_at = ladders(spec)
-    for k in ks:
+    for k in map(_check_k, ks):
         res, area = res_at(k), area_at(k)
         yield k, res, area, area.minus(res)
 

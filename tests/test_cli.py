@@ -125,6 +125,31 @@ def test_measure_refuses_a_scale_that_underflows(tmp_path, method):
     assert not out.exists()
 
 
+def test_measure_scales_comma_list(runner, tmp_path):
+    res = invoke(runner, ["measure", "--input", str(koch_input(tmp_path, 2)),
+                          "--scales", "1,3,2", "--format", "csv", "--no-fit"])
+    assert res.exit_code == 0
+    assert [line.split(",")[0] for line in res.output.strip().split("\n")] == ["k", "1", "2", "3"]
+
+
+BAD_SCALES = '--scales must be "k0..k1" or a comma list of integers, got '
+
+
+@pytest.mark.parametrize("scales,message", [
+    ("3..1", BAD_SCALES + "'3..1'"),
+    ("a..b", BAD_SCALES + "'a..b'"),
+    ("1..2..3", BAD_SCALES + "'1..2..3'"),
+    ("1,,2", BAD_SCALES + "'1,,2'"),
+    ("-1..2", "scale indices must be >= 0"),
+])
+def test_measure_scales_usage_errors(tmp_path, scales, message):
+    res = split_runner().invoke(main, ["measure", "--input", str(koch_input(tmp_path, 2)),
+                                       "--scales", scales])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.endswith(f"\nError: {message}\n")
+
+
 def test_generate_cesaro_svg(runner, tmp_path):
     out = tmp_path / "c.svg"
     res = invoke(runner, ["generate", "--generator", "cesaro", "--angle", "85",

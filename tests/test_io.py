@@ -121,6 +121,12 @@ def test_spec_round_trip():
         assert np.array_equal(back.displacements, spec.displacements)
 
 
+@pytest.mark.parametrize("displacements", [[[1, 0, 0]] * 3, [1, 1, 1]])
+def test_spec_from_dict_refuses_displacements_of_the_wrong_shape(displacements):
+    with pytest.raises(ValueError, match=r"displacements must be an \(N, 2\) array"):
+        spec_from_dict({"name": "bad", "rho": 3.0, "displacements": displacements})
+
+
 def test_scale_rows_round_trip_and_csv():
     rows = scale_table(builtin("koch"), 1.0, 1.0, 5)
     records = scale_rows_to_records(rows)

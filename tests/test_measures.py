@@ -195,6 +195,16 @@ def test_gamma_validation():
         scale_table(integer_generator(4, 2), 1.0, 1.0, -1)
 
 
+def test_gammas_refuses_a_k_that_is_not_an_integer_ge_0():
+    # a negative k must not index the ladder's bound lists from the end
+    koch = builtin("koch")
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        list(gammas(koch, [-1]))
+    with pytest.raises(ValueError, match="k must be an integer"):
+        list(gammas(koch, [2.5]))
+    assert exact_gammas(koch, [0]) == [0]
+
+
 def test_gamma_exact_matches_float_at_small_k():
     # with eta0 = 1/2 the bounds product 2 eta0 gamma(k) is gamma itself;
     # both it and the scale table's gamma are correctly rounded
