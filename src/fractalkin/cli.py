@@ -16,7 +16,9 @@ from typing import Iterator, TextIO
 
 import click
 
-from . import estimator, kinematics, measures, render, serialize
+# numpy loads with `estimator` and `render`, which the commands that use
+# them import; --help, analyze and usage errors run without it
+from . import kinematics, measures, serialize
 from .geometry import BUILTIN_NAMES, base_segment, builtin, refine
 
 
@@ -123,6 +125,8 @@ def main() -> None:
 @_runtime_errors
 def generate(generator, angle, level, l0, out):
     """Produce the level-k polyline of a generator."""
+    from . import render
+
     spec = _spec_from_flags(generator, angle)
     poly = refine(base_segment(l0), spec, level)
     with _output(out) as fp:
@@ -166,15 +170,17 @@ def analyze(generator, angle, k_max, mass, dt, l0, fmt, out):
         fp.write(text)
 
 
-def _parse_scales(text: str) -> list[int]:
+def _parse_scales(text: str) -> range | list[int]:
+    """The scale indices in ascending order.  "k0..k1" stays a range, so
+    its length costs nothing before the first scale that is too fine."""
     try:
         if ".." in text:
             lo, hi = text.split("..")
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(part) for part in text.split(",")]
+            return range(lo, hi + 1)
+        return sorted(int(part) for part in text.split(","))
     except ValueError:
         raise click.UsageError(
             f'--scales must be "k0..k1" or a comma list of integers, got {text!r}'
@@ -199,8 +205,10 @@ def _parse_scales(text: str) -> list[int]:
 @_runtime_errors
 def measure(input_path, scales, rho, method, fit, fmt, out):
     """Cell-count or divider-step an arbitrary polyline over a ladder."""
+    from . import estimator
+
     ks = _parse_scales(scales)
-    if min(ks) < 0:
+    if ks[0] < 0:
         raise click.UsageError("scale indices must be >= 0")
     poly = serialize.polyline_from_dict(json.loads(Path(input_path).read_text()))
     result = estimator.measure_polyline(poly, ks, rho=rho, method=method, fit=fit)
@@ -224,6 +232,8 @@ def measure(input_path, scales, rho, method, fit, fmt, out):
 @_runtime_errors
 def brownian(n, seed, step_std, out):
     """Sample a reproducible 2D Brownian path."""
+    from . import estimator
+
     poly = estimator.brownian_path(n, seed, step_std)
     meta = estimator.brownian_metadata(n, seed, step_std)
     with _output(out) as fp:

@@ -9,13 +9,12 @@ Also provides reproducible Brownian sample paths as a dimension-2 target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import DEFAULT_VERTEX_CAP, Polyline, _check_k
-from .measures import resolution
+from .measures import DimensionFit, MeasurementResult, MeasurementRow, resolution
 
 #: PRNG contract for brownian_path, recorded in output metadata.
 BROWNIAN_PRNG = "numpy Philox(4x64) via SeedSequence; standard_normal (ziggurat)"
@@ -25,33 +24,6 @@ SATURATION_RATIO = 1.05
 
 GRID_METHOD = "grid"
 DIVIDER_METHOD = "divider"
-
-
-@dataclass(frozen=True)
-class MeasurementRow:
-    """One ladder scale: resolution, raw count, and measured length."""
-
-    k: int
-    dx: float
-    count: float  # integer-valued for grid counts, fractional for divider
-    length: float  # count * dx
-
-
-@dataclass(frozen=True)
-class DimensionFit:
-    """OLS fit of ln(count) against ln(1/dx)."""
-
-    ds_hat: float
-    intercept: float
-    r2: float
-    k_fit_range: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class MeasurementResult:
-    method: str
-    rows: tuple[MeasurementRow, ...]
-    fit: DimensionFit | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +377,12 @@ def measure_polyline(
         raise ValueError(f"unknown method {method!r}")
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
-    ks = sorted(set(_check_k(k) for k in ks))
+    if isinstance(ks, range) and ks.step > 0:
+        # ascending and distinct already, and left unbuilt: a huge range
+        # costs nothing before its first scale that is too fine
+        ks = range(_check_k(ks[0]), ks.stop, ks.step) if ks else ks
+    else:
+        ks = sorted(set(_check_k(k) for k in ks))
     if not ks:
         raise ValueError("scale indices must be non-empty")
     l0 = poly.diameter() if base_length is None else float(base_length)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 UNIT_TOL = 1e-9
 DEFAULT_VERTEX_CAP = 10**8
@@ -24,18 +26,21 @@ class GeneratorSpec:
 
     Displacements are expressed in child-segment units (each has length 1)
     and must chain from (0, 0) to (rho, 0), so the generator spans exactly
-    one parent segment.
+    one parent segment.  They are given as N (x, y) pairs, a list or an
+    (N, 2) array, and kept as a tuple of float pairs: the closed-form
+    layer reads a spec without numpy.
     """
 
     name: str
     rho: float
-    displacements: np.ndarray  # (N, 2) float, child units
+    displacements: tuple[tuple[float, float], ...]  # child units
 
     def __post_init__(self) -> None:
         rho = float(self.rho)
-        d = np.array(self.displacements, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 2:
-            raise ValueError("displacements must be an (N, 2) array")
+        try:
+            d = tuple((float(x), float(y)) for x, y in self.displacements)
+        except (TypeError, ValueError):  # a flat or ragged list, or a row of another length
+            raise ValueError("displacements must be an (N, 2) array") from None
         n = len(d)
         if not rho > 1.0:
             raise ValueError(f"rho must be > 1, got {rho}")
@@ -43,15 +48,13 @@ class GeneratorSpec:
             raise ValueError(f"need at least 2 displacements, got {n}")
         if n < rho:
             raise ValueError(f"N={n} must be >= rho={rho} to span the parent")
-        norms = np.hypot(d[:, 0], d[:, 1])
-        if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+        if not all(abs(math.hypot(x, y) - 1.0) <= UNIT_TOL for x, y in d):  # nan fails too
             raise ValueError("every displacement must have unit length")
-        total = d.sum(axis=0)
+        total = (math.fsum(x for x, _ in d), math.fsum(y for _, y in d))
         if abs(total[0] - rho) > UNIT_TOL or abs(total[1]) > UNIT_TOL:
             raise ValueError(
-                f"displacements must sum to (rho, 0), got {tuple(total)}"
+                f"displacements must sum to (rho, 0), got {total}"
             )
-        d.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "displacements", d)
 
@@ -73,6 +76,8 @@ class Polyline:
     level: int | None = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         v = np.array(self.vertices, dtype=float, order="C")  # divider_count reads it flat
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
@@ -95,6 +100,8 @@ class Polyline:
 
     def arc_length(self) -> float:
         """Sum of Euclidean segment lengths."""
+        import numpy as np
+
         d = np.diff(self.vertices, axis=0)
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
@@ -118,7 +125,7 @@ def base_segment(l0: float = 1.0) -> Polyline:
     """The level-0 trajectory: one segment from (0, 0) to (l0, 0)."""
     if not l0 > 0.0:
         raise ValueError("l0 must be positive")
-    return Polyline(np.array([[0.0, 0.0], [l0, 0.0]]), level=0)
+    return Polyline([[0.0, 0.0], [l0, 0.0]], level=0)
 
 
 def _check_k(k) -> int:
@@ -150,6 +157,8 @@ def refine(base: Polyline, spec: GeneratorSpec, k: int) -> Polyline:
     Raises ValueError when the resulting vertex count would exceed
     `DEFAULT_VERTEX_CAP` (vertex count grows like N^k).
     """
+    import numpy as np
+
     k = _check_k(k)
     n = spec.n
     total = base.n_segments * n**k + 1
@@ -159,8 +168,8 @@ def refine(base: Polyline, spec: GeneratorSpec, k: int) -> Polyline:
             f"above the cap of {DEFAULT_VERTEX_CAP}"
         )
     v = base.vertices[:, 0] + 1j * base.vertices[:, 1]
-    disp = spec.displacements[:, 0] + 1j * spec.displacements[:, 1]
-    cum = np.cumsum(disp)
+    d = np.array(spec.displacements)
+    cum = np.cumsum(d[:, 0] + 1j * d[:, 1])
     for _ in range(k):
         starts = v[:-1]
         ends = v[1:]
@@ -195,14 +204,12 @@ def builtin(name: str, angle_deg: float | None = None) -> GeneratorSpec:
     if name != "cesaro" and angle_deg is not None:
         raise ValueError(f"angle_deg only applies to the cesaro family, not {name!r}")
     if name == "line":
-        return GeneratorSpec("line", 3.0, np.array([[1.0, 0.0]] * 3))
+        return GeneratorSpec("line", 3.0, [(1.0, 0.0)] * 3)
     if name == "koch":
         return GeneratorSpec(
             "koch",
             3.0,
-            np.array(
-                [[1.0, 0.0], [0.5, _SQRT3_2], [0.5, -_SQRT3_2], [1.0, 0.0]]
-            ),
+            [(1.0, 0.0), (0.5, _SQRT3_2), (0.5, -_SQRT3_2), (1.0, 0.0)],
         )
     if name == "peano":
         # The original self-intersecting Peano sweep (touches itself at two
@@ -211,7 +218,7 @@ def builtin(name: str, angle_deg: float | None = None) -> GeneratorSpec:
             (1, 0), (0, 1), (1, 0), (0, -1), (-1, 0),
             (0, -1), (1, 0), (0, 1), (1, 0),
         ]
-        return GeneratorSpec("peano", 3.0, np.array(steps, dtype=float))
+        return GeneratorSpec("peano", 3.0, steps)
     if name == "cesaro":
         if angle_deg is None:
             raise ValueError("cesaro requires an opening angle in degrees")
@@ -223,7 +230,7 @@ def builtin(name: str, angle_deg: float | None = None) -> GeneratorSpec:
         c = math.cos(math.radians(angle_deg))
         s = math.sin(math.radians(angle_deg))
         rho = 2.0 * (1.0 + c)
-        disp = np.array([[1.0, 0.0], [c, s], [c, -s], [1.0, 0.0]])
+        disp = [(1.0, 0.0), (c, s), (c, -s), (1.0, 0.0)]
         return GeneratorSpec(f"cesaro-{angle_deg:g}", rho, disp)
     raise ValueError(f"unknown generator {name!r}; choose from {BUILTIN_NAMES}")
 
@@ -241,4 +248,4 @@ def integer_generator(n: int, rho: int) -> GeneratorSpec:
     odd = (n - rho) % 2
     steps = ([(1.0, 0.0)] * (rho - odd) + [(0.5, _SQRT3_2), (0.5, -_SQRT3_2)] * odd
              + [(0.0, 1.0), (0.0, -1.0)] * ((n - rho) // 2))
-    return GeneratorSpec(f"n{n}-rho{rho}", float(rho), np.array(steps))
+    return GeneratorSpec(f"n{n}-rho{rho}", float(rho), steps)

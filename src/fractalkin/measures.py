@@ -6,6 +6,10 @@ gamma(k) = (N/rho^2)^k - rho^-k at every scale), and the
 similarity-dimension bound regimes.  Every float is its exact closed form
 correctly rounded (`Bounded.settle`).  gamma(k) is formed in `gammas`
 alone; `kinematics.verify_bounds` decides the strict bounds on it exactly.
+
+The rows of an empirical measurement (`MeasurementRow`, `DimensionFit`,
+`MeasurementResult`) are declared here too, and re-exported by
+`estimator`, so that `serialize` reads them without loading numpy.
 """
 
 from __future__ import annotations
@@ -81,6 +85,33 @@ class RegimeBound:
             return above
         below = value < self.upper if self.upper_strict else value <= self.upper
         return above and below
+
+
+@dataclass(frozen=True)
+class MeasurementRow:
+    """One ladder scale: resolution, raw count, and measured length."""
+
+    k: int
+    dx: float
+    count: float  # integer-valued for grid counts, fractional for divider
+    length: float  # count * dx
+
+
+@dataclass(frozen=True)
+class DimensionFit:
+    """OLS fit of ln(count) against ln(1/dx)."""
+
+    ds_hat: float
+    intercept: float
+    r2: float
+    k_fit_range: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class MeasurementResult:
+    method: str
+    rows: tuple[MeasurementRow, ...]
+    fit: DimensionFit | None = None
 
 
 @dataclass(slots=True)

@@ -23,17 +23,16 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
-import numpy as np
-
-from .estimator import DimensionFit, MeasurementResult, MeasurementRow
 from .geometry import GeneratorSpec, Polyline
 from .kinematics import BoundsReport, BoundsRow, ParticleContext, UncertaintyRow
-from .measures import RegimeBound, ScaleRow
+from .measures import DimensionFit, MeasurementResult, MeasurementRow, RegimeBound, ScaleRow
 
 #: vertices formatted per write by `write_polyline_json`
 _POLYLINE_CHUNK = 8192
@@ -46,6 +45,9 @@ _VERTEX_SEP = ",\n"
 #: JSON keys that differ from the field name (``pass`` is a Python keyword)
 _JSON_KEY = {"passed": "pass"}
 
+#: the value types of a flat record, whose lists `json_text` writes from a template
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
 
 def fnum(x: float) -> str:
     """Decimal text with 17 significant digits (lossless for float64)."""
@@ -55,9 +57,55 @@ def fnum(x: float) -> str:
 def json_text(obj) -> str:
     """The JSON text of every JSON output: two-space indent, final newline.
 
-    Raises ValueError on NaN or infinity, which standard JSON cannot hold.
+    The bytes are those of ``json.dumps(obj, indent=2, allow_nan=False)``
+    plus a newline; a list of flat records is written from a per-row
+    template (`_record_rows`), everything else by that call.  Raises
+    ValueError on NaN or infinity, which standard JSON cannot hold.
     """
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    return _layout(obj, "\n") + "\n"
+
+
+def _layout(obj, nl: str) -> str:
+    """`obj` laid out as by ``json.dumps(obj, indent=2, allow_nan=False)``,
+    with `nl` (a newline and obj's own indent) before each of its lines
+    after the first.  Descends through str-keyed dicts to reach the lists
+    of flat records."""
+    inner = nl + "  "
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = [inner + encode_basestring_ascii(key) + ": " + _layout(v, inner)
+                 for key, v in obj.items()]
+        return "{" + ",".join(items) + nl + "}"
+    if type(obj) is list and obj:
+        rows = _record_rows(obj, inner)
+        if rows is not None:
+            return "[" + inner + rows + nl + "]"
+    # an encoded JSON string holds no raw newline, so this indents lines only
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", nl)
+
+
+def _record_rows(records: list, nl: str) -> str | None:
+    """The items of a list of flat records, each record at indent `nl`, or
+    None unless every record is a dict with the first one's str keys, in
+    its order, and only None/bool/int/float/str values.
+
+    One template per row, built from the first record's keys, is filled
+    with every value of the list, each encoded by one compact
+    ``json.dumps`` call: float.__repr__ for floats, encode_basestring_ascii
+    for strings, ValueError on NaN or infinity.  The NUL separator of that
+    call cannot occur inside an encoded value, which escapes it.
+    """
+    keys = tuple(records[0]) if type(records[0]) is dict else ()
+    if (not keys or not all(type(key) is str for key in keys)
+            or set(map(type, records)) != {dict} or set(map(tuple, records)) != {keys}):
+        return None
+    values = list(itertools.chain.from_iterable(map(dict.values, records)))
+    if not _SCALARS.issuperset(map(type, values)):
+        return None
+    cells = json.dumps(values, separators=("\0", ":"), allow_nan=False)[1:-1].split("\0")
+    inner = nl + "  "
+    fields = [inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+    row = "{" + ",".join(fields) + nl + "}"
+    return ("," + nl).join([row] * len(records)) % tuple(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +163,12 @@ def spec_to_dict(spec: GeneratorSpec) -> dict:
     return {
         "name": spec.name,
         "rho": spec.rho,
-        "displacements": [[float(dx), float(dy)] for dx, dy in spec.displacements],
+        "displacements": [list(d) for d in spec.displacements],
     }
 
 
 def spec_from_dict(data: dict) -> GeneratorSpec:
-    return GeneratorSpec(
-        name=data["name"],
-        rho=float(data["rho"]),
-        displacements=np.array(data["displacements"], dtype=float),
-    )
+    return GeneratorSpec(name=data["name"], rho=data["rho"], displacements=data["displacements"])
 
 
 def _polyline_doc(level: int | None, vertices: list, metadata: dict | None) -> dict:
@@ -158,10 +202,7 @@ def write_polyline_json(poly: Polyline, fp: TextIO, metadata: dict | None = None
 
 def polyline_from_dict(data: dict) -> Polyline:
     level = data.get("level")
-    return Polyline(
-        np.array(data["vertices"], dtype=float),
-        level=None if level is None else int(level),
-    )
+    return Polyline(data["vertices"], level=None if level is None else int(level))
 
 
 # ---------------------------------------------------------------------------

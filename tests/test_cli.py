@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fractalkin import estimator
+import fractalkin
+from fractalkin import estimator, render
 from fractalkin.cli import main
 from fractalkin.geometry import base_segment, builtin, refine
 from fractalkin.measures import scale_table
@@ -17,6 +23,7 @@ from fractalkin.serialize import (
 )
 
 LOG3_4 = math.log(4.0) / math.log(3.0)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -123,6 +130,22 @@ def test_measure_refuses_a_scale_that_underflows(tmp_path, method):
     assert isinstance(res.exception, SystemExit)  # a clean error, not a traceback
     assert res.stderr == "Error: scale k=700 is too fine: L0 / rho^k underflows to 0\n"
     assert not out.exists()
+
+
+def test_measure_refuses_a_huge_scale_range_without_building_it(tmp_path):
+    # 10^8 scales are refused at the first that underflows, k=679, in
+    # memory that does not grow with the length of the range
+    path = koch_input(tmp_path, 2)
+    tracemalloc.start()
+    try:
+        res = split_runner().invoke(main, ["measure", "--input", str(path),
+                                           "--scales", "0..100000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 1
+    assert res.stderr == "Error: scale k=679 is too fine: L0 / rho^k underflows to 0\n"
+    assert peak < 16 * 2**20
 
 
 def test_measure_scales_comma_list(runner, tmp_path):
@@ -485,3 +508,37 @@ def test_config_satisfies_required_options(runner, tmp_path):
         res = invoke(runner, args + ["--config", str(cfg)])
         assert res.exit_code == 0, res.output
         json.loads(res.output)
+
+
+# `python -m fractalkin ARGS` in a fresh interpreter that writes, last on
+# stderr, whether numpy was loaded by the time it exited
+NUMPY_PROBE = ("import atexit, runpy, sys\n"
+               "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+               "runpy.run_module('fractalkin', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("args,code", [
+    (["--help"], 0),
+    (["analyze", "--generator", "koch", "--k-max", "12"], 0),
+    (["analyze", "--generator", "koch", "--k-max", "12", "--format", "csv"], 0),
+    (["analyze", "--generator", "koch", "--k-max", "-1"], 2),
+], ids=["help", "analyze-json", "analyze-csv", "usage-error"])
+def test_closed_form_commands_leave_numpy_unloaded(args, code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_array_layer_exports_resolve_on_use():
+    from fractalkin import measure_polyline, refine, render_svg
+
+    assert measure_polyline is estimator.measure_polyline
+    assert render_svg is render.render_svg
+    assert refine(base_segment(1.0), builtin("koch"), 1).n_vertices == 5
+    # resolved on every access, never cached into the package namespace
+    assert "measure_polyline" not in vars(fractalkin)
+    with pytest.raises(AttributeError):
+        fractalkin.no_such_name

@@ -49,7 +49,20 @@ def test_peano_spec_invariants():
     peano = builtin("peano")
     assert peano.n == 9
     assert peano.ds == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(peano.displacements.sum(axis=0), [3.0, 0.0])
+    assert tuple(map(math.fsum, zip(*peano.displacements))) == (3.0, 0.0)
+
+
+def test_spec_stores_float_pairs_from_a_list_or_an_array():
+    koch = builtin("koch")
+    from_array = GeneratorSpec("koch", 3.0, np.array(koch.displacements))
+    assert from_array.displacements == koch.displacements
+    assert all(type(c) is float for d in from_array.displacements for c in d)
+    assert builtin("peano").displacements[1] == (0.0, 1.0)
+
+
+def test_spec_refuses_nan_displacements():
+    with pytest.raises(ValueError, match="unit length"):
+        GeneratorSpec("nan", 3.0, [[math.nan, 0.0]] * 3)
 
 
 def test_cesaro_60_matches_koch():

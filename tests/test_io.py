@@ -121,7 +121,7 @@ def test_spec_round_trip():
         assert np.array_equal(back.displacements, spec.displacements)
 
 
-@pytest.mark.parametrize("displacements", [[[1, 0, 0]] * 3, [1, 1, 1]])
+@pytest.mark.parametrize("displacements", [[[1, 0, 0]] * 3, [1, 1, 1], [[1, 0], [1, 0], [1]]])
 def test_spec_from_dict_refuses_displacements_of_the_wrong_shape(displacements):
     with pytest.raises(ValueError, match=r"displacements must be an \(N, 2\) array"):
         spec_from_dict({"name": "bad", "rho": 3.0, "displacements": displacements})
@@ -141,10 +141,70 @@ def test_scale_rows_round_trip_and_csv():
     assert float(cells[6]) == rows[3].gamma
 
 
+# scalars of a JSON document: bool before int, signed zero, subnormal and
+# huge floats, strings with quotes, backslashes, NUL, % and non-ASCII
+JSON_TEXT = st.one_of(st.text(max_size=4),
+                      st.text(st.sampled_from('"\\%\x00\n/aé€\U0001f600'), max_size=6))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False), JSON_TEXT)
+
+
+@st.composite
+def record_lists(draw):
+    """A list of flat records, or a near miss that must take the generic
+    path: one record with its keys reordered, another key set, a nested
+    value, or a record that is not a dict."""
+    keys = draw(st.lists(JSON_TEXT, min_size=1, max_size=4, unique=True))
+    records = [{key: draw(JSON_SCALARS) for key in keys}
+               for _ in range(draw(st.integers(1, 4)))]
+    i = len(records) - 1
+    miss = draw(st.sampled_from([None, None, "order", "keys", "nested", "not-dict"]))
+    if miss == "order":
+        records[i] = dict(reversed(records[i].items()))
+    elif miss == "keys":
+        records[i] = {**records[i], draw(JSON_TEXT): draw(JSON_SCALARS)}
+    elif miss == "nested":
+        records[i][keys[0]] = draw(st.sampled_from([[], {}, [1.5], {"a": None}]))
+    elif miss == "not-dict":
+        records[i] = draw(st.sampled_from([[], {}, 0.5, [records[i]]]))
+    return records
+
+
+JSON_DOCS = st.recursive(
+    st.one_of(JSON_SCALARS, record_lists()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans()), children, max_size=2)),
+    max_leaves=12)
+
+
+@settings(deadline=None, max_examples=400)
+@given(doc=JSON_DOCS)
+@example(doc={"rows": [{"k": 1, "x": -0.0, "ok": True, "s": 'a"\\é%s'}] * 3, "e": [[], {}]})
+@example(doc=[{"a": 1, "b": 2.5}, {"b": 3.5, "a": 4}])
+def test_json_text_matches_the_indented_encoder(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def test_json_text_rejects_non_finite_numbers():
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             json_text({"x": x})
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("wrap", [
+    lambda x: [{"k": 1, "x": x}],
+    lambda x: {"rows": [{"k": 1, "s": "nan", "x": 0.5}, {"k": 2, "s": "inf", "x": x}]},
+    lambda x: [[{"x": x}], {"deep": [[{"a": None, "x": x}]]}],
+], ids=["record", "second-record", "deep-record"])
+def test_json_text_rejects_non_finite_numbers_in_records(x, wrap):
+    with pytest.raises(ValueError):
+        json.dumps(wrap(x), indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        json_text(wrap(x))
 
 
 def test_measurement_round_trip_and_csv():
