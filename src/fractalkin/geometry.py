@@ -130,6 +130,8 @@ def base_segment(l0: float = 1.0) -> Polyline:
 
 def _check_k(k) -> int:
     """A scale or refinement index as an int: any integral value >= 0 but a bool."""
+    if type(k) is int and k >= 0:  # the common case, spared the general checks
+        return k
     try:
         integral = not isinstance(k, bool) and int(k) == k
     except (TypeError, ValueError, OverflowError):  # None, nan, inf

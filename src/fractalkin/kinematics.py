@@ -8,6 +8,7 @@ in units of the base action eta0 = E0 * dt.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -15,7 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .geometry import GeneratorSpec, _check_k
-from .measures import DOWN, UP, Bounded, RegimeBound, classify_ds, gammas, regime_interval
+from .measures import (DOWN, UP, Ladder, RegimeBound, _bounds, _exact, _rounded, _settle,
+                       classify_ds, gammas, ladders, regime_interval)
 
 
 @dataclass(frozen=True)
@@ -45,17 +47,17 @@ class ParticleContext:
     @property
     def V0(self) -> float:
         """Base-scale speed L0/dt."""
-        return Bounded.of(Fraction(self.L0) / Fraction(self.dt)).settle()
+        return _rounded(*(Fraction(self.L0) / Fraction(self.dt)).as_integer_ratio())
 
     @property
     def E0(self) -> float:
         """Base-scale kinetic energy m V0^2 / 2 = m L0^2 / (2 dt^2)."""
-        return Bounded.of(self.eta0_exact() / Fraction(self.dt)).settle()
+        return _rounded(*(self.eta0_exact() / Fraction(self.dt)).as_integer_ratio())
 
     @property
     def eta0(self) -> float:
         """Action scale E0 * dt = m L0^2 / (2 dt), correctly rounded like V0 and E0."""
-        return Bounded.of(self.eta0_exact()).settle()
+        return _rounded(*self.eta0_exact().as_integer_ratio())
 
     def eta0_exact(self) -> Fraction:
         """eta0 as an exact rational of the (float, hence rational) inputs."""
@@ -107,21 +109,29 @@ class BoundsReport:
 
 
 def classify_regime(ds: float, ctx: ParticleContext) -> RegimeBound:
-    """Bounds on dx_k * dp_k in action units: the regime table with unit eta0.
+    """Bounds on dx_k * dp_k in action units: the regime table with unit eta0,
+    each finite endpoint the correctly rounded eta0 or 2 eta0.
 
-    For example eta0 <= product < 2 eta0 on the D_s = 2 line.
+    For example eta0 <= product < 2 eta0 on the D_s = 2 line.  Twice the
+    rounded eta0 is not the rounded 2 eta0 where eta0 is subnormal.
     """
-    return regime_interval(ds, ctx.eta0)
+    table = regime_interval(ds, ctx.eta0_exact())
+    return dataclasses.replace(table, lower=float(table.lower), upper=float(table.upper))
 
 
 def _products(
     spec: GeneratorSpec, ctx: ParticleContext, ks: Iterable[int]
-) -> Iterator[tuple[int, Bounded, Bounded, Bounded, Bounded]]:
-    """(k, rho^-k, (N/rho^2)^k, gamma(k), 2 eta0 gamma(k)) for each k of `ks`,
-    bounded: the one place the product dx_k * dp_k is formed."""
-    per_product = Bounded.of(2 * ctx.eta0_exact())
-    for k, res, area, g in gammas(spec, ks):
-        yield k, res, area, g, g.times(per_product)
+) -> Iterator[tuple[int, Decimal, Decimal, float]]:
+    """(k, lo, hi, product) for each k of `ks`, where lo <= gamma(k) <= hi
+    (`measures.gammas`) and the product 2 eta0 gamma(k) = dx_k * dp_k is
+    correctly rounded: the one place the product is formed."""
+    c = 2 * ctx.eta0_exact()
+    c_lo, c_hi = _bounds(c)
+    res, _, area = ladders(spec)
+    mul_dn, mul_up = DOWN.multiply, UP.multiply
+    for k, g_lo, g_hi in gammas(spec, ks):
+        yield k, g_lo, g_hi, _settle(
+            mul_dn(g_lo, c_lo), mul_up(g_hi, c_hi), k, c, area.ratio, res.ratio)
 
 
 def uncertainty_table(
@@ -130,32 +140,37 @@ def uncertainty_table(
     """Rows of areolar velocity/momentum changes for k = 0..k_max."""
     k_max = _check_k(k_max)
     regime = classify_ds(spec.ds)
-    per_dv = Bounded.of(2 * ctx.eta0_exact() / Fraction(ctx.m))
+    c = 2 * ctx.eta0_exact() / Fraction(ctx.m)
+    c_lo, c_hi = _bounds(c)
+    res, _, area = ladders(spec)
+    mul_dn, mul_up = DOWN.multiply, UP.multiply
     rows = []
-    for k, _, _, g, product in _products(spec, ctx, range(k_max + 1)):
+    for k, g_lo, g_hi, product in _products(spec, ctx, range(k_max + 1)):
         rows.append(UncertaintyRow(
-            k=k, dV_k=g.times(per_dv).settle(), dP_k=product.settle(), regime=regime))
+            k=k, dV_k=_settle(mul_dn(g_lo, c_lo), mul_up(g_hi, c_hi), k, c, area.ratio, res.ratio),
+            dP_k=product, regime=regime))
     return rows
 
 
-def _passes(area: Bounded, res: Bounded, g: Bounded, ds: float, table: RegimeBound) -> bool:
-    """Whether gamma(k) = g = area - res lies in `table`, the regime table
-    in units of 1/2.  Settled from the bounds when, for each finite
-    endpoint c, area - c lies strictly above or below res at both ends
-    (bounds on g itself would cancel to 1 on the D_s = 2 line), and from
-    the exact g where they admit g = c."""
-    above = []  # whether gamma(k) lies above each finite endpoint
-    for c in (table.lower, table.upper):
-        if c == math.inf:
-            continue
-        if DOWN.subtract(area.lo, c) > res.hi:
-            above.append(True)
-        elif UP.subtract(area.hi, c) < res.lo:
-            above.append(False)
+def _passes(k: int, area: Ladder, res: Ladder, ds: float, ends: tuple[Decimal, ...]) -> bool:
+    """Whether gamma(k) = area^k - res^k lies in the regime table in units
+    of 1/2, whose finite endpoints are `ends`, lower first.  Settled from
+    the bounds when, for each endpoint c, area^k - c lies strictly above or
+    below res^k at both ends (bounds on gamma(k) itself would cancel to 1 on
+    the D_s = 2 line), and from the exact gamma(k) where they admit
+    gamma(k) = c."""
+    a_lo, a_hi, r_lo, r_hi = area.lo[k], area.hi[k], res.lo[k], res.hi[k]
+    for inside_above, c in zip((True, False), ends):
+        if DOWN.subtract(a_lo, c) > r_hi:
+            above = True
+        elif UP.subtract(a_hi, c) < r_lo:
+            above = False
         else:
-            n, d = g.exact()  # gamma(k) = n / d, so 2 n in the table in units of d
+            n, d = _exact(k, 1, area.ratio, res.ratio)  # 2 n in the table in units of d
             return regime_interval(ds, d).contains(2 * n)
-    return above[0] and (table.upper == math.inf or not above[1])
+        if above != inside_above:
+            return False
+    return True
 
 
 def verify_bounds(
@@ -165,7 +180,7 @@ def verify_bounds(
 
     Violations are reported as data, not raised.  The product is the
     correctly rounded 2 eta0 gamma(k), inf past the float64 range, on the
-    route of every closed form (`measures.Bounded`).  `passed` is exact:
+    route of every closed form (`measures._settle`).  `passed` is exact:
     eta0 > 0 cancels out of the regime inequality, so a row passes when
     gamma(k) lies in the regime table in units of 1/2 (`_passes`).
     """
@@ -177,11 +192,12 @@ def verify_bounds(
     ds = spec.ds
     bound = classify_regime(ds, ctx)
     table = regime_interval(ds, Decimal("0.5"))
+    ends = tuple(c for c in (table.lower, table.upper) if c != math.inf)
+    res, _, area = ladders(spec)
     rows = []
-    for k, res, area, g, product in _products(spec, ctx, ks):
-        passed = _passes(area, res, g, ds, table)
-        rows.append(BoundsRow(k=k, product=product.settle(), lower=bound.lower,
-                              upper=bound.upper, passed=passed))
+    for k, _, _, product in _products(spec, ctx, ks):
+        rows.append(BoundsRow(k=k, product=product, lower=bound.lower, upper=bound.upper,
+                              passed=_passes(k, area, res, ds, ends)))
     return BoundsReport(
         spec_name=spec.name,
         ds=ds,

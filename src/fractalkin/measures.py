@@ -4,8 +4,11 @@ Everything here is a pure function of (k, rho, N, L0, dt): the resolution
 ladder, the scale table (length, area and the surface-change factor
 gamma(k) = (N/rho^2)^k - rho^-k at every scale), and the
 similarity-dimension bound regimes.  Every float is its exact closed form
-correctly rounded (`Bounded.settle`).  gamma(k) is formed in `gammas`
-alone; `kinematics.verify_bounds` decides the strict bounds on it exactly.
+correctly rounded (`_settle`): each row reads 60-digit decimal bounds off the
+`ladders` of the three powers, and the exact rational (`_exact`) is formed
+only where the bounds round to two floats.  The bounds on gamma(k) are
+formed in `gammas` alone; `kinematics.verify_bounds` decides the strict
+bounds on it exactly.
 
 The rows of an empirical measurement (`MeasurementRow`, `DimensionFit`,
 `MeasurementResult`) are declared here too, and re-exported by
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .geometry import GeneratorSpec, _check_k
 
@@ -114,97 +117,108 @@ class MeasurementResult:
     fit: DimensionFit | None = None
 
 
-@dataclass(slots=True)
-class Bounded:
-    """A rational value >= 0 with decimal bounds lo <= value <= hi (every
-    closed form here is >= 0, since N >= rho).  `exact()` returns it as an
-    unreduced integer pair (numerator, denominator > 0); with thousands of
-    digits at deep k, it is formed only where the bounds cannot settle a
-    float."""
+def _rounded(n: int, d: int) -> float:
+    """n / d as the correctly rounded float64 (int / int is), inf past its range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf
 
-    lo: Decimal
-    hi: Decimal
-    exact: Callable[[], tuple[int, int]]
 
-    @classmethod
-    def of(cls, x: Fraction) -> Bounded:
-        if x < 0:
-            raise ValueError("lengths, times and masses must be positive")
-        n, d = x.as_integer_ratio()
-        return cls(DOWN.divide(n, d), UP.divide(n, d), lambda: (n, d))
+def _bounds(x: Fraction) -> tuple[Decimal, Decimal]:
+    """Decimal bounds lo <= x <= hi on a rational constant."""
+    n, d = x.as_integer_ratio()
+    return DOWN.divide(n, d), UP.divide(n, d)
 
-    def times(self, c: Bounded) -> Bounded:
-        """self * c, for c > 0 (a negative self.lo bounds a value >= 0 all
-        the same once scaled)."""
 
-        def exact():
-            (n1, d1), (n2, d2) = self.exact(), c.exact()
-            return n1 * n2, d1 * d2
+def _exact(
+    k: int, c: Fraction | int, plus: tuple[int, int], minus: tuple[int, int] | None = None
+) -> tuple[int, int]:
+    """c (plus^k - minus^k), or c plus^k without `minus`, for ratios given as
+    (numerator, denominator) pairs, as an unreduced integer pair (numerator,
+    denominator > 0).  The one place an exact value is formed: with thousands
+    of digits at deep k, it is formed only where the bounds cannot settle a
+    float or a bound check."""
+    if minus == plus:  # the classical line N = rho, where gamma(k) = 0
+        return 0, 1
+    n, d = plus[0] ** k, plus[1] ** k
+    if minus is not None:
+        n2, d2 = minus[0] ** k, minus[1] ** k
+        n, d = (n - n2, d) if d == d2 else (n * d2 - n2 * d, d * d2)
+    return c.numerator * n, c.denominator * d
 
-        return Bounded(DOWN.multiply(self.lo, c.lo), UP.multiply(self.hi, c.hi), exact)
 
-    def minus(self, other: Bounded) -> Bounded:
-        """self - other, its exact value formed at most once."""
-        formed = []
+def _settle(
+    lo: Decimal, hi: Decimal, k: int, c: Fraction | int,
+    plus: tuple[int, int], minus: tuple[int, int] | None = None,
+) -> float:
+    """The correctly rounded float64, inf past its range, of the value
+    c (plus^k - minus^k) >= 0 that lies in [lo, hi]: float() of a Decimal is
+    correctly rounded and rounding is monotone, so bounds that round to one
+    float settle it (-0.0 == 0.0 is no exception, as the value is >= 0 and hi
+    gives +0.0); where they round to two, the exact value decides."""
+    f = float(hi)
+    if float(lo) == f:
+        return f
+    return _rounded(*_exact(k, c, plus, minus))
 
-        def exact():
-            if not formed:
-                (n1, d1), (n2, d2) = self.exact(), other.exact()
-                formed.append((n1 - n2, d1) if d1 == d2 else (n1 * d2 - n2 * d1, d1 * d2))
-            return formed[0]
 
-        return Bounded(DOWN.subtract(self.lo, other.hi), UP.subtract(self.hi, other.lo), exact)
+class Ladder:
+    """Decimal bounds lo[k] <= ratio^k <= hi[k], each one rounded multiply
+    from the bound at k - 1.  `ratio` is the (numerator, denominator) pair of
+    `_exact`."""
 
-    def settle(self) -> float:
-        """The correctly rounded float64, inf past its range: float() of a
-        Decimal and int / int are correctly rounded, and rounding is monotone,
-        so bounds that round to one float settle it (-0.0 == 0.0 is no
-        exception, as the value is >= 0 and hi gives +0.0)."""
-        hi = float(self.hi)
-        if float(self.lo) == hi:
-            return hi
-        n, d = self.exact()
-        try:
-            return n / d
-        except OverflowError:
-            return math.inf
+    __slots__ = ("ratio", "lo", "hi")
+
+    def __init__(self, ratio: Fraction) -> None:
+        self.ratio = ratio.as_integer_ratio()
+        self.lo, self.hi = [Decimal(1)], [Decimal(1)]
+
+    def reach(self, k: int) -> None:
+        """Extend both bound lists to index k."""
+        lo, hi = self.lo, self.hi
+        if len(lo) <= k:
+            step_lo, step_hi = DOWN.divide(*self.ratio), UP.divide(*self.ratio)
+            for _ in range(len(lo), k + 1):
+                lo.append(DOWN.multiply(lo[-1], step_lo))
+                hi.append(UP.multiply(hi[-1], step_hi))
 
 
 @functools.lru_cache(maxsize=3)
-def _ladder(ratio: Fraction, digits: int) -> Callable[[int], Bounded]:
-    """Bounded ratio^k for any k >= 0, each bound one rounded multiply from
-    the bound at k - 1.  Every bound reached is kept, in one ladder per
-    ratio and precision: the tables and bound checks of one generator walk
-    each of its three powers once."""
-    n, d = ratio.as_integer_ratio()
-    step, lo, hi = Bounded.of(ratio), [Decimal(1)], [Decimal(1)]
-
-    def at(k: int) -> Bounded:
-        while len(lo) <= k:
-            lo.append(DOWN.multiply(lo[-1], step.lo))
-            hi.append(UP.multiply(hi[-1], step.hi))
-        return Bounded(lo[k], hi[k], lambda: (n**k, d**k))
-
-    return at
+def _ladder(ratio: Fraction, digits: int) -> Ladder:
+    """One ladder per ratio and precision, every bound reached kept: the
+    tables and bound checks of one generator walk each of its three powers
+    once."""
+    return Ladder(ratio)
 
 
-def ladders(spec: GeneratorSpec) -> tuple[Callable[[int], Bounded], ...]:
+def ladders(spec: GeneratorSpec) -> tuple[Ladder, Ladder, Ladder]:
     """The ladders of rho^-k, (N/rho)^k and (N/rho^2)^k: dx_k, L_k and A_k
     in units of L0 and L0^2."""
     rho = Fraction(spec.rho)
     return tuple(_ladder(x, DOWN.prec) for x in (1 / rho, spec.n / rho, spec.n / rho**2))
 
 
-def gammas(
-    spec: GeneratorSpec, ks: Iterable[int]
-) -> Iterator[tuple[int, Bounded, Bounded, Bounded]]:
-    """(k, rho^-k, (N/rho^2)^k, gamma(k)) for each k of `ks`, bounded: the one
-    place gamma(k) = (N/rho^2)^k - rho^-k, dA_k0 in units of L0^2, is formed.
-    Raises ValueError, as the tables do, on a k that is not an integer >= 0."""
-    res_at, _, area_at = ladders(spec)
-    for k in map(_check_k, ks):
-        res, area = res_at(k), area_at(k)
-        yield k, res, area, area.minus(res)
+def gammas(spec: GeneratorSpec, ks: Iterable[int]) -> Iterator[tuple[int, Decimal, Decimal]]:
+    """(k, lo, hi) for each k of `ks`, with lo <= gamma(k) <= hi: the one place
+    the bounds on gamma(k) = (N/rho^2)^k - rho^-k, dA_k0 in units of L0^2,
+    are formed.  The exact value is `_exact(k, 1, area.ratio, res.ratio)` of the
+    area and resolution `ladders`, which reach every k yielded.  Raises
+    ValueError, as the tables do, on a k that is not an integer >= 0."""
+    ks = [_check_k(k) for k in ks]
+    res, _, area = ladders(spec)
+    if ks:
+        res.reach(max(ks))
+        area.reach(max(ks))
+    if spec.n == spec.rho:  # the classical line: gamma(k) = rho^-k - rho^-k = 0
+        zero = Decimal(0)
+        for k in ks:
+            yield k, zero, zero
+        return
+    sub_dn, sub_up = DOWN.subtract, UP.subtract
+    res_lo, res_hi, area_lo, area_hi = res.lo, res.hi, area.lo, area.hi
+    for k in ks:
+        yield k, sub_dn(area_lo[k], res_hi[k]), sub_up(area_hi[k], res_lo[k])
 
 
 def resolution(k: int, dx0: float, rho: float) -> float:
@@ -214,7 +228,11 @@ def resolution(k: int, dx0: float, rho: float) -> float:
         raise ValueError("dx0 must be positive")
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
-    return _ladder(1 / Fraction(rho), DOWN.prec)(k).times(Bounded.of(Fraction(dx0))).settle()
+    ladder, x = _ladder(1 / Fraction(rho), DOWN.prec), Fraction(dx0)
+    ladder.reach(k)
+    x_lo, x_hi = _bounds(x)
+    lo, hi = DOWN.multiply(ladder.lo[k], x_lo), UP.multiply(ladder.hi[k], x_hi)
+    return _settle(lo, hi, k, x, ladder.ratio)
 
 
 def cell_count(spec: GeneratorSpec, k: int) -> int:
@@ -269,19 +287,32 @@ def scale_table(
         raise ValueError("l0 must be positive")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    length_at = ladders(spec)[1]
+    res, length, area = ladders(spec)
+    length.reach(k_max)
     x = Fraction(l0)
-    per_l0, per_area, per_speed = (Bounded.of(c) for c in (x, x * x, x / Fraction(dt)))
+    per_l0, per_area, per_speed = x, x * x, x / Fraction(dt)
+    (l0_lo, l0_hi), (a_lo, a_hi), (v_lo, v_hi) = map(_bounds, (per_l0, per_area, per_speed))
+    mul_dn, mul_up, sub_dn, sub_up = DOWN.multiply, UP.multiply, DOWN.subtract, UP.subtract
+    r_res, r_len, r_area = res.ratio, length.ratio, area.ratio
+    one = (1, 1)  # 1^k: dL_k = L0 ((N/rho)^k - 1)
+    n_k = 1.0
     rows = []
-    for k, res, area, g in gammas(spec, range(k_max + 1)):
-        length = length_at(k)
-        lk = length.times(per_l0)
-        try:
-            n_k = float(cell_count(spec, k))
-        except OverflowError:  # N^k beyond float range; the ladder keeps going
-            n_k = math.inf
+    for k, g_lo, g_hi in gammas(spec, range(k_max + 1)):
+        lk_lo, lk_hi = mul_dn(length.lo[k], l0_lo), mul_up(length.hi[k], l0_hi)
+        if n_k < math.inf:
+            try:
+                n_k = float(cell_count(spec, k))
+            except OverflowError:  # N^k beyond float range, and so every later power
+                n_k = math.inf
         rows.append(ScaleRow(
-            k=k, dx_k=res.times(per_l0).settle(), N_k=n_k, L_k=lk.settle(),
-            A_k=area.times(per_area).settle(), v_k=length.times(per_speed).settle(),
-            gamma=g.settle(), dA_k0=g.times(per_area).settle(), dL_k=lk.minus(per_l0).settle()))
+            k=k,
+            dx_k=_settle(mul_dn(res.lo[k], l0_lo), mul_up(res.hi[k], l0_hi), k, per_l0, r_res),
+            N_k=n_k,
+            L_k=_settle(lk_lo, lk_hi, k, per_l0, r_len),
+            A_k=_settle(mul_dn(area.lo[k], a_lo), mul_up(area.hi[k], a_hi), k, per_area, r_area),
+            v_k=_settle(mul_dn(length.lo[k], v_lo), mul_up(length.hi[k], v_hi), k, per_speed,
+                        r_len),
+            gamma=_settle(g_lo, g_hi, k, 1, r_area, r_res),
+            dA_k0=_settle(mul_dn(g_lo, a_lo), mul_up(g_hi, a_hi), k, per_area, r_area, r_res),
+            dL_k=_settle(sub_dn(lk_lo, l0_hi), sub_up(lk_hi, l0_lo), k, per_l0, r_len, one)))
     return rows

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,25 @@ def test_analyze_peano_products_in_critical_band(runner):
         assert row["pass"] is True
         assert 0.5 <= row["product"] < 1.0
     assert data["regime"]["regime"] == "critical"
+
+
+def test_analyze_subnormal_eta0_keeps_products_inside_the_bounds(runner):
+    # eta0 = (5.8e-162)^2 / 2 is subnormal: twice the rounded eta0 (3e-323)
+    # lay below the products 3.5e-323 of k = 3..5, which passed all the same
+    res = invoke(runner, ["analyze", "--generator", "peano", "--k-max", "5", "--l0", "5.8e-162"])
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    eta0 = Fraction(5.8e-162) ** 2 / 2
+    assert data["context"]["eta0"] == float(eta0) == 1.5e-323
+    regime = data["regime"]
+    assert (regime["lower"], regime["upper"]) == (float(eta0), float(2 * eta0))
+    assert regime["upper"] == 3.5e-323
+    rows = data["bounds"]["rows"]
+    assert [row["product"] for row in rows[2:]] == [3.5e-323] * 3
+    for row in rows:
+        assert row["pass"] is True
+        assert (row["lower"], row["upper"]) == (regime["lower"], regime["upper"])
+        assert row["lower"] <= row["product"] <= row["upper"], row
 
 
 def test_analyze_line_products_zero(runner):

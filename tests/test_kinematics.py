@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from fractalkin import measures, serialize
+from fractalkin import kinematics, measures, serialize
 from fractalkin.geometry import GeneratorSpec, base_segment, builtin, integer_generator, refine
 from fractalkin.kinematics import (
     ParticleContext,
@@ -53,6 +53,16 @@ def spec_for(rho: float, n: int) -> GeneratorSpec:
     s = math.sqrt(1.0 - c * c)
     disp = head + [[c, s], [c, -s]] * (n // 2)
     return GeneratorSpec(f"rho{rho!r}-n{n}", rho, np.array(disp))
+
+
+TABLE_SPECS = {
+    "line": builtin("line"),
+    "koch": builtin("koch"),
+    "peano": builtin("peano"),
+    "cesaro-85": builtin("cesaro", angle_deg=85.0),
+    "cesaro-30": builtin("cesaro", angle_deg=30.0),
+    "super-2-5": spec_for(2.0, 5),
+}
 
 
 def test_context_derived_quantities():
@@ -127,6 +137,35 @@ def test_context_scales_and_bounds_share_one_eta0():
         report = verify_bounds(peano, ctx, range(1, 80))
         assert report.eta0 == ctx.eta0
         assert all(row.lower <= row.product <= row.upper for row in report.rows), ctx
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    name=st.sampled_from(sorted(TABLE_SPECS)),
+    m=st.floats(0.1, 10.0),
+    dt=st.floats(0.1, 10.0),
+    # eta0 subnormal (from 0 or a few ulps up) or normal
+    l0=st.one_of(st.floats(1e-162, 2e-154), st.floats(0.01, 100.0)),
+    k_max=st.integers(1, 60),
+)
+@example(name="peano", m=1.0, dt=1.0, l0=5.8e-162, k_max=5)
+def test_passing_rows_lie_inside_their_bounds(name, m, dt, l0, k_max):
+    # lower and upper are the correctly rounded eta0 and 2 eta0, so rounding,
+    # being monotone, keeps every passing product inside them, subnormal
+    # eta0 included
+    try:
+        ctx = ParticleContext(m=m, dt=dt, L0=l0)
+    except ValueError:  # eta0 rounds to 0
+        assume(False)
+    spec, eta0 = TABLE_SPECS[name], ctx.eta0_exact()
+    ends = {"super": (eta0, math.inf), "critical": (eta0, 2 * eta0),
+            "sub": (0, 2 * eta0), "classical": (0, 0)}[classify_ds(spec.ds)]
+    bound = classify_regime(spec.ds, ctx)
+    assert (bound.lower, bound.upper) == tuple(map(oracle_float, ends))
+    for row in verify_bounds(spec, ctx, range(1, k_max + 1)).rows:
+        assert (row.lower, row.upper) == (bound.lower, bound.upper)
+        if row.passed:
+            assert row.lower <= row.product <= row.upper, (name, row)
 
 
 def test_areolar_velocity_examples():
@@ -312,16 +351,58 @@ def test_integer_generator_realises_every_pair(pair, ks, ctx):
         assert passed, (spec.name, row.k)
 
 
-@pytest.mark.parametrize("ctx,digest", [
-    (UNIT_CTX, "9dd77ab24a439c71ee6b4acbdab049856cfe13da165669ee26d2778732562e1c"),
-    (C06_CTX, "14b095f996b1e2fcee8b37ab4acfad058eb230b5be9b8d63d1956d96bba6e876"),
-], ids=["unit", "c06"])
-def test_verify_bounds_cesaro85_rows_pinned_to_k3000(ctx, digest):
-    # the bytes of every cesaro-85 row over k = 1..3000, where rho has a
-    # 49-bit numerator; only the rows are hashed, since ds comes from libm
-    report = verify_bounds(builtin("cesaro", angle_deg=85.0), ctx, range(1, 3001))
+#: sha256 of the bounds rows over k = 1..3000, generator by generator
+ROW_PINS = {
+    ("line", "unit"): "e23d91f824c755e3b733b155cb6df9c0044dd8ccb2ace0140b4d6124e237544d",
+    ("line", "c06"): "e23d91f824c755e3b733b155cb6df9c0044dd8ccb2ace0140b4d6124e237544d",
+    ("koch", "unit"): "4909820e8a168a22c0ad5cd70c42dc8ea720671deebb9530f30b940af91767e9",
+    ("koch", "c06"): "50d7d1e76bfda9db941c47ce6014d1039ab754fa32bd6737d0ba1b85cdd758ad",
+    ("peano", "unit"): "00e532564a808e9a385e4138774016a6281d09fa9e1f5c27711f9980344e4825",
+    ("peano", "c06"): "1ddac26247b9c5d639769a40c30580ab3cbbcf94429a432e5d3d8226f60bb94d",
+    ("super-2-5", "unit"): "a8df1f032ace31300cdd9f4782b68ceb5d90ed5ada6a7fa4a430415b9b2109db",
+    ("super-2-5", "c06"): "d86b6df931161bdce7a20ad5077d73fc321fb33961e1b7d86aa9ab488c32d1ed",
+    ("cesaro-85", "unit"): "9dd77ab24a439c71ee6b4acbdab049856cfe13da165669ee26d2778732562e1c",
+    ("cesaro-85", "c06"): "14b095f996b1e2fcee8b37ab4acfad058eb230b5be9b8d63d1956d96bba6e876",
+}
+PIN_CONTEXTS = {"unit": UNIT_CTX, "c06": C06_CTX}
+
+
+@pytest.mark.parametrize("name,ctx_name", sorted(ROW_PINS),
+                         ids=[f"{name}-{ctx}" for name, ctx in sorted(ROW_PINS)])
+def test_verify_bounds_rows_pinned_to_k3000(name, ctx_name):
+    # the bytes of every row over k = 1..3000, deep in each regime (cesaro-85
+    # has a 49-bit numerator in rho, super-2-5 passes float64 at k = 3181);
+    # only the rows are hashed, since ds comes from libm
+    report = verify_bounds(TABLE_SPECS[name], PIN_CONTEXTS[ctx_name], range(1, 3001))
     rows = serialize.bounds_report_to_dict(report)["rows"]
-    assert hashlib.sha256(serialize.json_text(rows).encode()).hexdigest() == digest
+    digest = hashlib.sha256(serialize.json_text(rows).encode()).hexdigest()
+    assert digest == ROW_PINS[name, ctx_name]
+
+
+#: sha256 of the scale and uncertainty rows over k = 0..2000 in context c06
+TABLE_PINS = {
+    "line": ("6d15a446ada822a24d0f148f9edae37b447700e7d13c6e2ec7f7ef50b56dd88d",
+             "2cede3b07236fbae9a4edb462ab9cc8d340e333cd473834fd36d96a3b8d228c9"),
+    "koch": ("61b5651ee2ddc81c82153e42242d20df57e9f20e66e08080bbedae77793942dd",
+             "a639d063758a4deda10d1b8bcc44e0c16b26a4178247e8354f77e6113b10a0ce"),
+    "peano": ("478edb6326fa34e20f057a5d2dd1b155433973f6ee9cd6fd4ec36d48127fc3a0",
+              "e1861d69be4a6e763774c5d1423dc9b677fc1f23f50b64f4fc31e5d9363aadab"),
+    "cesaro-85": ("d3d94b51c3473b6c9ec68e16ca92af91f2f01ea127c04070259dce0029a1f733",
+                  "57fb7ff9b52c3719890b70aa7b28a9752c09d6322545af7d1dba9f2392be833d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PINS))
+def test_table_rows_pinned_to_k2000(name):
+    # the bytes of both tables past the float64 range of rho^k (from k = 647
+    # at rho = 3), where dx_k underflows toward 0 and peano's L_k is null
+    spec, ctx = TABLE_SPECS[name], C06_CTX
+    bundle = serialize.analysis_to_dict(
+        spec, ctx, classify_regime(spec.ds, ctx), scale_table(spec, ctx.L0, ctx.dt, 2000),
+        uncertainty_table(spec, ctx, 2000), None)
+    digests = tuple(hashlib.sha256(serialize.json_text(bundle[key]).encode()).hexdigest()
+                    for key in ("scales", "uncertainty"))
+    assert digests == TABLE_PINS[name]
 
 
 def test_verify_bounds_cesaro30_at_deep_k():
@@ -390,53 +471,45 @@ def test_critical_lower_bound_attained_at_rho2_k1():
 
 @pytest.fixture
 def exact_route_ks(monkeypatch):
-    """The k of every row whose exact gamma(k) is formed (once a row at
-    most): the rows that the bounds leave to the exact route."""
+    """The k of every exact value formed (`measures._exact`, the one seam
+    for them); in a bound check, where every exact value is gamma(k) or
+    2 eta0 gamma(k), the rows that the bounds leave to the exact route."""
     ks = []
-    ladders = measures.ladders
+    seam = measures._exact
 
-    def counted(spec):
-        res, length, area = ladders(spec)
+    def counted(k, *args):
+        ks.append(k)
+        return seam(k, *args)
 
-        def area_at(k):
-            bounded = area(k)
-
-            def exact():
-                ks.append(k)
-                return bounded.exact()
-
-            return measures.Bounded(bounded.lo, bounded.hi, exact)
-
-        return res, length, area_at
-
-    monkeypatch.setattr(measures, "ladders", counted)
+    for module in (measures, kinematics):
+        monkeypatch.setattr(module, "_exact", counted)
     return ks
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """One flag per `Bounded.settle` call, in call order: whether the
+    """One flag per `measures._settle` call, in call order: whether the
     bounds left the float to the exact value."""
     flags = []
-    settle = measures.Bounded.settle
+    settle, seam = measures._settle, measures._exact
 
-    def recorded(self):
-        took = []
+    def recorded(*args):
+        flags.append(False)
+        return settle(*args)
 
-        def exact():
-            took.append(True)
-            return self.exact()
+    def formed(*args):  # settle's own call of the seam
+        flags[-1] = True
+        return seam(*args)
 
-        value = settle(measures.Bounded(self.lo, self.hi, exact))
-        flags.append(bool(took))
-        return value
-
-    monkeypatch.setattr(measures.Bounded, "settle", recorded)
+    monkeypatch.setattr(measures, "_exact", formed)
+    for module in (measures, kinematics):
+        monkeypatch.setattr(module, "_settle", recorded)
     return flags
 
 
 SCALE_FIELDS = ("dx_k", "L_k", "A_k", "v_k", "gamma", "dA_k0", "dL_k")
-UNCERTAINTY_FIELDS = ("dV_k", "dP_k")
+#: in the order the uncertainty table settles them: the bounds product first
+UNCERTAINTY_FIELDS = ("dP_k", "dV_k")
 
 
 def tables_oracle(spec: GeneratorSpec, ctx: ParticleContext, k: int) -> dict[str, float]:
@@ -450,22 +523,22 @@ def tables_oracle(spec: GeneratorSpec, ctx: ParticleContext, k: int) -> dict[str
     area = (spec.n * b * b) ** k
     g = area - res * d  # gamma(k) = g / d^2
 
-    def rounded(num: int, den: int) -> float:
+    def _rounded(num: int, den: int) -> float:
         try:
             return num / den
         except OverflowError:
             return math.inf
 
     return {
-        "dx_k": rounded(lp * res, lq * d),
-        "L_k": rounded(lp * length, lq * d),
-        "A_k": rounded(lp * lp * area, lq * lq * d * d),
-        "v_k": rounded(lp * length * tq, lq * d * tp),
-        "gamma": rounded(g, d * d),
-        "dA_k0": rounded(lp * lp * g, lq * lq * d * d),
-        "dL_k": rounded(lp * (length - d), lq * d),
-        "dV_k": rounded(lp * lp * g * tq, lq * lq * d * d * tp),
-        "dP_k": rounded(mp * lp * lp * g * tq, mq * lq * lq * d * d * tp),
+        "dx_k": _rounded(lp * res, lq * d),
+        "L_k": _rounded(lp * length, lq * d),
+        "A_k": _rounded(lp * lp * area, lq * lq * d * d),
+        "v_k": _rounded(lp * length * tq, lq * d * tp),
+        "gamma": _rounded(g, d * d),
+        "dA_k0": _rounded(lp * lp * g, lq * lq * d * d),
+        "dL_k": _rounded(lp * (length - d), lq * d),
+        "dV_k": _rounded(lp * lp * g * tq, lq * lq * d * d * tp),
+        "dP_k": _rounded(mp * lp * lp * g * tq, mq * lq * lq * d * d * tp),
     }
 
 
@@ -502,7 +575,7 @@ def test_verify_bounds_exact_at_any_bound_precision(monkeypatch, exact_route_ks,
             for row in report.rows:
                 p, passed = bounds_oracle(spec, ctx, row.k)
                 assert (row.product, row.passed) == (oracle_float(p), passed), (spec.name, row.k)
-            # each table settles the fields of a row in field order
+            # each table settles the fields of a row in the order of its tuple
             for fields, table in ((SCALE_FIELDS, lambda: scale_table(spec, ctx.L0, ctx.dt, 120)),
                                   (UNCERTAINTY_FIELDS, lambda: uncertainty_table(spec, ctx, 120))):
                 del fallbacks[:]
@@ -527,16 +600,6 @@ def test_correspondence_monotonicity():
     ]
     assert all(b > a for a, b in zip(products, products[1:]))
     assert uncertainty_table(builtin("cesaro", angle_deg=1.0), UNIT_CTX, 5)[5].dP_k < 1e-5
-
-
-TABLE_SPECS = {
-    "line": builtin("line"),
-    "koch": builtin("koch"),
-    "peano": builtin("peano"),
-    "cesaro-85": builtin("cesaro", angle_deg=85.0),
-    "cesaro-30": builtin("cesaro", angle_deg=30.0),
-    "super-2-5": spec_for(2.0, 5),
-}
 
 
 @settings(deadline=None, max_examples=25)

@@ -9,8 +9,11 @@ from fractalkin.kinematics import ParticleContext, verify_bounds
 from fractalkin.measures import (
     ScaleRow,
     cell_count,
+    _exact,
+    _settle,
     classify_ds,
     gammas,
+    ladders,
     regime_interval,
     resolution,
     scale_table,
@@ -156,14 +159,17 @@ def test_cell_count_exact_integer():
 
 
 def exact_gammas(spec, ks):
-    """gamma(k) for each k of `ks` as an exact Fraction, from `gammas`, after
-    checking it against (N/rho^2)^k - rho^-k in Fractions."""
+    """gamma(k) for each k of `ks` as an exact Fraction, from the exact value
+    of the ladders that `gammas` reads, after checking it against
+    (N/rho^2)^k - rho^-k in Fractions and against the bounds of `gammas`."""
     rho = Fraction(spec.rho)
+    res, _, area = ladders(spec)
     out = []
-    for k, _, _, g in gammas(spec, ks):
-        exact = Fraction(*g.exact())
-        assert exact == Fraction(spec.n) ** k / rho ** (2 * k) - rho**-k, (spec.name, k)
-        out.append(exact)
+    for k, lo, hi in gammas(spec, ks):
+        g = Fraction(*_exact(k, 1, area.ratio, res.ratio))
+        assert g == Fraction(spec.n) ** k / rho ** (2 * k) - rho**-k, (spec.name, k)
+        assert lo <= g <= hi, (spec.name, k)
+        out.append(g)
     return out
 
 
@@ -321,8 +327,10 @@ def test_gamma_sub_vanishes(rho, extra):
     # below 1e-9; k* reaches ~2,000 at N = 99, rho = 10
     n = rho + 1 + extra % (rho * rho - rho - 1)
     k_star = math.ceil(math.log(1e-9) / math.log(n / rho**2)) + 1
-    ((_, _, _, g),) = gammas(integer_generator(n, rho), [k_star])
-    assert 0.0 < g.settle() < 1e-9
+    spec = integer_generator(n, rho)
+    res, _, area = ladders(spec)
+    ((_, lo, hi),) = gammas(spec, [k_star])
+    assert 0.0 < _settle(lo, hi, k_star, 1, area.ratio, res.ratio) < 1e-9
 
 
 @settings(max_examples=60)
