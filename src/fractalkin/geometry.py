@@ -78,7 +78,13 @@ class Polyline:
     def __post_init__(self) -> None:
         import numpy as np
 
-        v = np.array(self.vertices, dtype=float, order="C")  # divider_count reads it flat
+        v = np.array(self.vertices, order="C")  # divider_count reads it flat
+        # float() would read the string "1" as 1.0; an object array holds the
+        # values numpy found no number type for (None, integers past int64)
+        if v.dtype.kind not in "iufO" or v.dtype.kind == "O" and any(
+                isinstance(x, str) for x in v.flat):
+            raise ValueError("vertices must be numbers")
+        v = v.astype(float, copy=False)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
         if not np.isfinite(v).all():

@@ -11,13 +11,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .geometry import GeneratorSpec, _check_k
-from .measures import (DOWN, UP, Ladder, RegimeBound, _bounds, _exact, _rounded, _settle,
-                       classify_ds, gammas, ladders, regime_interval)
+from .measures import RegimeBound, _passes, _rounded, classify_ds, gammas, regime_interval
 
 
 @dataclass(frozen=True)
@@ -119,58 +117,15 @@ def classify_regime(ds: float, ctx: ParticleContext) -> RegimeBound:
     return dataclasses.replace(table, lower=float(table.lower), upper=float(table.upper))
 
 
-def _products(
-    spec: GeneratorSpec, ctx: ParticleContext, ks: Iterable[int]
-) -> Iterator[tuple[int, Decimal, Decimal, float]]:
-    """(k, lo, hi, product) for each k of `ks`, where lo <= gamma(k) <= hi
-    (`measures.gammas`) and the product 2 eta0 gamma(k) = dx_k * dp_k is
-    correctly rounded: the one place the product is formed."""
-    c = 2 * ctx.eta0_exact()
-    c_lo, c_hi = _bounds(c)
-    res, _, area = ladders(spec)
-    mul_dn, mul_up = DOWN.multiply, UP.multiply
-    for k, g_lo, g_hi in gammas(spec, ks):
-        yield k, g_lo, g_hi, _settle(
-            mul_dn(g_lo, c_lo), mul_up(g_hi, c_hi), k, c, area.ratio, res.ratio)
-
-
 def uncertainty_table(
     spec: GeneratorSpec, ctx: ParticleContext, k_max: int
 ) -> list[UncertaintyRow]:
     """Rows of areolar velocity/momentum changes for k = 0..k_max."""
     k_max = _check_k(k_max)
     regime = classify_ds(spec.ds)
-    c = 2 * ctx.eta0_exact() / Fraction(ctx.m)
-    c_lo, c_hi = _bounds(c)
-    res, _, area = ladders(spec)
-    mul_dn, mul_up = DOWN.multiply, UP.multiply
-    rows = []
-    for k, g_lo, g_hi, product in _products(spec, ctx, range(k_max + 1)):
-        rows.append(UncertaintyRow(
-            k=k, dV_k=_settle(mul_dn(g_lo, c_lo), mul_up(g_hi, c_hi), k, c, area.ratio, res.ratio),
-            dP_k=product, regime=regime))
-    return rows
-
-
-def _passes(k: int, area: Ladder, res: Ladder, ds: float, ends: tuple[Decimal, ...]) -> bool:
-    """Whether gamma(k) = area^k - res^k lies in the regime table in units
-    of 1/2, whose finite endpoints are `ends`, lower first.  Settled from
-    the bounds when, for each endpoint c, area^k - c lies strictly above or
-    below res^k at both ends (bounds on gamma(k) itself would cancel to 1 on
-    the D_s = 2 line), and from the exact gamma(k) where they admit
-    gamma(k) = c."""
-    a_lo, a_hi, r_lo, r_hi = area.lo[k], area.hi[k], res.lo[k], res.hi[k]
-    for inside_above, c in zip((True, False), ends):
-        if DOWN.subtract(a_lo, c) > r_hi:
-            above = True
-        elif UP.subtract(a_hi, c) < r_lo:
-            above = False
-        else:
-            n, d = _exact(k, 1, area.ratio, res.ratio)  # 2 n in the table in units of d
-            return regime_interval(ds, d).contains(2 * n)
-        if above != inside_above:
-            return False
-    return True
+    c = 2 * ctx.eta0_exact()  # dP_k = m dV_k = 2 eta0 gamma(k)
+    return [UncertaintyRow(k=k, dV_k=dv_k, dP_k=dp_k, regime=regime)
+            for k, (dv_k, dp_k) in gammas(spec, range(k_max + 1), (c / Fraction(ctx.m), c))]
 
 
 def verify_bounds(
@@ -179,10 +134,10 @@ def verify_bounds(
     """Check the regime inequality for every k in `k_range` (all k >= 1).
 
     Violations are reported as data, not raised.  The product is the
-    correctly rounded 2 eta0 gamma(k), inf past the float64 range, on the
-    route of every closed form (`measures._settle`).  `passed` is exact:
-    eta0 > 0 cancels out of the regime inequality, so a row passes when
-    gamma(k) lies in the regime table in units of 1/2 (`_passes`).
+    correctly rounded 2 eta0 gamma(k), inf past the float64 range
+    (`measures.gammas`).  `passed` is exact: eta0 > 0 cancels out of the
+    regime inequality, so a row passes when gamma(k) lies in the regime
+    table in units of 1/2 (`measures._passes`).
     """
     ks = sorted(set(_check_k(k) for k in k_range))
     if not ks:
@@ -191,13 +146,9 @@ def verify_bounds(
         raise ValueError("bound checking applies to k >= 1 only")
     ds = spec.ds
     bound = classify_regime(ds, ctx)
-    table = regime_interval(ds, Decimal("0.5"))
-    ends = tuple(c for c in (table.lower, table.upper) if c != math.inf)
-    res, _, area = ladders(spec)
-    rows = []
-    for k, _, _, product in _products(spec, ctx, ks):
-        rows.append(BoundsRow(k=k, product=product, lower=bound.lower, upper=bound.upper,
-                              passed=_passes(k, area, res, ds, ends)))
+    rows = [BoundsRow(k=k, product=product, lower=bound.lower, upper=bound.upper, passed=passed)
+            for (k, (product,)), passed in zip(gammas(spec, ks, (2 * ctx.eta0_exact(),)),
+                                               _passes(spec, ks))]
     return BoundsReport(
         spec_name=spec.name,
         ds=ds,

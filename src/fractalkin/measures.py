@@ -3,12 +3,13 @@
 Everything here is a pure function of (k, rho, N, L0, dt): the resolution
 ladder, the scale table (length, area and the surface-change factor
 gamma(k) = (N/rho^2)^k - rho^-k at every scale), and the
-similarity-dimension bound regimes.  Every float is its exact closed form
-correctly rounded (`_settle`): each row reads 60-digit decimal bounds off the
-`ladders` of the three powers, and the exact rational (`_exact`) is formed
-only where the bounds round to two floats.  The bounds on gamma(k) are
-formed in `gammas` alone; `kinematics.verify_bounds` decides the strict
-bounds on it exactly.
+similarity-dimension bound regimes.  Every per-scale float, here or in
+`kinematics`, is its exact closed form correctly rounded at one site
+(`_settled`): it reads 60-digit decimal bounds off the `ladders` of the
+three powers, and the exact rational (`_exact`) is formed only where the
+bounds round to two floats.  gamma(k) is formed in `gammas` alone, which
+yields it and its multiples as floats, and `_passes` decides exactly
+whether it lies in the regime table; no decimal bound leaves this module.
 
 The rows of an empirical measurement (`MeasurementRow`, `DimensionFit`,
 `MeasurementResult`) are declared here too, and re-exported by
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import GeneratorSpec, _check_k
 
@@ -125,12 +126,6 @@ def _rounded(n: int, d: int) -> float:
         return math.inf
 
 
-def _bounds(x: Fraction) -> tuple[Decimal, Decimal]:
-    """Decimal bounds lo <= x <= hi on a rational constant."""
-    n, d = x.as_integer_ratio()
-    return DOWN.divide(n, d), UP.divide(n, d)
-
-
 def _exact(
     k: int, c: Fraction | int, plus: tuple[int, int], minus: tuple[int, int] | None = None
 ) -> tuple[int, int]:
@@ -199,26 +194,76 @@ def ladders(spec: GeneratorSpec) -> tuple[Ladder, Ladder, Ladder]:
     return tuple(_ladder(x, DOWN.prec) for x in (1 / rho, spec.n / rho, spec.n / rho**2))
 
 
-def gammas(spec: GeneratorSpec, ks: Iterable[int]) -> Iterator[tuple[int, Decimal, Decimal]]:
-    """(k, lo, hi) for each k of `ks`, with lo <= gamma(k) <= hi: the one place
-    the bounds on gamma(k) = (N/rho^2)^k - rho^-k, dA_k0 in units of L0^2,
-    are formed.  The exact value is `_exact(k, 1, area.ratio, res.ratio)` of the
-    area and resolution `ladders`, which reach every k yielded.  Raises
-    ValueError, as the tables do, on a k that is not an integer >= 0."""
+def _settled(
+    ks: Sequence[int], c: Fraction | int, plus: Ladder, minus: Ladder | None = None
+) -> Iterator[float]:
+    """c (plus^k - minus^k), or c plus^k without `minus`, correctly rounded
+    (`_settle`) for each k of `ks` (each an integer >= 0): the one place a
+    closed-form float is formed.  The bounds are those of the ladders, less
+    those of `minus`, times those of c, every lower bound rounded down and
+    every upper bound up."""
+    n, d = c.as_integer_ratio()
+    c_lo, c_hi = DOWN.divide(n, d), UP.divide(n, d)
+    top = max(ks, default=0)
+    plus.reach(top)
+    p_lo, p_hi, m_ratio = plus.lo, plus.hi, None
+    if minus is not None:
+        minus.reach(top)
+        m_ratio = minus.ratio
+        # one ladder on both sides (gamma(k) on the classical line N = rho) is 0
+        # exactly: pairing each bound with itself makes the bounds on it 0 too
+        m_lo, m_hi = (minus.lo, minus.hi) if minus is not plus else (p_hi, p_lo)
+    mul_dn, mul_up, sub_dn, sub_up = DOWN.multiply, UP.multiply, DOWN.subtract, UP.subtract
+    for k in ks:
+        lo, hi = p_lo[k], p_hi[k]
+        if minus is not None:
+            lo, hi = sub_dn(lo, m_hi[k]), sub_up(hi, m_lo[k])
+        yield _settle(mul_dn(lo, c_lo), mul_up(hi, c_hi), k, c, plus.ratio, m_ratio)
+
+
+def gammas(
+    spec: GeneratorSpec, ks: Iterable[int], cs: Iterable[Fraction | int]
+) -> Iterator[tuple[int, list[float]]]:
+    """(k, [c gamma(k) for c in cs]) for each k of `ks`, each value correctly
+    rounded: the one place gamma(k) = (N/rho^2)^k - rho^-k, dA_k0 in units
+    of L0^2, is formed.  Raises ValueError, as the tables do, on a k that is
+    not an integer >= 0."""
     ks = [_check_k(k) for k in ks]
     res, _, area = ladders(spec)
-    if ks:
-        res.reach(max(ks))
-        area.reach(max(ks))
-    if spec.n == spec.rho:  # the classical line: gamma(k) = rho^-k - rho^-k = 0
-        zero = Decimal(0)
-        for k in ks:
-            yield k, zero, zero
-        return
-    sub_dn, sub_up = DOWN.subtract, UP.subtract
-    res_lo, res_hi, area_lo, area_hi = res.lo, res.hi, area.lo, area.hi
+    for k, *values in zip(ks, *[_settled(ks, c, area, res) for c in cs]):
+        yield k, values
+
+
+def _passes(spec: GeneratorSpec, ks: Sequence[int]) -> Iterator[bool]:
+    """For each k of `ks` (each an integer >= 0), whether gamma(k) =
+    area^k - res^k of the `ladders` lies in the regime table in units of
+    1/2.  Settled from the bounds when, for each finite endpoint c, area^k - c
+    lies strictly above or below res^k at both ends (bounds on gamma(k) itself
+    would cancel to 1 on the D_s = 2 line), and from the exact gamma(k) where
+    they admit gamma(k) = c."""
+    ds = spec.ds
+    table = regime_interval(ds, Decimal("0.5"))
+    ends = tuple(c for c in (table.lower, table.upper) if c != math.inf)
+    res, _, area = ladders(spec)
+    top = max(ks, default=0)
+    res.reach(top)
+    area.reach(top)
     for k in ks:
-        yield k, sub_dn(area_lo[k], res_hi[k]), sub_up(area_hi[k], res_lo[k])
+        a_lo, a_hi, r_lo, r_hi = area.lo[k], area.hi[k], res.lo[k], res.hi[k]
+        for inside_above, c in zip((True, False), ends):
+            if DOWN.subtract(a_lo, c) > r_hi:
+                above = True
+            elif UP.subtract(a_hi, c) < r_lo:
+                above = False
+            else:
+                n, d = _exact(k, 1, area.ratio, res.ratio)  # 2 n in the table in units of d
+                yield regime_interval(ds, d).contains(2 * n)
+                break
+            if above != inside_above:
+                yield False
+                break
+        else:
+            yield True
 
 
 def resolution(k: int, dx0: float, rho: float) -> float:
@@ -228,11 +273,7 @@ def resolution(k: int, dx0: float, rho: float) -> float:
         raise ValueError("dx0 must be positive")
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
-    ladder, x = _ladder(1 / Fraction(rho), DOWN.prec), Fraction(dx0)
-    ladder.reach(k)
-    x_lo, x_hi = _bounds(x)
-    lo, hi = DOWN.multiply(ladder.lo[k], x_lo), UP.multiply(ladder.hi[k], x_hi)
-    return _settle(lo, hi, k, x, ladder.ratio)
+    return next(_settled([k], Fraction(dx0), _ladder(1 / Fraction(rho), DOWN.prec)))
 
 
 def cell_count(spec: GeneratorSpec, k: int) -> int:
@@ -287,32 +328,22 @@ def scale_table(
         raise ValueError("l0 must be positive")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    ks = range(k_max + 1)
     res, length, area = ladders(spec)
-    length.reach(k_max)
     x = Fraction(l0)
-    per_l0, per_area, per_speed = x, x * x, x / Fraction(dt)
-    (l0_lo, l0_hi), (a_lo, a_hi), (v_lo, v_hi) = map(_bounds, (per_l0, per_area, per_speed))
-    mul_dn, mul_up, sub_dn, sub_up = DOWN.multiply, UP.multiply, DOWN.subtract, UP.subtract
-    r_res, r_len, r_area = res.ratio, length.ratio, area.ratio
-    one = (1, 1)  # 1^k: dL_k = L0 ((N/rho)^k - 1)
+    per_area, per_speed = x * x, x / Fraction(dt)
+    one = Ladder(Fraction(1))  # 1^k: dL_k = L0 ((N/rho)^k - 1)
+    columns = zip(_settled(ks, x, res), _settled(ks, x, length), _settled(ks, per_area, area),
+                  _settled(ks, per_speed, length), gammas(spec, ks, (1, per_area)),
+                  _settled(ks, x, length, one))
     n_k = 1.0
     rows = []
-    for k, g_lo, g_hi in gammas(spec, range(k_max + 1)):
-        lk_lo, lk_hi = mul_dn(length.lo[k], l0_lo), mul_up(length.hi[k], l0_hi)
+    for dx_k, l_k, a_k, v_k, (k, (gamma, da_k0)), dl_k in columns:
         if n_k < math.inf:
             try:
                 n_k = float(cell_count(spec, k))
             except OverflowError:  # N^k beyond float range, and so every later power
                 n_k = math.inf
-        rows.append(ScaleRow(
-            k=k,
-            dx_k=_settle(mul_dn(res.lo[k], l0_lo), mul_up(res.hi[k], l0_hi), k, per_l0, r_res),
-            N_k=n_k,
-            L_k=_settle(lk_lo, lk_hi, k, per_l0, r_len),
-            A_k=_settle(mul_dn(area.lo[k], a_lo), mul_up(area.hi[k], a_hi), k, per_area, r_area),
-            v_k=_settle(mul_dn(length.lo[k], v_lo), mul_up(length.hi[k], v_hi), k, per_speed,
-                        r_len),
-            gamma=_settle(g_lo, g_hi, k, 1, r_area, r_res),
-            dA_k0=_settle(mul_dn(g_lo, a_lo), mul_up(g_hi, a_hi), k, per_area, r_area, r_res),
-            dL_k=_settle(sub_dn(lk_lo, l0_hi), sub_up(lk_hi, l0_lo), k, per_l0, r_len, one)))
+        rows.append(ScaleRow(k=k, dx_k=dx_k, N_k=n_k, L_k=l_k, A_k=a_k, v_k=v_k, gamma=gamma,
+                             dA_k0=da_k0, dL_k=dl_k))
     return rows

@@ -201,8 +201,14 @@ def write_polyline_json(poly: Polyline, fp: TextIO, metadata: dict | None = None
 
 
 def polyline_from_dict(data: dict) -> Polyline:
+    """The polyline of a JSON object with a `vertices` list and an optional
+    integer or null `level`; ValueError, with one line, on anything else."""
+    if not isinstance(data, dict) or "vertices" not in data:
+        raise ValueError("a polyline must be a JSON object with a 'vertices' list")
     level = data.get("level")
-    return Polyline(data["vertices"], level=None if level is None else int(level))
+    if level is not None and type(level) is not int:  # bool is an int subclass
+        raise ValueError(f"polyline level must be an integer or null, got {json.dumps(level)}")
+    return Polyline(data["vertices"], level=level)
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,26 @@ def test_measure_runtime_error_is_exit_1(runner, tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "a polyline must be a JSON object with a 'vertices' list"),
+    ('{"level": 1}', "a polyline must be a JSON object with a 'vertices' list"),
+    ('{"level": null, "vertices": [[0, 0], ["1", 0]]}', "vertices must be numbers"),
+    ('{"level": 2.5, "vertices": [[0, 0], [1, 0]]}',
+     "polyline level must be an integer or null, got 2.5"),
+    ('{"level": true, "vertices": [[0, 0], [1, 0]]}',
+     "polyline level must be an integer or null, got true"),
+], ids=["not-an-object", "no-vertices", "string-vertex", "float-level", "bool-level"])
+def test_measure_refuses_a_malformed_polyline_with_one_line(tmp_path, text, message):
+    # the first two raised AttributeError and KeyError; the last three were
+    # read as 1.0, level 2 and level 1
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    res = split_runner().invoke(main, ["measure", "--input", str(path), "--scales", "1..2"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == f"Error: {message}\n"
+
+
 def test_analyze_float_overflow_is_exit_1(runner):
     res = runner.invoke(main, ["analyze", "--generator", "koch", "--k-max", "2",
                                "--mass", "1e308", "--dt", "0.1"])

@@ -481,8 +481,7 @@ def exact_route_ks(monkeypatch):
         ks.append(k)
         return seam(k, *args)
 
-    for module in (measures, kinematics):
-        monkeypatch.setattr(module, "_exact", counted)
+    monkeypatch.setattr(measures, "_exact", counted)
     return ks
 
 
@@ -502,14 +501,13 @@ def fallbacks(monkeypatch):
         return seam(*args)
 
     monkeypatch.setattr(measures, "_exact", formed)
-    for module in (measures, kinematics):
-        monkeypatch.setattr(module, "_settle", recorded)
+    monkeypatch.setattr(measures, "_settle", recorded)
     return flags
 
 
+#: in the order each table settles the fields of a row
 SCALE_FIELDS = ("dx_k", "L_k", "A_k", "v_k", "gamma", "dA_k0", "dL_k")
-#: in the order the uncertainty table settles them: the bounds product first
-UNCERTAINTY_FIELDS = ("dP_k", "dV_k")
+UNCERTAINTY_FIELDS = ("dV_k", "dP_k")
 
 
 def tables_oracle(spec: GeneratorSpec, ctx: ParticleContext, k: int) -> dict[str, float]:

@@ -10,7 +10,6 @@ from fractalkin.measures import (
     ScaleRow,
     cell_count,
     _exact,
-    _settle,
     classify_ds,
     gammas,
     ladders,
@@ -161,14 +160,15 @@ def test_cell_count_exact_integer():
 def exact_gammas(spec, ks):
     """gamma(k) for each k of `ks` as an exact Fraction, from the exact value
     of the ladders that `gammas` reads, after checking it against
-    (N/rho^2)^k - rho^-k in Fractions and against the bounds of `gammas`."""
+    (N/rho^2)^k - rho^-k in Fractions and the floats of `gammas` against it:
+    gamma(k) and 3 gamma(k), each correctly rounded."""
     rho = Fraction(spec.rho)
     res, _, area = ladders(spec)
     out = []
-    for k, lo, hi in gammas(spec, ks):
+    for k, settled in gammas(spec, ks, (1, 3)):
         g = Fraction(*_exact(k, 1, area.ratio, res.ratio))
         assert g == Fraction(spec.n) ** k / rho ** (2 * k) - rho**-k, (spec.name, k)
-        assert lo <= g <= hi, (spec.name, k)
+        assert settled == [float(g), float(3 * g)], (spec.name, k)
         out.append(g)
     return out
 
@@ -205,9 +205,9 @@ def test_gammas_refuses_a_k_that_is_not_an_integer_ge_0():
     # a negative k must not index the ladder's bound lists from the end
     koch = builtin("koch")
     with pytest.raises(ValueError, match="k must be >= 0"):
-        list(gammas(koch, [-1]))
+        list(gammas(koch, [-1], (1,)))
     with pytest.raises(ValueError, match="k must be an integer"):
-        list(gammas(koch, [2.5]))
+        list(gammas(koch, [2.5], (1,)))
     assert exact_gammas(koch, [0]) == [0]
 
 
@@ -327,10 +327,8 @@ def test_gamma_sub_vanishes(rho, extra):
     # below 1e-9; k* reaches ~2,000 at N = 99, rho = 10
     n = rho + 1 + extra % (rho * rho - rho - 1)
     k_star = math.ceil(math.log(1e-9) / math.log(n / rho**2)) + 1
-    spec = integer_generator(n, rho)
-    res, _, area = ladders(spec)
-    ((_, lo, hi),) = gammas(spec, [k_star])
-    assert 0.0 < _settle(lo, hi, k_star, 1, area.ratio, res.ratio) < 1e-9
+    ((_, (g,)),) = gammas(integer_generator(n, rho), [k_star], (1,))
+    assert 0.0 < g < 1e-9
 
 
 @settings(max_examples=60)
