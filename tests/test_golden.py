@@ -7,6 +7,7 @@ command) and names every changed byte in its change notes.  The camera
 figure is what ``scripts/camera_figures.py`` writes with its defaults.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -29,6 +30,8 @@ GOLDEN = [
     ("analyze_koch_k12.csv",
      ["analyze", "--generator", "koch", "--k-max", "12", "--format", "csv"]),
     ("generate_koch_l2.json", ["generate", "--generator", "koch", "--level", "2"]),
+    # 17 distinct values among 164 coordinates
+    ("generate_peano_l2.json", ["generate", "--generator", "peano", "--level", "2"]),
     ("generate_koch_l4.svg", ["generate", "--generator", "koch", "--level", "4"]),
     ("brownian_n50_seed7.json", ["brownian", "--n", "50", "--seed", "7"]),
 ]
@@ -40,6 +43,20 @@ def test_cli_output_matches_golden_bytes(tmp_path, name, args):
     res = CliRunner().invoke(main, args + ["--out", str(out)], catch_exceptions=False)
     assert res.exit_code == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_koch_l7_outputs_match_golden_digests(tmp_path):
+    # 16385 vertices: two full chunks of each writer and one more vertex;
+    # the file holds `sha256sum` lines, checked the same way in CI
+    digests = dict(line.split()[::-1] for line in
+                   (DATA / "generate_koch_l7.sha256").read_text().splitlines())
+    assert set(digests) == {"koch_l7.json", "koch_l7.svg"}
+    for name, digest in digests.items():
+        out = tmp_path / name
+        res = CliRunner().invoke(main, ["generate", "--generator", "koch", "--level", "7",
+                                        "--out", str(out)], catch_exceptions=False)
+        assert res.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
 
 
 MEASURE_GOLDEN = [
