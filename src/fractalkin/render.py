@@ -15,7 +15,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .geometry import Polyline
-from .serialize import fnum
+from .serialize import _format_once, fnum
 
 _PANEL_GAP = 10.0
 #: padding on every side of the drawing, as a fraction of its larger extent
@@ -67,6 +67,14 @@ class _Viewport:
         self.ox = 0.5 * (opts.width - self.scale * (self.wx1 - self.wx0))
         self.oy = 0.5 * (opts.height - self.scale * (self.wy1 - self.wy0))
         self.height = opts.height
+        # an extent near float max overflows the padded span (scale 0, offsets
+        # nan); a subnormal one overflows width / span (scale inf)
+        if not (0.0 < self.scale < math.inf and math.isfinite(self.ox)
+                and math.isfinite(self.oy)):
+            raise ValueError(
+                f"polyline extent {extent!r} cannot be drawn: "
+                "its pixel scale is not a finite positive number"
+            )
 
     def to_px(self, x, y):
         """Pixel coordinates of world floats or of numpy arrays of them."""
@@ -77,15 +85,19 @@ class _Viewport:
 
 def _path_d(poly: Polyline, view: _Viewport) -> Iterator[str]:
     """The path data in pieces of `_PATH_CHUNK` vertices: `to_px` on the
-    block's columns, and '%.17g', which is `fnum`."""
+    vertex columns, and '%.17g', which is `fnum`.  When at most half of
+    the pixel coordinates are distinct, each distinct one is formatted once
+    (`_format_once`); otherwise each piece is formatted from its floats."""
     v = poly.vertices
+    px = np.column_stack(view.to_px(v[:, 0], v[:, 1]))
+    texts = _format_once(px, "%.17g".__mod__)
+    cells, spec = (px, "%.17g") if texts is None else (texts, "%s")
     for start in range(0, len(v), _PATH_CHUNK):
-        blk = v[start:start + _PATH_CHUNK]
-        px = np.column_stack(view.to_px(blk[:, 0], blk[:, 1]))
-        fmt = "L%.17g %.17g" * len(blk)
+        blk = cells[start:start + _PATH_CHUNK]
+        fmt = f"L{spec} {spec}" * len(blk)
         if start == 0:
             fmt = "M" + fmt[1:]
-        yield fmt % tuple(px.ravel().tolist())
+        yield fmt % tuple(blk.ravel().tolist())
 
 
 def _grid_lines(view: _Viewport, step: float, stroke_width: float) -> list[str]:

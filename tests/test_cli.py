@@ -184,6 +184,17 @@ def test_generate_cesaro_svg(runner, tmp_path):
     assert "<path " in text
 
 
+@pytest.mark.parametrize("l0", ["1.7e308", "1e-310"])
+def test_generate_svg_refuses_a_scale_that_is_not_finite(tmp_path, l0):
+    # exited 0 with d="Mnan nan..." or d="Minf ..."
+    out = tmp_path / "k.svg"
+    res = split_runner().invoke(main, ["generate", "--generator", "koch", "--level", "1",
+                                       "--l0", l0, "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+    assert not out.exists() or "nan" not in out.read_text()
+
+
 def test_generate_usage_errors(runner):
     res = runner.invoke(main, ["generate", "--generator", "koch", "--angle", "30",
                                "--level", "1"])

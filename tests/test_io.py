@@ -359,20 +359,63 @@ def rendered_by_oracle(fn, *args):
         return fn(*args)
 
 
+PATH_CHUNK = render._PATH_CHUNK
+# repeats, signed zero, a subnormal and a huge value: few distinct pixels
+SVG_POOL = (0.0, -0.0, 5e-324, 1.0, -2.5, 1.0 / 3.0, 1e300)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
-    n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
-    std=st.sampled_from([1e-200, 1e-9, 1.0, 3.7e5, 1e150]),
+    n=st.one_of(st.integers(2, 300),
+                st.sampled_from([PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1, 2 * PATH_CHUNK + 1])),
+    seed=st.integers(0, 2**32 - 1),
+    std=st.one_of(st.none(), st.sampled_from([1e-200, 1e-9, 1.0, 3.7e5, 1e150])),
     shift=st.sampled_from([0.0, -1e-3, 2.0**33, -1e12]),
     width=st.integers(1, 2000), height=st.integers(1, 2000),
 )
 def test_svg_path_matches_per_vertex_oracle(n, seed, std, shift, width, height):
-    # a walk of step std, shifted by a multiple of std away from the origin
-    v = brownian_path(n, seed, std).vertices + shift * std
+    if std is None:
+        # vertices drawn from SVG_POOL, mostly repeated pixel coordinates
+        v = np.array(SVG_POOL)[np.random.default_rng(seed).integers(0, len(SVG_POOL), (n, 2))]
+        dup = np.flatnonzero(np.all(v[1:] == v[:-1], axis=1))
+        v[dup + 1] = np.column_stack([dup + 0.5, -dup - 0.25])
+    else:
+        # a walk of step std, shifted by a multiple of std away from the origin
+        v = brownian_path(n, seed, std).vertices + shift * std
     assume(not np.all(v[1:] == v[:-1], axis=1).any())
     poly = Polyline(v)
     view = render._Viewport(poly, RenderOptions(width=width, height=height))
     assert "".join(render._path_d(poly, view)) == path_d_oracle(poly, view)
+
+
+def counting(convert):
+    """`convert`, and the list of the values it was called with."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return convert(x)
+
+    return wrapped, calls
+
+
+def test_format_once_converts_each_distinct_value_once():
+    koch = refine(base_segment(1.0), builtin("koch"), 5).vertices
+    view = render._Viewport(Polyline(koch), RenderOptions())
+    px = np.column_stack(view.to_px(koch[:, 0], koch[:, 1]))
+    edges = np.array([[0.0, -0.0], [5e-324, MAX_FLOAT], [-0.0, 0.0], [MAX_FLOAT, 5e-324]])
+    for values, convert in ((koch, float.__repr__), (px, "%.17g".__mod__),
+                            (edges, float.__repr__)):
+        wrapped, calls = counting(convert)
+        texts = serialize._format_once(values, wrapped)
+        assert texts.tolist() == [[convert(x), convert(y)] for x, y in values.tolist()]
+        bits = [b.tobytes() for b in values.ravel()]
+        assert sorted(b.tobytes() for b in np.array(calls)) == sorted(set(bits))
+    assert serialize._format_once(edges, repr).tolist()[0] == ["0.0", "-0.0"]
+    # a walk's coordinates are all distinct: each block is formatted directly
+    wrapped, calls = counting(float.__repr__)
+    assert serialize._format_once(brownian_path(1000, 3, 1.0).vertices, wrapped) is None
+    assert calls == []
 
 
 def test_svg_documents_match_per_vertex_oracle():
@@ -441,6 +484,25 @@ def test_render_rejects_degenerate_extent():
 
     with pytest.raises(ValueError, match="degenerate"):
         render_svg(Stub())
+
+
+@pytest.mark.parametrize("l0", [1.7e308, 1e-310])
+def test_render_refuses_a_scale_that_is_not_finite(l0):
+    # the padded span overflows (scale 0, offsets nan), or width / span
+    # does (scale inf): the path data read "Mnan nan" or "Minf ..."
+    poly = refine(base_segment(l0), builtin("koch"), 1)
+    with pytest.raises(ValueError, match="cannot be drawn"):
+        render_svg(poly)
+    with pytest.raises(ValueError, match="cannot be drawn"):
+        render_panels([base_segment(1.0), poly])
+
+
+@pytest.mark.parametrize("l0", [1e308, 1e-300])
+def test_render_extreme_but_finite_scale(l0):
+    svg = render_svg(refine(base_segment(l0), builtin("koch"), 1))
+    d = svg.split('d="')[1].split('"')[0]
+    coords = [float(c) for c in d[1:].replace("L", " ").split()]
+    assert len(coords) == 10 and all(0.0 <= c <= 640.0 for c in coords)
 
 
 def test_render_panels_requires_input():
