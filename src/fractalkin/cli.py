@@ -69,14 +69,39 @@ def _spec_from_flags(generator: str, angle: float | None):
     return builtin(generator)
 
 
+class _OpenOnWrite:
+    """A text stream over the file `path` that opens it for writing at its
+    first write: a command refused before it writes leaves the path as it
+    was, absent or with its old bytes.  No path is ever unlinked, since
+    ``--out /dev/stdout`` is a valid target."""
+
+    def __init__(self, path: str):
+        self._path = path
+        self._fp: TextIO | None = None
+
+    def write(self, text: str) -> int:
+        if self._fp is None:
+            self._fp = open(self._path, "w")
+        return self._fp.write(text)
+
+    def writelines(self, lines) -> None:
+        for line in lines:
+            self.write(line)
+
+    def close(self) -> None:
+        if self._fp is not None:
+            self._fp.close()
+
+
 @contextlib.contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    """The command's output stream: stdout, or the `--out` file opened for
-    writing.  Commands build their text first, so a failure leaves no file."""
+    """The command's output stream: stdout, or the `--out` file, opened at
+    the first write.  Commands and writers refuse their input before they
+    write, so a refused command leaves no file."""
     if out is None:
         yield sys.stdout
     else:
-        with open(out, "w") as fp:
+        with contextlib.closing(_OpenOnWrite(out)) as fp:
             yield fp
 
 

@@ -15,13 +15,11 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .geometry import Polyline
-from .serialize import _format_once, fnum
+from .serialize import _vertex_text, fnum
 
 _PANEL_GAP = 10.0
 #: padding on every side of the drawing, as a fraction of its larger extent
 _MARGIN = 0.05
-#: vertices per formatted piece of path data
-_PATH_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -61,11 +59,11 @@ class _Viewport:
             y0, y1 = y0 - flat, y1 + flat
         self.wx0, self.wy0 = x0 - pad, y0 - pad
         self.wx1, self.wy1 = x1 + pad, y1 + pad
-        self.scale = min(
-            opts.width / (self.wx1 - self.wx0), opts.height / (self.wy1 - self.wy0)
-        )
-        self.ox = 0.5 * (opts.width - self.scale * (self.wx1 - self.wx0))
-        self.oy = 0.5 * (opts.height - self.scale * (self.wy1 - self.wy0))
+        w, h = self.wx1 - self.wx0, self.wy1 - self.wy0
+        # the flat axis of the smallest subnormal extent pads to a zero span
+        self.scale = min(opts.width / w, opts.height / h) if w and h else math.inf
+        self.ox = 0.5 * (opts.width - self.scale * w)
+        self.oy = 0.5 * (opts.height - self.scale * h)
         self.height = opts.height
         # an extent near float max overflows the padded span (scale 0, offsets
         # nan); a subnormal one overflows width / span (scale inf)
@@ -84,20 +82,12 @@ class _Viewport:
 
 
 def _path_d(poly: Polyline, view: _Viewport) -> Iterator[str]:
-    """The path data in pieces of `_PATH_CHUNK` vertices: `to_px` on the
-    vertex columns, and '%.17g', which is `fnum`.  When at most half of
-    the pixel coordinates are distinct, each distinct one is formatted once
-    (`_format_once`); otherwise each piece is formatted from its floats."""
+    """The path data in pieces: `to_px` on the vertex columns, then their
+    text from `_vertex_text` with '%.17g', which is `fnum`."""
     v = poly.vertices
     px = np.column_stack(view.to_px(v[:, 0], v[:, 1]))
-    texts = _format_once(px, "%.17g".__mod__)
-    cells, spec = (px, "%.17g") if texts is None else (texts, "%s")
-    for start in range(0, len(v), _PATH_CHUNK):
-        blk = cells[start:start + _PATH_CHUNK]
-        fmt = f"L{spec} {spec}" * len(blk)
-        if start == 0:
-            fmt = "M" + fmt[1:]
-        yield fmt % tuple(blk.ravel().tolist())
+    yield "M"
+    yield from _vertex_text(px, "L%s %s", "%.17g")
 
 
 def _grid_lines(view: _Viewport, step: float, stroke_width: float) -> list[str]:

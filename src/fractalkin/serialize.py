@@ -14,18 +14,21 @@ infinite float as null, since JSON has no Infinity literal; readers map
 null back to math.inf.  CSV columns are the same fields, ints written
 with `str`, floats with `fnum` (an infinite float as ``inf``).
 
-`write_polyline_json` streams a polyline to a file in the `json_text`
-layout, byte for byte, a block of vertices at a time, so the document
-text never sits in memory whole.  A self-similar curve's vertices sit on
-a lattice and repeat their coordinates: where at most half of them are
-distinct, `_format_once` formats each distinct value once, and those
-texts (up to half as many as the coordinates) stay in memory, with one
-reference per coordinate, until the last block is written.  The bytes
-are the same either way.
+`_vertex_text` writes the vertex text of both vertex files, the
+polyline JSON (`write_polyline_json`) and the SVG path data
+(`render.write_svg`), a block of `_CHUNK` vertices at a time, so the
+document text never sits in memory whole.  A self-similar curve's
+vertices sit on a lattice and repeat their coordinates: where at most
+half of them are distinct, `_format_once` formats each distinct value
+once, and those texts (up to half as many as the coordinates) stay in
+memory, with one reference per coordinate, until the last block is
+written.  The bytes are the same either way.  `polyline_from_dict`
+refuses a JSON boolean among the vertex coordinates.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -33,19 +36,18 @@ import json
 import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .geometry import GeneratorSpec, Polyline
 from .kinematics import BoundsReport, BoundsRow, ParticleContext, UncertaintyRow
 from .measures import DimensionFit, MeasurementResult, MeasurementRow, RegimeBound, ScaleRow
 
-#: vertices formatted per write by `write_polyline_json`
-_POLYLINE_CHUNK = 8192
+#: vertices formatted per block by `_vertex_text`
+_CHUNK = 8192
 
-# one vertex as json_text lays it out inside "vertices"; %s of a float is
-# its repr, the text the JSON encoder writes, and %s of a text is the text
-_VERTEX = "    [\n      %s,\n      %s\n    ]"
-_VERTEX_SEP = ",\n"
+# one vertex as json_text lays it out inside "vertices", after the separator
+# that ends the vertex before it; %r of a float is the text the JSON encoder writes
+_VERTEX = ",\n    [\n      %s,\n      %s\n    ]"
 
 #: JSON keys that differ from the field name (``pass`` is a Python keyword)
 _JSON_KEY = {"passed": "pass"}
@@ -219,24 +221,33 @@ def polyline_to_dict(poly: Polyline, metadata: dict | None = None) -> dict:
 def write_polyline_json(poly: Polyline, fp: TextIO, metadata: dict | None = None) -> None:
     """Write ``json_text(polyline_to_dict(poly, metadata))`` to `fp`.
 
-    The text around the vertex block comes from `json_text` itself; the
-    vertices are written `_POLYLINE_CHUNK` at a time.  `Polyline` holds
-    finite float64 vertices only, so float repr gives the encoder's bytes.
+    The text around the vertex block comes from `json_text` itself and
+    the vertices from `_vertex_text`.  `Polyline` holds finite float64
+    vertices only, so float repr gives the encoder's bytes.
+    """
+    empty = '"vertices": []'
+    head, _, tail = json_text(_polyline_doc(poly.level, [], metadata)).partition(empty)
+    fp.write(head + '"vertices": [')
+    fp.writelines(_vertex_text(poly.vertices, _VERTEX, "%r"))
+    fp.write("\n  ]" + tail)
+
+
+def _vertex_text(v, row: str, spec: str) -> Iterator[str]:
+    """The text of the (n, 2) float64 array `v` in blocks of `_CHUNK`
+    vertices: one `row` per vertex, its two %s filled with the vertex's
+    coordinates formatted by the %-spec `spec`, and the first character
+    of the first row (the separator before it) left out.
+
     When at most half of the coordinates are distinct, each distinct one
     is formatted once (`_format_once`); otherwise each block is formatted
     from its floats.
     """
-    empty = '"vertices": []'
-    head, _, tail = json_text(_polyline_doc(poly.level, [], metadata)).partition(empty)
-    fp.write(head + '"vertices": [\n')
-    v = poly.vertices
-    texts = _format_once(v, float.__repr__)
-    cells = v if texts is None else texts
-    for start in range(0, len(v), _POLYLINE_CHUNK):
-        blk = cells[start:start + _POLYLINE_CHUNK]
-        fmt = _VERTEX_SEP.join([_VERTEX] * len(blk))
-        fp.write((_VERTEX_SEP if start else "") + fmt % tuple(blk.ravel().tolist()))
-    fp.write("\n  ]" + tail)
+    texts = _format_once(v, spec.__mod__)
+    cells, row = (v, row % (spec, spec)) if texts is None else (texts, row)
+    for start in range(0, len(v), _CHUNK):
+        blk = cells[start:start + _CHUNK]
+        fmt = row * len(blk)
+        yield (fmt if start else fmt[1:]) % tuple(blk.ravel().tolist())
 
 
 def polyline_from_dict(data: dict) -> Polyline:
@@ -247,6 +258,12 @@ def polyline_from_dict(data: dict) -> Polyline:
     level = data.get("level")
     if level is not None and type(level) is not int:  # bool is an int subclass
         raise ValueError(f"polyline level must be an integer or null, got {json.dumps(level)}")
+    # numpy would read a boolean among numbers as one; the scan of the
+    # coordinate types runs in C, and a vertex that is not a list is left
+    # to `Polyline`, which refuses it
+    with contextlib.suppress(TypeError):
+        if bool in set(map(type, itertools.chain.from_iterable(data["vertices"]))):
+            raise ValueError("vertices must be numbers")
     return Polyline(data["vertices"], level=level)
 
 

@@ -184,15 +184,30 @@ def test_generate_cesaro_svg(runner, tmp_path):
     assert "<path " in text
 
 
-@pytest.mark.parametrize("l0", ["1.7e308", "1e-310"])
-def test_generate_svg_refuses_a_scale_that_is_not_finite(tmp_path, l0):
-    # exited 0 with d="Mnan nan..." or d="Minf ..."
+@pytest.mark.parametrize("generator,level,l0", [
+    ("koch", "1", "1.7e308"), ("koch", "1", "1e-310"), ("line", "0", "5e-324"),
+], ids=["1.7e308", "1e-310", "5e-324"])
+def test_generate_svg_refuses_a_scale_that_is_not_finite(tmp_path, generator, level, l0):
+    # exited 0 with d="Mnan nan..." or d="Minf ...", or raised ZeroDivisionError;
+    # each left an empty k.svg behind
     out = tmp_path / "k.svg"
-    res = split_runner().invoke(main, ["generate", "--generator", "koch", "--level", "1",
+    res = split_runner().invoke(main, ["generate", "--generator", generator, "--level", level,
                                        "--l0", l0, "--out", str(out)])
     assert res.exit_code == 1
     assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
-    assert not out.exists() or "nan" not in out.read_text()
+    assert "cannot be drawn" in res.stderr
+    assert not out.exists()
+
+
+def test_a_refused_command_keeps_the_bytes_of_an_existing_out_file(tmp_path):
+    # the --out file was opened, and so truncated, before the writer refused
+    out = tmp_path / "e.svg"
+    out.write_bytes(b"earlier bytes\n")
+    res = split_runner().invoke(main, ["generate", "--generator", "koch", "--level", "1",
+                                       "--l0", "1.7e308", "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+    assert out.read_bytes() == b"earlier bytes\n"
 
 
 def test_generate_usage_errors(runner):
@@ -390,10 +405,13 @@ def test_measure_runtime_error_is_exit_1(runner, tmp_path):
      "polyline level must be an integer or null, got 2.5"),
     ('{"level": true, "vertices": [[0, 0], [1, 0]]}',
      "polyline level must be an integer or null, got true"),
-], ids=["not-an-object", "no-vertices", "string-vertex", "float-level", "bool-level"])
+    ('{"vertices": [[0, 0], [true, false]]}', "vertices must be numbers"),
+    ('{"vertices": [[0.5, 0], [true, false]]}', "vertices must be numbers"),
+], ids=["not-an-object", "no-vertices", "string-vertex", "float-level", "bool-level",
+        "bool-vertex-among-ints", "bool-vertex-among-floats"])
 def test_measure_refuses_a_malformed_polyline_with_one_line(tmp_path, text, message):
-    # the first two raised AttributeError and KeyError; the last three were
-    # read as 1.0, level 2 and level 1
+    # the first two raised AttributeError and KeyError; the others were read
+    # as 1.0, level 2, level 1 and the vertex (1, 0)
     path = tmp_path / "bad.json"
     path.write_text(text)
     res = split_runner().invoke(main, ["measure", "--input", str(path), "--scales", "1..2"])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from fractalkin import render, serialize
 from fractalkin.estimator import (
@@ -77,7 +77,7 @@ def test_polyline_metadata_block():
     assert polyline_from_dict(data).n_vertices == 2
 
 
-CHUNK = serialize._POLYLINE_CHUNK
+CHUNK = serialize._CHUNK
 MAX_FLOAT = 1.7976931348623157e308
 EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT, 1.0, -7.0, 1e16, 2.0**53)
 
@@ -359,7 +359,6 @@ def rendered_by_oracle(fn, *args):
         return fn(*args)
 
 
-PATH_CHUNK = render._PATH_CHUNK
 # repeats, signed zero, a subnormal and a huge value: few distinct pixels
 SVG_POOL = (0.0, -0.0, 5e-324, 1.0, -2.5, 1.0 / 3.0, 1e300)
 
@@ -367,12 +366,14 @@ SVG_POOL = (0.0, -0.0, 5e-324, 1.0, -2.5, 1.0 / 3.0, 1e300)
 @settings(deadline=None, max_examples=60)
 @given(
     n=st.one_of(st.integers(2, 300),
-                st.sampled_from([PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1, 2 * PATH_CHUNK + 1])),
+                st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])),
     seed=st.integers(0, 2**32 - 1),
     std=st.one_of(st.none(), st.sampled_from([1e-200, 1e-9, 1.0, 3.7e5, 1e150])),
     shift=st.sampled_from([0.0, -1e-3, 2.0**33, -1e12]),
     width=st.integers(1, 2000), height=st.integers(1, 2000),
 )
+# vertices 0 and 5e-324 on one axis, flat on the other: refused, not a division by zero
+@example(n=2, seed=247, std=None, shift=0.0, width=1, height=1)
 def test_svg_path_matches_per_vertex_oracle(n, seed, std, shift, width, height):
     if std is None:
         # vertices drawn from SVG_POOL, mostly repeated pixel coordinates
@@ -384,7 +385,11 @@ def test_svg_path_matches_per_vertex_oracle(n, seed, std, shift, width, height):
         v = brownian_path(n, seed, std).vertices + shift * std
     assume(not np.all(v[1:] == v[:-1], axis=1).any())
     poly = Polyline(v)
-    view = render._Viewport(poly, RenderOptions(width=width, height=height))
+    try:
+        view = render._Viewport(poly, RenderOptions(width=width, height=height))
+    except ValueError as exc:
+        assert "cannot be drawn" in str(exc)
+        reject()
     assert "".join(render._path_d(poly, view)) == path_d_oracle(poly, view)
 
 
@@ -424,7 +429,7 @@ def test_svg_documents_match_per_vertex_oracle():
     walk = brownian_path(500, 11, 0.3)
     # 16385 vertices: two full pieces of path data and one more vertex
     koch7 = refine(base_segment(1.0), builtin("koch"), 7)
-    assert len(koch7.vertices) == 2 * render._PATH_CHUNK + 1
+    assert len(koch7.vertices) == 2 * CHUNK + 1
     opts = RenderOptions(width=333, height=211, grid_step=1.0 / 27.0)
     for poly in (koch, cesaro, walk, koch7):
         assert render_svg(poly, opts) == rendered_by_oracle(render_svg, poly, opts)
@@ -486,11 +491,13 @@ def test_render_rejects_degenerate_extent():
         render_svg(Stub())
 
 
-@pytest.mark.parametrize("l0", [1.7e308, 1e-310])
-def test_render_refuses_a_scale_that_is_not_finite(l0):
+@pytest.mark.parametrize("l0,level", [(1.7e308, 1), (1e-310, 1), (5e-324, 0)],
+                         ids=["1.7e+308", "1e-310", "5e-324"])
+def test_render_refuses_a_scale_that_is_not_finite(l0, level):
     # the padded span overflows (scale 0, offsets nan), or width / span
-    # does (scale inf): the path data read "Mnan nan" or "Minf ..."
-    poly = refine(base_segment(l0), builtin("koch"), 1)
+    # does (scale inf): the path data read "Mnan nan" or "Minf ...";
+    # a 5e-324 segment pads its flat axis to a zero span (ZeroDivisionError)
+    poly = refine(base_segment(l0), builtin("koch"), level)
     with pytest.raises(ValueError, match="cannot be drawn"):
         render_svg(poly)
     with pytest.raises(ValueError, match="cannot be drawn"):
