@@ -235,7 +235,7 @@ def measure(input_path, scales, rho, method, fit, fmt, out):
     ks = _parse_scales(scales)
     if ks[0] < 0:
         raise click.UsageError("scale indices must be >= 0")
-    poly = serialize.polyline_from_dict(json.loads(Path(input_path).read_text()))
+    poly = serialize.read_polyline_json(input_path)
     result = estimator.measure_polyline(poly, ks, rho=rho, method=method, fit=fit)
     if fmt == "csv":
         text = serialize.measurement_to_csv(result)

@@ -78,7 +78,10 @@ class Polyline:
     def __post_init__(self) -> None:
         import numpy as np
 
-        v = np.array(self.vertices, order="C")  # divider_count reads it flat
+        try:
+            v = np.array(self.vertices, order="C")  # divider_count reads it flat
+        except ValueError:  # ragged: a row of another length, or one that is no list
+            raise ValueError("vertices must be an (n, 2) array") from None
         # float() would read the string "1" as 1.0; an object array holds the
         # values numpy found no number type for (None, integers past int64)
         if v.dtype.kind not in "iufO" or v.dtype.kind == "O" and any(

@@ -24,6 +24,13 @@ once, and those texts (up to half as many as the coordinates) stay in
 memory, with one reference per coordinate, until the last block is
 written.  The bytes are the same either way.  `polyline_from_dict`
 refuses a JSON boolean among the vertex coordinates.
+
+`read_polyline_json` reads a polyline file back.  A file in the
+writer's layout is parsed a slab of `_SLAB` bytes of vertex rows at a
+time into one float64 array (`_writer_layout`), so its memory is the
+file's bytes, one slab's lists and the array; any other document, and
+any the slab reader cannot prove reads the same, goes through
+``polyline_from_dict(json.loads(...))`` whole.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO
@@ -44,6 +52,12 @@ from .measures import DimensionFit, MeasurementResult, MeasurementRow, RegimeBou
 
 #: vertices formatted per block by `_vertex_text`
 _CHUNK = 8192
+
+#: bytes of vertex text parsed at a time by `_writer_layout`
+_SLAB = 1 << 16
+
+# the text `write_polyline_json` writes before its vertex rows
+_HEAD = re.compile(rb'\{\n  "level": (?:null|-?[0-9]+),\n  "vertices": \[')
 
 # one vertex as json_text lays it out inside "vertices", after the separator
 # that ends the vertex before it; %r of a float is the text the JSON encoder writes
@@ -255,9 +269,7 @@ def polyline_from_dict(data: dict) -> Polyline:
     integer or null `level`; ValueError, with one line, on anything else."""
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("a polyline must be a JSON object with a 'vertices' list")
-    level = data.get("level")
-    if level is not None and type(level) is not int:  # bool is an int subclass
-        raise ValueError(f"polyline level must be an integer or null, got {json.dumps(level)}")
+    level = _level(data)
     # numpy would read a boolean among numbers as one; the scan of the
     # coordinate types runs in C, and a vertex that is not a list is left
     # to `Polyline`, which refuses it
@@ -265,6 +277,84 @@ def polyline_from_dict(data: dict) -> Polyline:
         if bool in set(map(type, itertools.chain.from_iterable(data["vertices"]))):
             raise ValueError("vertices must be numbers")
     return Polyline(data["vertices"], level=level)
+
+
+def _level(doc: dict) -> int | None:
+    """The `level` of a polyline document, an integer or None; ValueError otherwise."""
+    level = doc.get("level")
+    if level is not None and type(level) is not int:  # bool is an int subclass
+        raise ValueError(f"polyline level must be an integer or null, got {json.dumps(level)}")
+    return level
+
+
+def read_polyline_json(path: Path | str) -> Polyline:
+    """The polyline of the JSON file `path`, read as by
+    ``polyline_from_dict(json.loads(Path(path).read_text()))``: the same
+    vertices and level, or the same ValueError.
+
+    A file in `write_polyline_json`'s layout is read without that call's
+    tree of lists and floats: `_writer_layout` parses its vertex block a
+    slab at a time into one float64 array.  Any other document, and any
+    that `_writer_layout` cannot prove reads the same, goes through the
+    whole-document call.
+    """
+    data = Path(path).read_bytes()
+    try:
+        found = _writer_layout(data)
+    except Exception:  # whatever fails here, the whole-document call judges
+        found = None
+    del data
+    if found is None:
+        return polyline_from_dict(json.loads(Path(path).read_text()))
+    doc, vertices = found
+    return Polyline(vertices, level=_level(doc))
+
+
+def _writer_layout(data: bytes):
+    """(the document without its vertices, the (n, 2) float64 vertex
+    array) of the JSON text `data`, or None unless it has the layout of
+    `write_polyline_json` and reads as ``json.loads`` reads it whole.
+
+    The head must be the writer's, so that "vertices" is a top-level key,
+    and the block ends at the first ``\\n  ]``.  The document with the
+    block taken out must parse, be ASCII (decoded alike in any
+    ASCII-compatible locale) and hold no second top-level "vertices",
+    which json.loads would read in place of the first.  The block is cut
+    just after a ``],`` every `_SLAB` bytes or so; each slab must parse as
+    the items of a list, one or more rows of exactly two floats, and the
+    rows must fill the array.  Such slabs joined by their commas are the
+    block, so the whole text parses to the same values.
+    """
+    import numpy as np
+
+    head = _HEAD.match(data)
+    end = -1 if head is None else data.find(b"\n  ]", head.end())
+    if end < 0:
+        return None
+    start = head.end()
+    objects = []  # every JSON object's key-value pairs; the top-level one ends last
+
+    def pairs(items):
+        objects.append(items)
+        return dict(items)
+
+    doc = json.loads((data[:start] + data[end:]).decode("ascii"), object_pairs_hook=pairs)
+    if [key for key, _ in objects[-1]].count("vertices") != 1:
+        return None
+    out = np.empty((data.count(b"],", start, end) + 1, 2))
+    filled, stop = 0, start
+    while stop < end:  # a cut just before `end` leaves an empty last slab, refused
+        cut = data.find(b"],", start + _SLAB, end)
+        stop = end if cut < 0 else cut + 1
+        rows = json.loads(b"[" + data[start:stop] + b"]")
+        # an int, bool, string, ragged or nested row is left to the whole-document call
+        if (set(map(type, rows)) != {list} or set(map(len, rows)) != {2}
+                or set(map(type, itertools.chain.from_iterable(rows))) != {float}):
+            return None
+        out[filled:filled + len(rows)] = rows
+        filled += len(rows)
+        start = stop + 1  # past the comma after the cut
+    return (doc, out) if filled == len(out) else None
 
 
 # ---------------------------------------------------------------------------

@@ -407,17 +407,54 @@ def test_measure_runtime_error_is_exit_1(runner, tmp_path):
      "polyline level must be an integer or null, got true"),
     ('{"vertices": [[0, 0], [true, false]]}', "vertices must be numbers"),
     ('{"vertices": [[0.5, 0], [true, false]]}', "vertices must be numbers"),
+    ('{"vertices": [[0, 0], true]}', "vertices must be an (n, 2) array"),
+    ('{"vertices": [[0, 0], [1]]}', "vertices must be an (n, 2) array"),
+    ('{"vertices": [[0, 0], "ab"]}', "vertices must be an (n, 2) array"),
+    ('{"vertices": [[0, 0], [1, 2, 3]]}', "vertices must be an (n, 2) array"),
 ], ids=["not-an-object", "no-vertices", "string-vertex", "float-level", "bool-level",
-        "bool-vertex-among-ints", "bool-vertex-among-floats"])
+        "bool-vertex-among-ints", "bool-vertex-among-floats", "bool-row", "short-row",
+        "string-row", "long-row"])
 def test_measure_refuses_a_malformed_polyline_with_one_line(tmp_path, text, message):
-    # the first two raised AttributeError and KeyError; the others were read
-    # as 1.0, level 2, level 1 and the vertex (1, 0)
+    # the first two raised AttributeError and KeyError; the next five were
+    # read as 1.0, level 2, level 1 and the vertex (1, 0); the ragged rows
+    # printed numpy's "inhomogeneous shape" message
     path = tmp_path / "bad.json"
     path.write_text(text)
     res = split_runner().invoke(main, ["measure", "--input", str(path), "--scales", "1..2"])
     assert res.exit_code == 1
     assert res.stdout == ""
     assert res.stderr == f"Error: {message}\n"
+
+
+def _relaid(doc: dict) -> dict[str, str]:
+    """The polyline document `doc` in layouts other than the writer's."""
+    front = {key: doc[key] for key in reversed(doc)}  # metadata, when present, first
+    return {
+        "one-line": json.dumps(doc),
+        "indent-4": json.dumps(doc, indent=4),
+        "compact": json.dumps(doc, separators=(",", ":")),
+        "crlf": json_text(doc).replace("\n", "\r\n"),
+        "keys-reversed": json_text(front),
+    }
+
+
+@pytest.mark.parametrize("make,scales", [
+    (["generate", "--generator", "koch", "--level", "5"], ["--scales", "1..4"]),
+    (["brownian", "--n", "3000", "--seed", "7"], ["--rho", "2", "--scales", "3..7"]),
+], ids=["koch-l5", "walk-3000"])
+@pytest.mark.parametrize("method", ["grid", "divider"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_measure_reads_any_layout_of_a_polyline_alike(runner, tmp_path, make, scales,
+                                                       method, fmt):
+    # the writer's own layout is read slab by slab, the others whole
+    written = tmp_path / "written.json"
+    invoke(runner, make + ["--out", str(written)])
+    args = ["--method", method, "--format", fmt] + scales
+    expected = invoke(runner, ["measure", "--input", str(written)] + args).output
+    for name, text in _relaid(json.loads(written.read_text())).items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.encode())
+        assert invoke(runner, ["measure", "--input", str(path)] + args).output == expected, name
 
 
 def test_analyze_float_overflow_is_exit_1(runner):

@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from fractalkin.serialize import (
     measurement_to_dict,
     polyline_from_dict,
     polyline_to_dict,
+    read_polyline_json,
     scale_rows_from_records,
     scale_rows_to_csv,
     scale_rows_to_records,
@@ -110,6 +113,135 @@ def test_streamed_polyline_json_matches_json_text(n, pool, seed, level, metadata
     fp = io.StringIO()
     write_polyline_json(poly, fp, metadata)
     assert fp.getvalue() == json_text(polyline_to_dict(poly, metadata))
+
+
+def _reads_alike(path: Path, slab: int) -> None:
+    """`read_polyline_json` reads `path`, with slabs of `slab` bytes, as the
+    whole document reads: the same vertex bytes and level, or the same error."""
+    with mock.patch.object(serialize, "_SLAB", slab):
+        try:
+            expected = polyline_from_dict(json.loads(path.read_text()))
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                read_polyline_json(path)
+            assert str(got.value) == str(exc)
+            return
+        got = read_polyline_json(path)
+    assert got.level == expected.level
+    assert got.vertices.tobytes() == expected.vertices.tobytes()
+
+
+def _layouts(poly: Polyline, metadata: dict | None) -> dict[str, str]:
+    """The text of a polyline document in the writer's layout and in others."""
+    fp = io.StringIO()
+    write_polyline_json(poly, fp, metadata)
+    doc = polyline_to_dict(poly, metadata)
+    return {
+        "writer": fp.getvalue(),
+        "one-line": json.dumps(doc),
+        "indent-4": json.dumps(doc, indent=4),
+        "compact": json.dumps(doc, separators=(",", ":")),
+        "crlf": fp.getvalue().replace("\n", "\r\n"),
+        "metadata-first": json_text({"metadata": metadata, **doc}),
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 60),
+    pool=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                            st.floats(allow_nan=False, allow_infinity=False)),
+                  min_size=2, max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.one_of(st.none(), st.integers(-3, 12)),
+    metadata=st.one_of(st.none(), st.dictionaries(
+        st.text(max_size=5), st.one_of(st.integers(), st.text(max_size=8),
+                                       st.sampled_from(["vertices", "],", "\n  ]"]),
+                                       st.lists(st.floats(allow_nan=False,
+                                                          allow_infinity=False), max_size=3)),
+        max_size=4)),
+    slab=st.one_of(st.integers(1, 400), st.just(serialize._SLAB)),
+)
+@example(n=2, pool=[0.0, 1.0], seed=0, level=None, metadata=None, slab=1)
+@example(n=60, pool=list(EDGE_FLOATS), seed=1, level=3,
+         metadata={"vertices": "],", "x": "\n  ]", "y": [1.0]}, slab=1)
+def test_read_polyline_json_reads_any_layout_as_the_whole_document(
+        n, pool, seed, level, metadata, slab):
+    # slabs of 1 to 400 bytes cut the block after every row or every few
+    # rows; the writer's own layout must take the slab path
+    rng = np.random.default_rng(seed)
+    v = np.array(pool)[rng.integers(0, len(pool), size=(n, 2))]
+    dup = np.all(v[1:] == v[:-1], axis=1)
+    v[1:][dup] = np.column_stack([np.flatnonzero(dup) + 0.5, -np.flatnonzero(dup) - 0.25])
+    assume(not np.all(v[1:] == v[:-1], axis=1).any())
+    poly = Polyline(v, level=level)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _layouts(poly, metadata).items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_bytes(text.encode())
+            _reads_alike(path, slab)
+            if name == "writer":
+                assert _takes_slab_path(path.read_bytes())
+
+
+def _hostile() -> dict[str, str]:
+    """Documents near the writer's layout that its slab path must not misread."""
+    fp = io.StringIO()
+    write_polyline_json(Polyline([[0.0, 0.0], [1.5, -0.5], [2.0, 0.25]], level=1), fp,
+                        {"note": "vertices", "cut": "],", "end": "\n  ]"})
+    text = fp.getvalue()
+    fp = io.StringIO()
+    write_polyline_json(Polyline([[0.0, 0.0], [1.5, -0.5]]), fp)
+    two = fp.getvalue()
+    out = {
+        "strings-in-metadata": text,
+        "nested-vertices-first": text.replace(
+            '"level": 1,', '"meta": {"vertices": [[9.0, 9.0], [8.0, 8.0]]},\n  "level": 1,'),
+        "duplicate-vertices-empty": text.replace("\n}\n", ',\n  "vertices": []\n}\n'),
+        "duplicate-vertices-escaped": text.replace("\n}\n", ',\n  "vert\\u0069ces": []\n}\n'),
+        "duplicate-level": text.replace("\n}\n", ',\n  "level": 2.5\n}\n'),
+        "bool-level": text.replace('"level": 1', '"level": true'),
+        "empty-block": '{\n  "level": 1,\n  "vertices": [\n  ]\n}\n',
+        "empty-list": '{\n  "level": 1,\n  "vertices": []\n}\n',
+        "trailing-garbage": text + "x",
+        "trailing-comma": text.replace("\n    ]\n  ]", "\n    ],\n  ]"),
+        # a row parsed whole before the last cut, then an empty slab
+        "spaced-separator-trailing-comma":
+            two.replace("],\n    [", "] ,\n    [").replace("\n    ]\n  ]", "\n    ],\n  ]"),
+        "short-row": text.replace("[\n      1.5,\n      -0.5\n    ]", "[1.5]"),
+        "long-row": text.replace("[\n      1.5,\n      -0.5\n    ]", "[1.5, -0.5, 0.0]"),
+        "nested-row": text.replace("[\n      1.5,\n      -0.5\n    ]", "[[1.5, -0.5]]"),
+        "non-ascii-metadata": text.replace('"note": "vertices"', '"note": "v\u00e9rtices"'),
+    }
+    for name, token in [("int", "2"), ("bool", "true"), ("string", '"1.5"'), ("null", "null"),
+                        ("nan", "NaN"), ("infinity", "Infinity"), ("overflow", "1e999")]:
+        out[f"{name}-coordinate"] = text.replace("      1.5,", f"      {token},")
+    return out
+
+
+HOSTILE = _hostile()
+
+
+@pytest.mark.parametrize("slab", [1, 16, serialize._SLAB])
+@pytest.mark.parametrize("name", list(HOSTILE))
+def test_read_polyline_json_reads_hostile_documents_as_the_whole_document(tmp_path, name, slab):
+    path = tmp_path / "poly.json"
+    path.write_bytes(HOSTILE[name].encode())
+    _reads_alike(path, slab)
+
+
+def _takes_slab_path(data: bytes) -> bool:
+    """Whether `read_polyline_json` reads the text `data` slab by slab."""
+    try:
+        return serialize._writer_layout(data) is not None
+    except Exception:  # read_polyline_json reads these whole
+        return False
+
+
+def test_read_polyline_json_takes_the_slab_path_only_where_it_reads_the_same():
+    taken = {name for name, text in HOSTILE.items() if _takes_slab_path(text.encode())}
+    assert taken == {"strings-in-metadata", "duplicate-level", "nan-coordinate",
+                     "infinity-coordinate", "overflow-coordinate"}
 
 
 def test_spec_round_trip():
