@@ -6,13 +6,11 @@ failure.  Every output is deterministic given the flags (seeds included).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterator, TextIO
 
 import click
 
@@ -69,42 +67,6 @@ def _spec_from_flags(generator: str, angle: float | None):
     return builtin(generator)
 
 
-class _OpenOnWrite:
-    """A text stream over the file `path` that opens it for writing at its
-    first write: a command refused before it writes leaves the path as it
-    was, absent or with its old bytes.  No path is ever unlinked, since
-    ``--out /dev/stdout`` is a valid target."""
-
-    def __init__(self, path: str):
-        self._path = path
-        self._fp: TextIO | None = None
-
-    def write(self, text: str) -> int:
-        if self._fp is None:
-            self._fp = open(self._path, "w")
-        return self._fp.write(text)
-
-    def writelines(self, lines) -> None:
-        for line in lines:
-            self.write(line)
-
-    def close(self) -> None:
-        if self._fp is not None:
-            self._fp.close()
-
-
-@contextlib.contextmanager
-def _output(out: str | None) -> Iterator[TextIO]:
-    """The command's output stream: stdout, or the `--out` file, opened at
-    the first write.  Commands and writers refuse their input before they
-    write, so a refused command leaves no file."""
-    if out is None:
-        yield sys.stdout
-    else:
-        with contextlib.closing(_OpenOnWrite(out)) as fp:
-            yield fp
-
-
 class _FiniteRange(click.FloatRange):
     """A FloatRange that also rejects nan and inf, which pass its bounds."""
 
@@ -116,6 +78,10 @@ class _FiniteRange(click.FloatRange):
 
 
 _POSITIVE = _FiniteRange(min=0, min_open=True)
+
+# opened at the first write: commands and writers refuse their input before
+# they write, so a refused command leaves the path as it was
+_OUT = click.File("w", lazy=True)
 
 _config_option = click.option(
     "--config", type=click.Path(), callback=_load_config, is_eager=True,
@@ -144,7 +110,7 @@ def main() -> None:
               help="Construction level k (flag or config file).")
 @click.option("--l0", type=_POSITIVE, default=1.0, show_default=True,
               help="Base segment length.")
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=_OUT, default="-",
               help="Output file (.json polyline or .svg drawing); stdout JSON if omitted.")
 @_config_option
 @_runtime_errors
@@ -154,11 +120,10 @@ def generate(generator, angle, level, l0, out):
 
     spec = _spec_from_flags(generator, angle)
     poly = refine(base_segment(l0), spec, level)
-    with _output(out) as fp:
-        if out is not None and out.endswith(".svg"):
-            render.write_svg(poly, fp)
-        else:
-            serialize.write_polyline_json(poly, fp)
+    if out.name.endswith(".svg"):
+        render.write_svg(poly, out)
+    else:
+        serialize.write_polyline_json(poly, out)
 
 
 @main.command()
@@ -173,8 +138,7 @@ def generate(generator, angle, level, l0, out):
               help="Base length.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="json", show_default=True)
-@click.option("--out", type=click.Path(), default=None,
-              help="Output file; stdout if omitted.")
+@click.option("--out", type=_OUT, default="-", help="Output file; stdout if omitted.")
 @_config_option
 @_runtime_errors
 def analyze(generator, angle, k_max, mass, dt, l0, fmt, out):
@@ -191,8 +155,7 @@ def analyze(generator, angle, k_max, mass, dt, l0, fmt, out):
         bounds = kinematics.verify_bounds(spec, ctxp, ks) if ks else None
         bundle = serialize.analysis_to_dict(spec, ctxp, regime, rows, table, bounds)
         text = serialize.json_text(bundle)
-    with _output(out) as fp:
-        fp.write(text)
+    out.write(text)
 
 
 def _parse_scales(text: str) -> range | list[int]:
@@ -225,7 +188,7 @@ def _parse_scales(text: str) -> range | list[int]:
               help="Include the dimension regression.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OUT, default="-", help="Output file; stdout if omitted.")
 @_config_option
 @_runtime_errors
 def measure(input_path, scales, rho, method, fit, fmt, out):
@@ -241,8 +204,7 @@ def measure(input_path, scales, rho, method, fit, fmt, out):
         text = serialize.measurement_to_csv(result)
     else:
         text = serialize.json_text(serialize.measurement_to_dict(result))
-    with _output(out) as fp:
-        fp.write(text)
+    out.write(text)
 
 
 @main.command()
@@ -251,7 +213,7 @@ def measure(input_path, scales, rho, method, fit, fmt, out):
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--step-std", type=_POSITIVE, default=1.0, show_default=True,
               help="Per-axis standard deviation of each increment.")
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=_OUT, default="-",
               help="Output polyline JSON; stdout if omitted.")
 @_config_option
 @_runtime_errors
@@ -261,8 +223,7 @@ def brownian(n, seed, step_std, out):
 
     poly = estimator.brownian_path(n, seed, step_std)
     meta = estimator.brownian_metadata(n, seed, step_std)
-    with _output(out) as fp:
-        serialize.write_polyline_json(poly, fp, meta)
+    serialize.write_polyline_json(poly, out, meta)
 
 
 if __name__ == "__main__":

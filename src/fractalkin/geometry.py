@@ -70,7 +70,13 @@ class GeneratorSpec:
 
 @dataclass(frozen=True, eq=False)
 class Polyline:
-    """An ordered list of 2D vertices, optionally tagged with its level."""
+    """An ordered list of 2D vertices, optionally tagged with its level.
+
+    `vertices` must be a numeric (integer or float, not bool) array of
+    shape (n, 2), n >= 2, finite, with no two consecutive vertices equal;
+    it is kept as a read-only C-ordered float64 copy.  Decoded JSON is
+    checked before it gets here (`serialize._vertex_array`).
+    """
 
     vertices: np.ndarray  # (n, 2) float
     level: int | None = None
@@ -78,14 +84,9 @@ class Polyline:
     def __post_init__(self) -> None:
         import numpy as np
 
-        try:
-            v = np.array(self.vertices, order="C")  # divider_count reads it flat
-        except ValueError:  # ragged: a row of another length, or one that is no list
-            raise ValueError("vertices must be an (n, 2) array") from None
-        # float() would read the string "1" as 1.0; an object array holds the
-        # values numpy found no number type for (None, integers past int64)
-        if v.dtype.kind not in "iufO" or v.dtype.kind == "O" and any(
-                isinstance(x, str) for x in v.flat):
+        v = np.array(self.vertices, order="C")  # divider_count reads it flat
+        # astype would read the string "1" as 1.0 and True as 1.0
+        if v.dtype.kind not in "iuf":
             raise ValueError("vertices must be numbers")
         v = v.astype(float, copy=False)
         if v.ndim != 2 or v.shape[1] != 2:

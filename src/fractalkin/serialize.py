@@ -22,20 +22,20 @@ vertices sit on a lattice and repeat their coordinates: where at most
 half of them are distinct, `_format_once` formats each distinct value
 once, and those texts (up to half as many as the coordinates) stay in
 memory, with one reference per coordinate, until the last block is
-written.  The bytes are the same either way.  `polyline_from_dict`
-refuses a JSON boolean among the vertex coordinates.
+written.  The bytes are the same either way.
 
 `read_polyline_json` reads a polyline file back.  A file in the
 writer's layout is parsed a slab of `_SLAB` bytes of vertex rows at a
 time into one float64 array (`_writer_layout`), so its memory is the
 file's bytes, one slab's lists and the array; any other document, and
 any the slab reader cannot prove reads the same, goes through
-``polyline_from_dict(json.loads(...))`` whole.
+``polyline_from_dict(json.loads(...))`` whole.  Both paths check their
+decoded rows with `_vertex_array` alone, which refuses a JSON boolean,
+string, null or object among the coordinates.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import itertools
@@ -270,13 +270,27 @@ def polyline_from_dict(data: dict) -> Polyline:
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("a polyline must be a JSON object with a 'vertices' list")
     level = _level(data)
-    # numpy would read a boolean among numbers as one; the scan of the
-    # coordinate types runs in C, and a vertex that is not a list is left
-    # to `Polyline`, which refuses it
-    with contextlib.suppress(TypeError):
-        if bool in set(map(type, itertools.chain.from_iterable(data["vertices"]))):
-            raise ValueError("vertices must be numbers")
-    return Polyline(data["vertices"], level=level)
+    return Polyline(_vertex_array(data["vertices"]), level=level)
+
+
+def _vertex_array(rows):
+    """The (n, 2) float64 array of the decoded JSON vertex list `rows`, a
+    non-empty list of two-item lists of ints and floats; ValueError
+    otherwise, "vertices must be an (n, 2) array" for any other shape (a
+    list among the coordinates is one) and "vertices must be numbers" for
+    any other coordinate (a bool, which numpy would read as one, is not).
+    Both paths of `read_polyline_json` check their rows here."""
+    import numpy as np
+
+    if (type(rows) is not list or set(map(type, rows)) != {list}
+            or set(map(len, rows)) != {2}):
+        raise ValueError("vertices must be an (n, 2) array")
+    types = set(map(type, itertools.chain.from_iterable(rows)))
+    if list in types:
+        raise ValueError("vertices must be an (n, 2) array")
+    if not types <= {int, float}:
+        raise ValueError("vertices must be numbers")
+    return np.array(rows, dtype=float)
 
 
 def _level(doc: dict) -> int | None:
@@ -321,9 +335,9 @@ def _writer_layout(data: bytes):
     ASCII-compatible locale) and hold no second top-level "vertices",
     which json.loads would read in place of the first.  The block is cut
     just after a ``],`` every `_SLAB` bytes or so; each slab must parse as
-    the items of a list, one or more rows of exactly two floats, and the
-    rows must fill the array.  Such slabs joined by their commas are the
-    block, so the whole text parses to the same values.
+    the items of a list that `_vertex_array` takes, and the rows must
+    fill the array.  Such slabs joined by their commas are the block, so
+    the whole text parses to the same values.
     """
     import numpy as np
 
@@ -346,11 +360,7 @@ def _writer_layout(data: bytes):
     while stop < end:  # a cut just before `end` leaves an empty last slab, refused
         cut = data.find(b"],", start + _SLAB, end)
         stop = end if cut < 0 else cut + 1
-        rows = json.loads(b"[" + data[start:stop] + b"]")
-        # an int, bool, string, ragged or nested row is left to the whole-document call
-        if (set(map(type, rows)) != {list} or set(map(len, rows)) != {2}
-                or set(map(type, itertools.chain.from_iterable(rows))) != {float}):
-            return None
+        rows = _vertex_array(json.loads(b"[" + data[start:stop] + b"]"))
         out[filled:filled + len(rows)] = rows
         filled += len(rows)
         start = stop + 1  # past the comma after the cut

@@ -84,7 +84,7 @@ def koch_input(tmp_path, level=4):
 
 
 @pytest.mark.parametrize("args", STREAM_CASES.values(), ids=STREAM_CASES.keys())
-def test_stdout_matches_out_file(tmp_path, args):
+def test_stdout_matches_out_file(tmp_path, monkeypatch, args):
     if args[0] == "measure":
         args = args + ["--input", str(koch_input(tmp_path))]
     out = tmp_path / "out"
@@ -93,6 +93,12 @@ def test_stdout_matches_out_file(tmp_path, args):
     assert res.exit_code == 0
     assert invoke(runner, args + ["--out", str(out)]).exit_code == 0
     assert res.stdout_bytes == out.read_bytes()
+    # "-" is stdout, not a file of that name
+    monkeypatch.chdir(tmp_path)
+    dash = invoke(runner, args + ["--out", "-"])
+    assert dash.exit_code == 0
+    assert dash.stdout_bytes == res.stdout_bytes
+    assert not (tmp_path / "-").exists()
 
 
 def test_failing_command_leaves_no_out_file(tmp_path):
@@ -411,13 +417,21 @@ def test_measure_runtime_error_is_exit_1(runner, tmp_path):
     ('{"vertices": [[0, 0], [1]]}', "vertices must be an (n, 2) array"),
     ('{"vertices": [[0, 0], "ab"]}', "vertices must be an (n, 2) array"),
     ('{"vertices": [[0, 0], [1, 2, 3]]}', "vertices must be an (n, 2) array"),
+    ('{"vertices": [[0, 0], [1, {}]]}', "vertices must be numbers"),
+    ('{"vertices": {"a": 1}}', "vertices must be an (n, 2) array"),
+    ('{"vertices": [[0, 0], [1, null]]}', "vertices must be numbers"),
+    ('{"vertices": 5}', "vertices must be an (n, 2) array"),
+    ('{"vertices": "ab"}', "vertices must be an (n, 2) array"),
+    ('{"vertices": [[0, 0], [1, [2]]]}', "vertices must be an (n, 2) array"),
 ], ids=["not-an-object", "no-vertices", "string-vertex", "float-level", "bool-level",
         "bool-vertex-among-ints", "bool-vertex-among-floats", "bool-row", "short-row",
-        "string-row", "long-row"])
+        "string-row", "long-row", "dict-coordinate", "dict-vertices", "null-coordinate",
+        "number-vertices", "string-vertices", "list-coordinate"])
 def test_measure_refuses_a_malformed_polyline_with_one_line(tmp_path, text, message):
     # the first two raised AttributeError and KeyError; the next five were
     # read as 1.0, level 2, level 1 and the vertex (1, 0); the ragged rows
-    # printed numpy's "inhomogeneous shape" message
+    # printed numpy's "inhomogeneous shape" message; a dict ended in a
+    # TypeError traceback and a null coordinate was called not finite
     path = tmp_path / "bad.json"
     path.write_text(text)
     res = split_runner().invoke(main, ["measure", "--input", str(path), "--scales", "1..2"])

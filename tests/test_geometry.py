@@ -221,6 +221,20 @@ def test_polyline_validation():
         Polyline(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("vertices", [
+    np.array([[0.0, 0.0], [1.0, 2.0]], dtype=object),
+    np.array([[0.0, 0.0], [1.0, {}]], dtype=object),
+    np.array([[False, False], [True, False]]),
+    np.array([[0, 0], [1, 2j]]),
+    np.array([["0", "0"], ["1", "2"]]),
+], ids=["object-floats", "object-dict", "bool", "complex", "string"])
+def test_polyline_refuses_an_array_that_is_not_numeric(vertices):
+    # an object array of floats was read as numbers, and one holding a dict
+    # raised TypeError
+    with pytest.raises(ValueError, match="^vertices must be numbers$"):
+        Polyline(vertices)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_polyline_rejects_non_finite_vertices(bad):
     with pytest.raises(ValueError, match="vertices must be finite"):
