@@ -6,9 +6,12 @@ failure.  Every output is deterministic given the flags (seeds included).
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -24,9 +27,9 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     """Make a JSON config file the command's defaults; explicit flags win."""
     if path is None:
         return
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    try:  # UTF-8 (or -16, -32) whatever the locale, as json.loads reads bytes
+        data = json.loads(Path(path).read_bytes())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         raise click.UsageError("config file must hold a JSON object")
@@ -79,9 +82,47 @@ class _FiniteRange(click.FloatRange):
 
 _POSITIVE = _FiniteRange(min=0, min_open=True)
 
-# opened at the first write: commands and writers refuse their input before
-# they write, so a refused command leaves the path as it was
-_OUT = click.File("w", lazy=True)
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening `path` to write would raise, as far
+    as the file system tells without opening it: `path` is a directory or
+    a file without write permission, or, where it does not exist, its
+    parent is not a writable directory."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or "."
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        path, mode = parent, os.W_OK | os.X_OK
+    else:
+        if stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        mode = os.W_OK
+    if not os.access(path, mode):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
+class _OutFile(click.File):
+    """An output file opened at the first write: commands and writers
+    refuse their input before they write, so a refused command leaves the
+    path as it was.  A path it could not open is refused as the flag is
+    read, with the error of that open, before any work."""
+
+    def __init__(self) -> None:
+        super().__init__("w", lazy=True)
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str) and value != "-":
+            try:
+                _check_writable(value)
+            except (OSError, ValueError) as exc:  # ValueError: a path the OS cannot take
+                hint = exc.strerror if isinstance(exc, OSError) else str(exc)
+                raise click.FileError(value, hint=hint) from None
+        return super().convert(value, param, ctx)
+
+
+_OUT = _OutFile()
 
 _config_option = click.option(
     "--config", type=click.Path(), callback=_load_config, is_eager=True,

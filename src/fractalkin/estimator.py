@@ -169,7 +169,10 @@ def grid_count(poly: Polyline, cell: float) -> int:
         blk = v[lo : lo + _GRID_CHUNK + 1]
         x, y = np.ascontiguousarray(blk[:, 0]), np.ascontiguousarray(blk[:, 1])
         chunks.append(_distinct(_drop_repeats(_path_cells(x, y, cell))))
-    return len(_distinct(np.concatenate(chunks)))
+    z = np.concatenate(chunks)
+    del chunks
+    z.sort(kind="stable")  # in place; merges the chunks' sorted runs
+    return int(np.count_nonzero(z[1:] != z[:-1])) + 1
 
 
 # ---------------------------------------------------------------------------

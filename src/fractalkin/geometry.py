@@ -192,14 +192,14 @@ def refine(base: Polyline, spec: GeneratorSpec, k: int) -> Polyline:
             out[j::n] = starts + cum[j - 1] * scaled
         out[n::n] = ends
         v = out
-    verts = np.column_stack([v.real, v.imag])
     if base.level is not None:
         level = base.level + k
     elif base.n_segments == 1:
         level = k
     else:
         level = None
-    return Polyline(verts, level=level)
+    # v's (real, imag) pairs viewed as the (x, y) rows, not copied out
+    return Polyline(v.view(np.float64).reshape(-1, 2), level=level)
 
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0

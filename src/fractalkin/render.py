@@ -15,7 +15,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .geometry import Polyline
-from .serialize import _vertex_text, fnum
+from .serialize import _blocks, _vertex_text, fnum
 
 _PANEL_GAP = 10.0
 #: padding on every side of the drawing, as a fraction of its larger extent
@@ -82,10 +82,9 @@ class _Viewport:
 
 
 def _path_d(poly: Polyline, view: _Viewport) -> Iterator[str]:
-    """The path data in pieces: `to_px` on the vertex columns, then their
-    text from `_vertex_text` with '%.17g', which is `fnum`."""
-    v = poly.vertices
-    px = np.column_stack(view.to_px(v[:, 0], v[:, 1]))
+    """The path data in pieces: `to_px` on each block of vertices, then
+    its text from `_vertex_text` with '%.17g', which is `fnum`."""
+    px = (np.column_stack(view.to_px(blk[:, 0], blk[:, 1])) for blk in _blocks(poly.vertices))
     yield "M"
     yield from _vertex_text(px, "L%s %s", "%.17g")
 

@@ -16,19 +16,19 @@ with `str`, floats with `fnum` (an infinite float as ``inf``).
 
 `_vertex_text` writes the vertex text of both vertex files, the
 polyline JSON (`write_polyline_json`) and the SVG path data
-(`render.write_svg`), a block of `_CHUNK` vertices at a time, so the
-document text never sits in memory whole.  A self-similar curve's
-vertices sit on a lattice and repeat their coordinates: where at most
-half of them are distinct, `_format_once` formats each distinct value
-once, and those texts (up to half as many as the coordinates) stay in
-memory, with one reference per coordinate, until the last block is
-written.  The bytes are the same either way.
+(`render.write_svg`), a block of `_CHUNK` vertices at a time, so neither
+the document text nor any per-coordinate array beyond the vertices sits
+in memory whole.  A self-similar curve's vertices sit on a lattice and
+repeat their coordinates: in a block where at most half of them are
+distinct, `_format_once` formats each distinct value once.  The bytes
+are the same either way.
 
 `read_polyline_json` reads a polyline file back.  A file in the
-writer's layout is parsed a slab of `_SLAB` bytes of vertex rows at a
-time into one float64 array (`_writer_layout`), so its memory is the
-file's bytes, one slab's lists and the array; any other document, and
-any the slab reader cannot prove reads the same, goes through
+writer's layout is read from one open file object, `_SLAB` bytes at a
+time, and its vertex rows are parsed a slab at a time
+(`_writer_layout`), so its memory is one slab's bytes and lists and the
+float64 vertices; any other document, and any the slab reader cannot
+prove reads the same, goes through
 ``polyline_from_dict(json.loads(...))`` whole.  Both paths check their
 decoded rows with `_vertex_array` alone, which refuses a JSON boolean,
 string, null or object among the coordinates.
@@ -82,9 +82,7 @@ def _format_once(values, convert: Callable[[float], str]):
     formatting each value directly is cheaper.
 
     Values are distinct by bit pattern, so -0.0 and 0.0 keep their own
-    texts.  One argsort finds them and each value's rank among them: on
-    numpy 2.4 and Koch L9's 524,290 coordinates that takes half as long as
-    a sort and `searchsorted`, and `np.unique` is slower on a walk's.
+    texts.  One argsort finds them and each value's rank among them.
     """
     import numpy as np
 
@@ -242,26 +240,33 @@ def write_polyline_json(poly: Polyline, fp: TextIO, metadata: dict | None = None
     empty = '"vertices": []'
     head, _, tail = json_text(_polyline_doc(poly.level, [], metadata)).partition(empty)
     fp.write(head + '"vertices": [')
-    fp.writelines(_vertex_text(poly.vertices, _VERTEX, "%r"))
+    fp.writelines(_vertex_text(_blocks(poly.vertices), _VERTEX, "%r"))
     fp.write("\n  ]" + tail)
 
 
-def _vertex_text(v, row: str, spec: str) -> Iterator[str]:
-    """The text of the (n, 2) float64 array `v` in blocks of `_CHUNK`
-    vertices: one `row` per vertex, its two %s filled with the vertex's
+def _blocks(v):
+    """The rows of the array `v` in blocks of `_CHUNK`, as views."""
+    return (v[start:start + _CHUNK] for start in range(0, len(v), _CHUNK))
+
+
+def _vertex_text(blocks, row: str, spec: str) -> Iterator[str]:
+    """The text of the (m, 2) float64 arrays `blocks`, one piece per
+    block: one `row` per vertex, its two %s filled with the vertex's
     coordinates formatted by the %-spec `spec`, and the first character
     of the first row (the separator before it) left out.
 
-    When at most half of the coordinates are distinct, each distinct one
-    is formatted once (`_format_once`); otherwise each block is formatted
-    from its floats.
+    In a block where at most half of the coordinates are distinct, each
+    distinct one is formatted once (`_format_once`); any other block is
+    formatted from its floats.  Each value's text is the same either way,
+    and only one block's texts are held at a time.
     """
-    texts = _format_once(v, spec.__mod__)
-    cells, row = (v, row % (spec, spec)) if texts is None else (texts, row)
-    for start in range(0, len(v), _CHUNK):
-        blk = cells[start:start + _CHUNK]
-        fmt = row * len(blk)
-        yield (fmt if start else fmt[1:]) % tuple(blk.ravel().tolist())
+    direct = row % (spec, spec)
+    cut = 1
+    for blk in blocks:
+        texts = _format_once(blk, spec.__mod__)
+        cells, fmt = (blk, direct) if texts is None else (texts, row)
+        yield (fmt * len(blk))[cut:] % tuple(cells.ravel().tolist())
+        cut = 0
 
 
 def polyline_from_dict(data: dict) -> Polyline:
@@ -303,68 +308,81 @@ def _level(doc: dict) -> int | None:
 
 def read_polyline_json(path: Path | str) -> Polyline:
     """The polyline of the JSON file `path`, read as by
-    ``polyline_from_dict(json.loads(Path(path).read_text()))``: the same
-    vertices and level, or the same ValueError.
+    ``polyline_from_dict(json.loads(Path(path).read_bytes()))``: the same
+    vertices and level, or the same ValueError.  The file is UTF-8 (or
+    UTF-16 or -32, as json.loads detects), whatever the locale.
 
     A file in `write_polyline_json`'s layout is read without that call's
-    tree of lists and floats: `_writer_layout` parses its vertex block a
-    slab at a time into one float64 array.  Any other document, and any
-    that `_writer_layout` cannot prove reads the same, goes through the
+    bytes and tree of lists and floats: `_writer_layout` reads it a slab
+    at a time into float64 rows.  Any other document, and any that
+    `_writer_layout` cannot prove reads the same, goes through the
     whole-document call.
     """
-    data = Path(path).read_bytes()
-    try:
-        found = _writer_layout(data)
-    except Exception:  # whatever fails here, the whole-document call judges
-        found = None
-    del data
+    path = Path(path)
+    with path.open("rb") as fp:
+        try:
+            found = _writer_layout(fp)
+        except Exception:  # whatever fails here, the whole-document call judges
+            found = None
     if found is None:
-        return polyline_from_dict(json.loads(Path(path).read_text()))
+        return polyline_from_dict(json.loads(path.read_bytes()))
     doc, vertices = found
     return Polyline(vertices, level=_level(doc))
 
 
-def _writer_layout(data: bytes):
+def _writer_layout(fp):
     """(the document without its vertices, the (n, 2) float64 vertex
-    array) of the JSON text `data`, or None unless it has the layout of
-    `write_polyline_json` and reads as ``json.loads`` reads it whole.
+    array) of the JSON text in the binary file `fp`, or None unless it has
+    the layout of `write_polyline_json` and reads as ``json.loads`` reads
+    it whole.
 
     The head must be the writer's, so that "vertices" is a top-level key,
     and the block ends at the first ``\\n  ]``.  The document with the
     block taken out must parse, be ASCII (decoded alike in any
     ASCII-compatible locale) and hold no second top-level "vertices",
-    which json.loads would read in place of the first.  The block is cut
-    just after a ``],`` every `_SLAB` bytes or so; each slab must parse as
-    the items of a list that `_vertex_array` takes, and the rows must
-    fill the array.  Such slabs joined by their commas are the block, so
-    the whole text parses to the same values.
+    which json.loads would read in place of the first.  The block is read
+    `_SLAB` bytes at a time and cut just after the last ``],`` read so
+    far, the bytes after the cut carried into the next read; each slab
+    must parse as the items of a list that `_vertex_array` takes, and the
+    rows must number one more than the block's ``],``.  Such slabs joined
+    by their commas are the block, so the whole text parses to the same
+    values.
     """
     import numpy as np
 
+    data = fp.read(64)  # the head, with a level of up to 34 digits
     head = _HEAD.match(data)
-    end = -1 if head is None else data.find(b"\n  ]", head.end())
-    if end < 0:
+    if head is None:
         return None
-    start = head.end()
+    slabs, seps = [], 0  # the rows of each slab; the block's "]," so far
+    buf = data[head.end():]
+    # the start of a "\n  ]" at the end of buf holds no "],": every "]," in
+    # buf lies in the block
+    while (end := buf.find(b"\n  ]")) < 0:
+        cut = buf.rfind(b"],")
+        if cut >= 0:
+            slabs.append(_vertex_array(json.loads(b"[" + buf[:cut + 1] + b"]")))
+            seps += buf.count(b"],", 0, cut + 2)
+            buf = buf[cut + 2:]  # past the comma after the cut
+        more = fp.read(_SLAB)
+        if not more:
+            return None
+        buf += more
+    # a cut just before `end` leaves an empty last slab, refused
+    slabs.append(_vertex_array(json.loads(b"[" + buf[:end] + b"]")))
+    seps += buf.count(b"],", 0, end)
     objects = []  # every JSON object's key-value pairs; the top-level one ends last
 
     def pairs(items):
         objects.append(items)
         return dict(items)
 
-    doc = json.loads((data[:start] + data[end:]).decode("ascii"), object_pairs_hook=pairs)
+    rest = (data[:head.end()] + buf[end:] + fp.read()).decode("ascii")
+    doc = json.loads(rest, object_pairs_hook=pairs)
     if [key for key, _ in objects[-1]].count("vertices") != 1:
         return None
-    out = np.empty((data.count(b"],", start, end) + 1, 2))
-    filled, stop = 0, start
-    while stop < end:  # a cut just before `end` leaves an empty last slab, refused
-        cut = data.find(b"],", start + _SLAB, end)
-        stop = end if cut < 0 else cut + 1
-        rows = _vertex_array(json.loads(b"[" + data[start:stop] + b"]"))
-        out[filled:filled + len(rows)] = rows
-        filled += len(rows)
-        start = stop + 1  # past the comma after the cut
-    return (doc, out) if filled == len(out) else None
+    out = np.concatenate(slabs)
+    return (doc, out) if len(out) == seps + 1 else None
 
 
 # ---------------------------------------------------------------------------

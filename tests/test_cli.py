@@ -601,10 +601,13 @@ def test_generate_requires_level(runner):
     '{"level": "abc"}',
     '{"level": -1}',
     '{"level": null}',
+    b'{"level": "\xff"}',  # not UTF-8: was a UnicodeDecodeError traceback
 ])
 def test_config_errors_are_usage_errors(tmp_path, text):
     cfg = tmp_path / "cfg.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    elif text is not None:
         cfg.write_text(text)
     res = split_runner().invoke(main, ["generate", "--generator", "koch",
                                        "--config", str(cfg)])
@@ -628,6 +631,107 @@ def test_config_satisfies_required_options(runner, tmp_path):
         res = invoke(runner, args + ["--config", str(cfg)])
         assert res.exit_code == 0, res.output
         json.loads(res.output)
+
+
+# a locale whose preferred and file-system encodings are ASCII
+ASCII_LOCALE = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+
+
+def run_cli(args, **env):
+    """`python -m fractalkin ARGS` in a fresh interpreter, `env` set on top
+    of this one's environment."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])), **env)
+    return subprocess.run([sys.executable, "-m", "fractalkin", *args], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_config_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # under an ASCII locale the config file was decoded as ASCII: a
+    # UnicodeDecodeError traceback at its first non-ASCII byte
+    out = tmp_path / "k\u00f6ch.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps({"generator": "koch", "level": 2, "out": str(out)},
+                               ensure_ascii=False).encode())
+    utf8 = run_cli(["generate", "--config", str(cfg)], PYTHONUTF8="1")
+    assert utf8.returncode == 0, utf8.stderr
+    assert out.read_bytes() == (ROOT / "tests/data/generate_koch_l2.json").read_bytes()
+    out.unlink()
+    # the value is read; an ASCII file system cannot name that path, which
+    # is one Error: line
+    ascii_ = run_cli(["generate", "--config", str(cfg)], **ASCII_LOCALE)
+    assert ascii_.returncode == 1
+    assert ascii_.stderr.startswith(b"Error: Could not open file ")
+    assert ascii_.stderr.count(b"\n") == 1
+    assert not out.exists()
+
+
+def test_measure_reads_non_ascii_metadata_whatever_the_locale(tmp_path):
+    # under an ASCII locale the whole-document read decoded the file as
+    # ASCII: "Error: 'ascii' codec can't decode byte 0xc3 ..."
+    doc = polyline_to_dict(refine(base_segment(1.0), builtin("koch"), 4),
+                           metadata={"note": "r\u00e9sum\u00e9"})
+    path = tmp_path / "meta.json"
+    path.write_bytes(json.dumps(doc, indent=2, ensure_ascii=False).encode())
+    args = ["measure", "--input", str(path), "--scales", "1..4", "--format", "csv"]
+    utf8 = run_cli(args, PYTHONUTF8="1")
+    assert utf8.returncode == 0, utf8.stderr
+    ascii_ = run_cli(args, **ASCII_LOCALE)
+    assert ascii_.returncode == 0, ascii_.stderr
+    assert ascii_.stdout == utf8.stdout
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the command ran its work")
+
+
+OUT_COMMANDS = {
+    "generate": ["generate", "--generator", "koch", "--level", "3"],
+    "analyze": ["analyze", "--generator", "koch", "--k-max", "3"],
+    "measure": ["measure", "--scales", "1..3"],
+    "brownian": ["brownian", "--n", "10"],
+}
+
+
+@pytest.mark.parametrize("where,reason", [
+    ("missing/x.json", "No such file or directory"),
+    ("file/x.json", "Not a directory"),
+    ("dir", "Is a directory"),
+], ids=["missing-parent", "file-parent", "directory"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_an_out_path_that_cannot_be_opened_is_refused_before_the_work(
+        tmp_path, monkeypatch, command, where, reason):
+    # was refused at the first write, after all the work: 1.6-2.6 s of a
+    # divider on Koch L10 before the same Error: line
+    args = OUT_COMMANDS[command]
+    if command == "measure":
+        args = args + ["--input", str(koch_input(tmp_path, 2))]
+    (tmp_path / "file").write_text("kept")
+    (tmp_path / "dir").mkdir()
+    from fractalkin import cli, measures
+
+    monkeypatch.setattr(cli, "refine", _refuse)
+    monkeypatch.setattr(measures, "scale_table", _refuse)
+    for name in ("measure_polyline", "brownian_path"):
+        monkeypatch.setattr(estimator, name, _refuse)
+    out = tmp_path / where
+    res = split_runner().invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == f"Error: Could not open file {str(out)!r}: {reason}\n"
+    assert (tmp_path / "file").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["file", "dir"] + (["koch2.json"] if command == "measure" else []))
+
+
+@pytest.mark.parametrize("out", [os.devnull, "/dev/stdout"])
+def test_out_to_a_device_still_works(out):
+    # these paths exist and are written, not created: /dev itself need not
+    # be writable
+    res = run_cli(["generate", "--generator", "koch", "--level", "2", "--out", out])
+    assert res.returncode == 0, res.stderr
+    expected = (ROOT / "tests/data/generate_koch_l2.json").read_bytes()
+    assert res.stdout == (b"" if out == os.devnull else expected)
 
 
 # `python -m fractalkin ARGS` in a fresh interpreter that writes, last on

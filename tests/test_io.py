@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -115,12 +116,33 @@ def test_streamed_polyline_json_matches_json_text(n, pool, seed, level, metadata
     assert fp.getvalue() == json_text(polyline_to_dict(poly, metadata))
 
 
+class _Discard:
+    """A text stream that keeps nothing written to it."""
+
+    def write(self, text):
+        pass
+
+    def writelines(self, pieces):
+        for _ in pieces:
+            pass
+
+
+def _traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _reads_alike(path: Path, slab: int) -> None:
     """`read_polyline_json` reads `path`, with slabs of `slab` bytes, as the
     whole document reads: the same vertex bytes and level, or the same error."""
     with mock.patch.object(serialize, "_SLAB", slab):
         try:
-            expected = polyline_from_dict(json.loads(path.read_text()))
+            expected = polyline_from_dict(json.loads(path.read_bytes()))
         except ValueError as exc:
             with pytest.raises(type(exc)) as got:
                 read_polyline_json(path)
@@ -205,6 +227,8 @@ def _hostile() -> dict[str, str]:
         "empty-list": '{\n  "level": 1,\n  "vertices": []\n}\n',
         "trailing-garbage": text + "x",
         "trailing-comma": text.replace("\n    ]\n  ]", "\n    ],\n  ]"),
+        # rows that the "]," count does not see: read whole
+        "spaced-separator": two.replace("],\n    [", "] ,\n    ["),
         # a row parsed whole before the last cut, then an empty slab
         "spaced-separator-trailing-comma":
             two.replace("],\n    [", "] ,\n    [").replace("\n    ]\n  ]", "\n    ],\n  ]"),
@@ -233,7 +257,7 @@ def test_read_polyline_json_reads_hostile_documents_as_the_whole_document(tmp_pa
 def _takes_slab_path(data: bytes) -> bool:
     """Whether `read_polyline_json` reads the text `data` slab by slab."""
     try:
-        return serialize._writer_layout(data) is not None
+        return serialize._writer_layout(io.BytesIO(data)) is not None
     except Exception:  # read_polyline_json reads these whole
         return False
 
@@ -242,6 +266,16 @@ def test_read_polyline_json_takes_the_slab_path_only_where_it_reads_the_same():
     taken = {name for name, text in HOSTILE.items() if _takes_slab_path(text.encode())}
     assert taken == {"strings-in-metadata", "duplicate-level", "int-coordinate",
                      "nan-coordinate", "infinity-coordinate", "overflow-coordinate"}
+
+
+def test_read_polyline_json_holds_less_than_the_file(tmp_path):
+    # the file is read a slab at a time, never whole: Koch L8's 4.3 MB file
+    # reads in the memory of its 1 MB of vertices and their copy in Polyline
+    poly = refine(base_segment(1.0), builtin("koch"), 8)
+    path = tmp_path / "koch8.json"
+    with path.open("w") as fp:
+        write_polyline_json(poly, fp)
+    assert _traced_peak(read_polyline_json, path) < path.stat().st_size
 
 
 def test_spec_round_trip():
@@ -553,6 +587,72 @@ def test_format_once_converts_each_distinct_value_once():
     wrapped, calls = counting(float.__repr__)
     assert serialize._format_once(brownian_path(1000, 3, 1.0).vertices, wrapped) is None
     assert calls == []
+
+
+def _mixed_block(kind: str, m: int, rng) -> np.ndarray:
+    """m vertices whose 2m coordinates are few ("repeat"), exactly m
+    ("half") or m + 1 ("half+1") distinct values, or all distinct; each
+    kind holds both 0.0 and -0.0 where m >= 2."""
+    if kind == "repeat":
+        v = np.array([0.0, -0.0, 1.0, 1.0 / 3.0, -2.5])[rng.integers(0, 5, (m, 2))]
+        dup = np.flatnonzero(np.all(v[1:] == v[:-1], axis=1))
+        v[dup + 1] = np.column_stack([dup + 0.5, -dup - 0.25])
+        return v
+    r = rng.standard_normal(m)
+    r[:2] = (0.0, -0.0)[:m]
+    if kind == "distinct":
+        return np.column_stack([r, rng.standard_normal(m)])
+    v = np.column_stack([r, rng.permutation(r)])
+    if kind == "half+1":
+        v[-1, 1] = 7.5
+    return v
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    kinds=st.lists(st.sampled_from(["repeat", "distinct", "half", "half+1"]),
+                   min_size=1, max_size=4),
+    tail=st.one_of(st.just(0), st.just(1), st.integers(2, CHUNK - 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kinds=["repeat", "repeat", "distinct"], tail=1, seed=0)
+@example(kinds=["distinct", "half", "half+1", "repeat"], tail=3, seed=1)
+def test_writers_decide_format_once_per_block(kinds, tail, seed):
+    # each block of CHUNK vertices of its own kind, then `tail` more of the
+    # last kind: the JSON and SVG writers format each block from its own
+    # distinct values, or directly, to the bytes of the per-vertex oracles
+    rng = np.random.default_rng(seed)
+    blocks = [(kind, CHUNK) for kind in kinds] + ([(kinds[-1], tail)] if tail else [])
+    v = np.concatenate([_mixed_block(kind, m, rng) for kind, m in blocks])
+    assume(not np.all(v[1:] == v[:-1], axis=1).any())
+    poly = Polyline(v)
+    decided, format_once = [], serialize._format_once
+
+    def recorded(values, convert):
+        texts = format_once(values, convert)
+        decided.append(texts is not None)
+        return texts
+
+    with mock.patch.object(serialize, "_format_once", recorded):
+        fp = io.StringIO()
+        write_polyline_json(poly, fp)
+    assert fp.getvalue() == json.dumps(polyline_to_dict(poly), indent=2) + "\n"
+    # one decision per block, by its own share of distinct bit patterns
+    bits = v.view(np.int64)
+    assert decided == [2 * len(np.unique(bits[i:i + CHUNK])) <= bits[i:i + CHUNK].size
+                       for i in range(0, len(v), CHUNK)]
+    assert decided[:len(kinds)] == [kind in ("repeat", "half") for kind in kinds]
+    view = render._Viewport(poly, RenderOptions())
+    assert "".join(render._path_d(poly, view)) == path_d_oracle(poly, view)
+
+
+@pytest.mark.parametrize("write", [write_polyline_json, render.write_svg],
+                         ids=["json", "svg"])
+def test_vertex_writers_hold_one_block_whatever_the_length(write):
+    # Koch L6 is half a block of vertices and L8 eight blocks: the writers'
+    # memory beyond the vertices is one block's, which does not grow with n
+    l6, l8 = (refine(base_segment(1.0), builtin("koch"), level) for level in (6, 8))
+    assert _traced_peak(write, l8, _Discard()) < 4 * _traced_peak(write, l6, _Discard())
 
 
 def test_svg_documents_match_per_vertex_oracle():
