@@ -200,8 +200,9 @@ def analyze(generator, angle, k_max, mass, dt, l0, fmt, out):
 
 
 def _parse_scales(text: str) -> range | list[int]:
-    """The scale indices in ascending order.  "k0..k1" stays a range, so
-    its length costs nothing before the first scale that is too fine."""
+    """The scale indices in ascending order.  "k0..k1" stays a range, which
+    `measure_polyline` reads in one lazy pass: it stops at the first index
+    that is too fine or above `K_MAX`, so a long range is never built."""
     try:
         if ".." in text:
             lo, hi = text.split("..")

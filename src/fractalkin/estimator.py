@@ -372,6 +372,11 @@ def measure_polyline(
     """Run a resolution-ladder sweep dx_k = L0 / rho^k, correctly rounded, over the polyline.
 
     L0 defaults to the largest axis-aligned extent of the polyline.  The
+    indices `ks` are read in one lazy pass, in the caller's order: each is
+    checked (`_check_k`, which bounds it by `K_MAX`), a repeat is skipped,
+    and the first whose dx underflows to 0 is refused, so a long range ends
+    at its first bad index without being built.  Every scale is checked
+    before any is counted, and the rows come out in ascending k.  The
     scales are counted one after another.  `workers` is accepted and
     ignored: a thread pool made the sweep slower (the counters hold the
     GIL), and the benchmark's traced replay still passes `workers=1`.
@@ -380,30 +385,24 @@ def measure_polyline(
         raise ValueError(f"unknown method {method!r}")
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
-    if isinstance(ks, range) and ks.step > 0:
-        # ascending and distinct already, and left unbuilt: a huge range
-        # costs nothing before its first scale that is too fine
-        ks = range(_check_k(ks[0]), ks.stop, ks.step) if ks else ks
-    else:
-        ks = sorted(set(_check_k(k) for k in ks))
-    if not ks:
-        raise ValueError("scale indices must be non-empty")
     l0 = poly.diameter() if base_length is None else float(base_length)
     if not l0 > 0.0:
         raise ValueError("base length must be positive")
+    scales = {}
+    for k in map(_check_k, ks):
+        if k not in scales:
+            scales[k] = resolution(k, l0, rho)
+            if scales[k] == 0.0:
+                raise ValueError(f"scale k={k} is too fine: L0 / rho^k underflows to 0")
+    if not scales:
+        raise ValueError("scale indices must be non-empty")
     counter = grid_count if method == GRID_METHOD else divider_count
-    scales = []
-    for k in ks:  # every scale is checked before any is counted
-        scales.append(resolution(k, l0, rho))
-        if scales[-1] == 0.0:
-            raise ValueError(f"scale k={k} is too fine: L0 / rho^k underflows to 0")
-    counts = [float(counter(poly, dx)) for dx in scales]
-    rows = tuple(
-        MeasurementRow(k=k, dx=dx, count=c, length=c * dx)
-        for k, dx, c in zip(ks, scales, counts)
-    )
+    rows = []
+    for k, dx in sorted(scales.items()):
+        c = float(counter(poly, dx))
+        rows.append(MeasurementRow(k=k, dx=dx, count=c, length=c * dx))
     fitted = estimate_dimension(rows) if fit else None
-    return MeasurementResult(method=method, rows=rows, fit=fitted)
+    return MeasurementResult(method=method, rows=tuple(rows), fit=fitted)
 
 
 # ---------------------------------------------------------------------------

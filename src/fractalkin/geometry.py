@@ -16,6 +16,8 @@ if TYPE_CHECKING:
 
 UNIT_TOL = 1e-9
 DEFAULT_VERTEX_CAP = 10**8
+#: the largest scale or refinement index any function takes (`_check_k`)
+K_MAX = 10**5
 
 BUILTIN_NAMES = ("line", "koch", "peano", "cesaro")
 
@@ -84,6 +86,7 @@ class Polyline:
     def __post_init__(self) -> None:
         import numpy as np
 
+        # copied, not adopted: freeing the source lifts glibc's mmap threshold for grid_count
         v = np.array(self.vertices, order="C")  # divider_count reads it flat
         # astype would read the string "1" as 1.0 and True as 1.0
         if v.dtype.kind not in "iuf":
@@ -139,8 +142,10 @@ def base_segment(l0: float = 1.0) -> Polyline:
 
 
 def _check_k(k) -> int:
-    """A scale or refinement index as an int: any integral value >= 0 but a bool."""
-    if type(k) is int and k >= 0:  # the common case, spared the general checks
+    """A scale or refinement index as an int: any integral value from 0 to
+    `K_MAX` but a bool.  Every k passes here, so this bound alone ends a
+    long ladder of scales."""
+    if type(k) is int and 0 <= k <= K_MAX:  # the common case, spared the general checks
         return k
     try:
         integral = not isinstance(k, bool) and int(k) == k
@@ -151,6 +156,8 @@ def _check_k(k) -> int:
     k = int(k)
     if k < 0:
         raise ValueError("k must be >= 0")
+    if k > K_MAX:
+        raise ValueError(f"k must be <= {K_MAX}")
     return k
 
 
@@ -173,12 +180,9 @@ def refine(base: Polyline, spec: GeneratorSpec, k: int) -> Polyline:
 
     k = _check_k(k)
     n = spec.n
-    total = base.n_segments * n**k + 1
-    if total > DEFAULT_VERTEX_CAP:
-        raise ValueError(
-            f"refinement to level {k} needs {total} vertices, "
-            f"above the cap of {DEFAULT_VERTEX_CAP}"
-        )
+    if base.n_segments * n**k + 1 > DEFAULT_VERTEX_CAP:  # named by k, not by N^k's digits
+        raise ValueError(f"refinement to level {k} needs more vertices than the cap of "
+                         f"{DEFAULT_VERTEX_CAP}")
     v = base.vertices[:, 0] + 1j * base.vertices[:, 1]
     d = np.array(spec.displacements)
     cum = np.cumsum(d[:, 0] + 1j * d[:, 1])

@@ -82,22 +82,13 @@ def _format_once(values, convert: Callable[[float], str]):
     formatting each value directly is cheaper.
 
     Values are distinct by bit pattern, so -0.0 and 0.0 keep their own
-    texts.  One argsort finds them and each value's rank among them.
+    texts.  One sort (`np.unique`) finds them and each value's rank among them.
     """
     import numpy as np
 
-    bits = values.reshape(-1).view(np.int64)
-    order = np.argsort(bits)
-    ordered = bits[order]
-    first = np.empty(bits.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    if 2 * distinct.size > bits.size:
+    distinct, rank = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
+    if 2 * distinct.size > values.size:
         return None
-    rank = np.empty(bits.size, dtype=np.intp)
-    rank[order] = np.cumsum(first) - 1
-    del order, ordered, first  # freed before the texts are built
     texts = np.array(list(map(convert, distinct.view(np.float64).tolist())), dtype=object)
     return texts[rank].reshape(values.shape)
 

@@ -155,6 +155,26 @@ def test_measure_refuses_a_huge_scale_range_without_building_it(tmp_path):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("args,message", [
+    (["generate", "--generator", "koch", "--level", "1000000000"], "k must be <= 100000"),
+    (["analyze", "--generator", "koch", "--k-max", "1000000000"], "k must be <= 100000"),
+    (["analyze", "--generator", "koch", "--k-max", "1000000000", "--format", "csv"],
+     "k must be <= 100000"),
+    (["measure", "--rho", "1.0000001", "--scales", "1..100000000000"], "k must be <= 100000"),
+    (["generate", "--generator", "koch", "--level", "10000"],
+     "refinement to level 10000 needs more vertices than the cap of 100000000"),
+], ids=["generate", "analyze", "analyze-csv", "measure", "generate-level-10000"])
+def test_an_index_past_k_max_or_the_vertex_cap_is_one_error_line(tmp_path, args, message):
+    # unbounded, analyze and measure ran on without end, and generate
+    # printed advice on int_max_str_digits in place of the level
+    if args[0] == "measure":
+        args = args + ["--input", str(koch_input(tmp_path, 2))]
+    res = split_runner().invoke(main, args)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == f"Error: {message}\n"
+
+
 def test_measure_scales_comma_list(runner, tmp_path):
     res = invoke(runner, ["measure", "--input", str(koch_input(tmp_path, 2)),
                           "--scales", "1,3,2", "--format", "csv", "--no-fit"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -609,6 +610,32 @@ def test_measure_polyline_dx_is_the_correctly_rounded_ladder(rho, ks):
 def test_measure_polyline_refuses_an_underflowing_scale():
     with pytest.raises(ValueError, match="scale k=700 is too fine"):
         measure_polyline(koch_level(2), [1, 700], rho=3.0, fit=False)
+
+
+def test_measure_polyline_reads_any_iterable_of_scales_in_one_pass():
+    # repeats are skipped and the rows come out in ascending k
+    poly = koch_level(3)
+    want = measure_polyline(poly, [1, 2, 3], rho=3.0, fit=False)
+    assert [row.k for row in want.rows] == [1, 2, 3]
+    for ks in (iter([3, 1, 2, 1]), range(3, 0, -1), (2, 3, 1, 3)):
+        assert measure_polyline(poly, ks, rho=3.0, fit=False) == want
+
+
+@pytest.mark.parametrize("ks,message", [
+    ([800, 700], "^scale k=800 is too fine"),
+    ([700, -1], "^scale k=700 is too fine"),
+    ([-1, 700], "^k must be >= 0$"),
+])
+def test_measure_polyline_names_the_first_bad_scale_in_the_callers_order(ks, message):
+    with pytest.raises(ValueError, match=message):
+        measure_polyline(koch_level(2), ks, rho=3.0, fit=False)
+
+
+def test_measure_polyline_ends_an_unbounded_ladder_at_k_max():
+    # at rho = 1 + 1e-7 no dx underflows before k ~ 7e9; K_MAX ends the
+    # endless iterator before any scale is counted
+    with pytest.raises(ValueError, match=r"^k must be <= 100000$"):
+        measure_polyline(koch_level(2), itertools.count(), rho=1.0000001, fit=False)
 
 
 # ---------------------------------------------------------------------------

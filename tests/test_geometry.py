@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractalkin.geometry import (
+    K_MAX,
     GeneratorSpec,
     Polyline,
+    _check_k,
     base_segment,
     builtin,
     refine,
@@ -140,6 +142,19 @@ def test_refine_memory_cap():
         refine(base_segment(1.0), builtin("peano"), 10)  # 9^10 + 1 vertices
     with pytest.raises(ValueError, match="cap"):
         refine(base_segment(1.0), builtin("koch"), 14)  # 4^14 + 1 vertices
+    # named by its level: 4^10000 + 1 has more digits than str() of an int may take
+    with pytest.raises(ValueError, match="^refinement to level 10000 needs more "
+                                         "vertices than the cap of 100000000$"):
+        refine(base_segment(1.0), builtin("koch"), 10_000)
+
+
+def test_check_k_bounds_every_index_by_k_max():
+    assert K_MAX == 100_000
+    assert _check_k(K_MAX) == K_MAX
+    assert _check_k(float(K_MAX)) == K_MAX
+    for k in (K_MAX + 1, 10**9, 10**9 + 0.0, np.int64(K_MAX + 1)):
+        with pytest.raises(ValueError, match=r"^k must be <= 100000$"):
+            _check_k(k)
 
 
 def test_refine_rejects_bad_k():
