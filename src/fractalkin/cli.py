@@ -87,10 +87,12 @@ def _check_writable(path: str) -> None:
     """Raise the OSError that opening `path` to write would raise, as far
     as the file system tells without opening it: `path` is a directory or
     a file without write permission, or, where it does not exist, its
-    parent is not a writable directory."""
+    parent is not a writable directory.  The empty path names no file."""
     try:
         st = os.stat(path)
     except FileNotFoundError:
+        if not path:
+            raise
         parent = os.path.dirname(path) or "."
         if not stat.S_ISDIR(os.stat(parent).st_mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
@@ -123,6 +125,18 @@ class _OutFile(click.File):
 
 
 _OUT = _OutFile()
+
+
+def _write_polyline(poly, out, metadata: dict | None = None) -> None:
+    """Write `poly` to `out`: an SVG drawing where its name ends in .svg,
+    polyline JSON with `metadata` otherwise."""
+    from . import render
+
+    if out.name.endswith(".svg"):
+        render.write_svg(poly, out)
+    else:
+        serialize.write_polyline_json(poly, out, metadata)
+
 
 _config_option = click.option(
     "--config", type=click.Path(), callback=_load_config, is_eager=True,
@@ -157,14 +171,8 @@ def main() -> None:
 @_runtime_errors
 def generate(generator, angle, level, l0, out):
     """Produce the level-k polyline of a generator."""
-    from . import render
-
     spec = _spec_from_flags(generator, angle)
-    poly = refine(base_segment(l0), spec, level)
-    if out.name.endswith(".svg"):
-        render.write_svg(poly, out)
-    else:
-        serialize.write_polyline_json(poly, out)
+    _write_polyline(refine(base_segment(l0), spec, level), out)
 
 
 @main.command()
@@ -256,7 +264,7 @@ def measure(input_path, scales, rho, method, fit, fmt, out):
 @click.option("--step-std", type=_POSITIVE, default=1.0, show_default=True,
               help="Per-axis standard deviation of each increment.")
 @click.option("--out", type=_OUT, default="-",
-              help="Output polyline JSON; stdout if omitted.")
+              help="Output file (.json polyline or .svg drawing); stdout JSON if omitted.")
 @_config_option
 @_runtime_errors
 def brownian(n, seed, step_std, out):
@@ -264,8 +272,7 @@ def brownian(n, seed, step_std, out):
     from . import estimator
 
     poly = estimator.brownian_path(n, seed, step_std)
-    meta = estimator.brownian_metadata(n, seed, step_std)
-    serialize.write_polyline_json(poly, out, meta)
+    _write_polyline(poly, out, estimator.brownian_metadata(n, seed, step_std))
 
 
 if __name__ == "__main__":

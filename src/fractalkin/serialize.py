@@ -23,15 +23,14 @@ repeat their coordinates: in a block where at most half of them are
 distinct, `_format_once` formats each distinct value once.  The bytes
 are the same either way.
 
-`read_polyline_json` reads a polyline file back.  A file in the
-writer's layout is read from one open file object, `_SLAB` bytes at a
-time, and its vertex rows are parsed a slab at a time
-(`_writer_layout`), so its memory is one slab's bytes and lists and the
-float64 vertices; any other document, and any the slab reader cannot
-prove reads the same, goes through
-``polyline_from_dict(json.loads(...))`` whole.  Both paths check their
-decoded rows with `_vertex_array` alone, which refuses a JSON boolean,
-string, null or object among the coordinates.
+`read_polyline_json` reads a polyline file back.  A file whose text
+around the vertex rows is `write_polyline_json`'s own for its `level` and
+`metadata` (`_around`) is read from one open file object, its rows
+`_SLAB` bytes at a time (`_writer_layout`), so its memory is one slab's
+bytes and lists and the float64 vertices; any other document goes
+through ``polyline_from_dict(json.loads(...))`` whole.  Both paths check
+their decoded rows with `_vertex_array` alone, which refuses a JSON
+boolean, string, null or object among the coordinates.
 """
 
 from __future__ import annotations
@@ -41,13 +40,12 @@ import functools
 import itertools
 import json
 import math
-import re
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO
 
 from .geometry import GeneratorSpec, Polyline
-from .kinematics import BoundsReport, BoundsRow, ParticleContext, UncertaintyRow
+from .kinematics import BoundsReport, ParticleContext, UncertaintyRow
 from .measures import DimensionFit, MeasurementResult, MeasurementRow, RegimeBound, ScaleRow
 
 #: vertices formatted per block by `_vertex_text`
@@ -56,8 +54,10 @@ _CHUNK = 8192
 #: bytes of vertex text parsed at a time by `_writer_layout`
 _SLAB = 1 << 16
 
-# the text `write_polyline_json` writes before its vertex rows
-_HEAD = re.compile(rb'\{\n  "level": (?:null|-?[0-9]+),\n  "vertices": \[')
+# the vertex key line and the end of the vertex block, as json_text lays
+# them out at the top level of a polyline document
+_VERTICES = '\n  "vertices": ['
+_BLOCK_END = "\n  ]"
 
 # one vertex as json_text lays it out inside "vertices", after the separator
 # that ends the vertex before it; %r of a float is the text the JSON encoder writes
@@ -178,20 +178,12 @@ def _from_record(cls: type, rec: dict):
                   for name, key, _ in _schema(cls)})
 
 
-def _csv_header(cls: type) -> str:
-    return ",".join(name for name, _, _ in _schema(cls))
-
-
 def _csv(cls: type, rows: Sequence) -> str:
     """CSV of `rows`: a header of the field names, then one line per row."""
     schema = _schema(cls)
-    lines = [_csv_header(cls)]
+    lines = [",".join(name for name, _, _ in schema)]
     lines += [",".join([cell(getattr(r, name)) for name, _, cell in schema]) for r in rows]
     return "\n".join(lines) + "\n"
-
-
-SCALE_CSV_HEADER = _csv_header(ScaleRow)
-MEASUREMENT_CSV_HEADER = _csv_header(MeasurementRow)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +216,22 @@ def polyline_to_dict(poly: Polyline, metadata: dict | None = None) -> dict:
 def write_polyline_json(poly: Polyline, fp: TextIO, metadata: dict | None = None) -> None:
     """Write ``json_text(polyline_to_dict(poly, metadata))`` to `fp`.
 
-    The text around the vertex block comes from `json_text` itself and
-    the vertices from `_vertex_text`.  `Polyline` holds finite float64
+    The text around the vertex block comes from `_around` and the
+    vertices from `_vertex_text`.  `Polyline` holds finite float64
     vertices only, so float repr gives the encoder's bytes.
     """
-    empty = '"vertices": []'
-    head, _, tail = json_text(_polyline_doc(poly.level, [], metadata)).partition(empty)
-    fp.write(head + '"vertices": [')
+    head, tail = _around(poly.level, metadata)
+    fp.write(head)
     fp.writelines(_vertex_text(_blocks(poly.vertices), _VERTEX, "%r"))
-    fp.write("\n  ]" + tail)
+    fp.write(tail)
+
+
+def _around(level, metadata: dict | None) -> tuple[str, str]:
+    """The text of ``json_text(_polyline_doc(level, rows, metadata))``
+    before and after its vertex rows.  Lines below the top level are
+    indented further, so the first `_VERTICES` is the top-level key."""
+    head, _, tail = json_text(_polyline_doc(level, [], metadata)).partition(_VERTICES + "]")
+    return head + _VERTICES, _BLOCK_END + tail
 
 
 def _blocks(v):
@@ -303,10 +302,9 @@ def read_polyline_json(path: Path | str) -> Polyline:
     vertices and level, or the same ValueError.  The file is UTF-8 (or
     UTF-16 or -32, as json.loads detects), whatever the locale.
 
-    A file in `write_polyline_json`'s layout is read without that call's
-    bytes and tree of lists and floats: `_writer_layout` reads it a slab
-    at a time into float64 rows.  Any other document, and any that
-    `_writer_layout` cannot prove reads the same, goes through the
+    A file that `write_polyline_json` could have written is read a slab
+    at a time into float64 rows (`_writer_layout`), without that call's
+    bytes and tree of lists and floats; any other goes through the
     whole-document call.
     """
     path = Path(path)
@@ -323,33 +321,25 @@ def read_polyline_json(path: Path | str) -> Polyline:
 
 def _writer_layout(fp):
     """(the document without its vertices, the (n, 2) float64 vertex
-    array) of the JSON text in the binary file `fp`, or None unless it has
-    the layout of `write_polyline_json` and reads as ``json.loads`` reads
-    it whole.
+    array) of the JSON text in the binary file `fp`, or None unless the
+    file is the writer's own bytes around rows that parse alike.
 
-    The head must be the writer's, so that "vertices" is a top-level key,
-    and the block ends at the first ``\\n  ]``.  The document with the
-    block taken out must parse, be ASCII (decoded alike in any
-    ASCII-compatible locale) and hold no second top-level "vertices",
-    which json.loads would read in place of the first.  The block is read
-    `_SLAB` bytes at a time and cut just after the last ``],`` read so
-    far, the bytes after the cut carried into the next read; each slab
-    must parse as the items of a list that `_vertex_array` takes, and the
-    rows must number one more than the block's ``],``.  Such slabs joined
-    by their commas are the block, so the whole text parses to the same
-    values.
+    The rows, from the first `_VERTICES` to the first `_BLOCK_END`, are
+    read `_SLAB` bytes at a time and cut just after the last ``],`` read
+    so far; each slab must be list items that `_vertex_array` takes, and
+    the rows must number one more than the block's ``],``, so that the
+    slabs joined by their commas are the block.
     """
     import numpy as np
 
     data = fp.read(64)  # the head, with a level of up to 34 digits
-    head = _HEAD.match(data)
-    if head is None:
-        return None
+    start = data.index(_VERTICES.encode()) + len(_VERTICES)
+    end_mark = _BLOCK_END.encode()
     slabs, seps = [], 0  # the rows of each slab; the block's "]," so far
-    buf = data[head.end():]
+    buf = data[start:]
     # the start of a "\n  ]" at the end of buf holds no "],": every "]," in
     # buf lies in the block
-    while (end := buf.find(b"\n  ]")) < 0:
+    while (end := buf.find(end_mark)) < 0:
         cut = buf.rfind(b"],")
         if cut >= 0:
             slabs.append(_vertex_array(json.loads(b"[" + buf[:cut + 1] + b"]")))
@@ -362,15 +352,9 @@ def _writer_layout(fp):
     # a cut just before `end` leaves an empty last slab, refused
     slabs.append(_vertex_array(json.loads(b"[" + buf[:end] + b"]")))
     seps += buf.count(b"],", 0, end)
-    objects = []  # every JSON object's key-value pairs; the top-level one ends last
-
-    def pairs(items):
-        objects.append(items)
-        return dict(items)
-
-    rest = (data[:head.end()] + buf[end:] + fp.read()).decode("ascii")
-    doc = json.loads(rest, object_pairs_hook=pairs)
-    if [key for key, _ in objects[-1]].count("vertices") != 1:
+    rest = data[:start] + buf[end:] + fp.read()
+    doc = json.loads(rest)
+    if rest != "".join(_around(doc.get("level"), doc.get("metadata"))).encode():
         return None
     out = np.concatenate(slabs)
     return (doc, out) if len(out) == seps + 1 else None
@@ -382,10 +366,6 @@ def _writer_layout(fp):
 
 def scale_rows_to_records(rows: Sequence[ScaleRow]) -> list[dict]:
     return [_record(r) for r in rows]
-
-
-def scale_rows_from_records(records: Sequence[dict]) -> list[ScaleRow]:
-    return [_from_record(ScaleRow, rec) for rec in records]
 
 
 def scale_rows_to_csv(rows: Sequence[ScaleRow]) -> str:
@@ -428,17 +408,6 @@ def bounds_report_to_dict(report: BoundsReport) -> dict:
         "rows": [_record(r) for r in report.rows],
         "preconditions": {"k_min": report.k_min, "rho_ge_2": report.rho_ge_2},
     }
-
-
-def bounds_report_from_dict(data: dict) -> BoundsReport:
-    return BoundsReport(
-        spec_name=data["spec"],
-        ds=data["ds"],
-        eta0=data["eta0"],
-        rows=tuple(_from_record(BoundsRow, r) for r in data["rows"]),
-        k_min=int(data["preconditions"]["k_min"]),
-        rho_ge_2=bool(data["preconditions"]["rho_ge_2"]),
-    )
 
 
 def analysis_to_dict(

@@ -19,7 +19,6 @@ from fractalkin.measures import scale_table
 from fractalkin.serialize import (
     json_text,
     polyline_to_dict,
-    scale_rows_from_records,
     scale_rows_to_records,
 )
 
@@ -307,9 +306,7 @@ def test_analyze_overflowed_counts_are_standard_json(runner):
 
     scales = json.loads(invoke(runner, args).output, parse_constant=reject)["scales"]
     assert [r["k"] for r in scales if r["N_k"] is None] == list(range(324, 331))
-    rows = scale_rows_from_records(scales)
-    assert rows == scale_table(builtin("peano"), 1.0, 1.0, 330)
-    assert scale_rows_to_records(rows) == scales
+    assert scale_rows_to_records(scale_table(builtin("peano"), 1.0, 1.0, 330)) == scales
     last = invoke(runner, args + ["--format", "csv"]).output.strip().split("\n")[-1]
     assert last.split(",")[2] == "inf"
 
@@ -559,6 +556,18 @@ def test_brownian_deterministic_files(runner, tmp_path):
     assert len(data["vertices"]) == 1000
 
 
+def test_brownian_svg_out_is_a_drawing(runner, tmp_path):
+    # --out FILE.svg draws the walk, as generate does; the metadata goes
+    # only into JSON
+    out = tmp_path / "w.svg"
+    args = ["brownian", "--n", "50", "--seed", "7"]
+    assert invoke(runner, args + ["--out", str(out)]).exit_code == 0
+    with open(tmp_path / "expected.svg", "w") as fp:
+        render.write_svg(estimator.brownian_path(50, 7, 1.0), fp)
+    assert out.read_bytes() == (tmp_path / "expected.svg").read_bytes()
+    assert invoke(runner, args).output == (ROOT / "tests/data/brownian_n50_seed7.json").read_text()
+
+
 def test_brownian_n1_usage_error(runner):
     res = runner.invoke(main, ["brownian", "--n", "1"])
     assert res.exit_code == 2
@@ -717,7 +726,8 @@ OUT_COMMANDS = {
     ("missing/x.json", "No such file or directory"),
     ("file/x.json", "Not a directory"),
     ("dir", "Is a directory"),
-], ids=["missing-parent", "file-parent", "directory"])
+    ("", "No such file or directory"),
+], ids=["missing-parent", "file-parent", "directory", "empty"])
 @pytest.mark.parametrize("command", OUT_COMMANDS)
 def test_an_out_path_that_cannot_be_opened_is_refused_before_the_work(
         tmp_path, monkeypatch, command, where, reason):
@@ -734,11 +744,11 @@ def test_an_out_path_that_cannot_be_opened_is_refused_before_the_work(
     monkeypatch.setattr(measures, "scale_table", _refuse)
     for name in ("measure_polyline", "brownian_path"):
         monkeypatch.setattr(estimator, name, _refuse)
-    out = tmp_path / where
-    res = split_runner().invoke(main, args + ["--out", str(out)])
+    out = str(tmp_path / where) if where else ""
+    res = split_runner().invoke(main, args + ["--out", out])
     assert res.exit_code == 1
     assert res.stdout == ""
-    assert res.stderr == f"Error: Could not open file {str(out)!r}: {reason}\n"
+    assert res.stderr == f"Error: Could not open file {out!r}: {reason}\n"
     assert (tmp_path / "file").read_text() == "kept"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["file", "dir"] + (["koch2.json"] if command == "measure" else []))
