@@ -235,7 +235,7 @@ def _parse_scales(text: str) -> range | list[int]:
 @click.option("--method", type=click.Choice(["grid", "divider"]),
               default="grid", show_default=True)
 @click.option("--fit/--no-fit", default=True, show_default=True,
-              help="Include the dimension regression.")
+              help="Include the dimension regression (JSON only).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
 @click.option("--out", type=_OUT, default="-", help="Output file; stdout if omitted.")
@@ -249,7 +249,9 @@ def measure(input_path, scales, rho, method, fit, fmt, out):
     if ks[0] < 0:
         raise click.UsageError("scale indices must be >= 0")
     poly = serialize.read_polyline_json(input_path)
-    result = estimator.measure_polyline(poly, ks, rho=rho, method=method, fit=fit)
+    # CSV has no fit column, so it needs no fit
+    result = estimator.measure_polyline(poly, ks, rho=rho, method=method,
+                                        fit=fit and fmt == "json")
     if fmt == "csv":
         text = serialize.measurement_to_csv(result)
     else:

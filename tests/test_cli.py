@@ -109,6 +109,17 @@ def test_failing_command_leaves_no_out_file(tmp_path):
     assert not out.exists()
 
 
+def test_measure_csv_computes_no_fit(runner, tmp_path):
+    # CSV has no fit column; two scales, too few for a fit, exited 1 with
+    # "need at least 3 usable scales" and printed no rows
+    args = ["measure", "--input", str(koch_input(tmp_path)), "--scales", "1..2",
+            "--format", "csv"]
+    res = invoke(runner, args)
+    assert res.exit_code == 0
+    assert len(res.output.splitlines()) == 3
+    assert res.output == invoke(runner, args + ["--no-fit"]).output
+
+
 @pytest.mark.parametrize("args,message", [
     (["--method", "divider", "--scales", "357..357"], "too short"),
     (["--method", "divider", "--scales", "200..200"], "too short"),
@@ -165,13 +176,14 @@ def test_measure_refuses_a_huge_scale_range_without_building_it(tmp_path):
 ], ids=["generate", "analyze", "analyze-csv", "measure", "generate-level-10000"])
 def test_an_index_past_k_max_or_the_vertex_cap_is_one_error_line(tmp_path, args, message):
     # unbounded, analyze and measure ran on without end, and generate
-    # printed advice on int_max_str_digits in place of the level
+    # printed advice on int_max_str_digits in place of the level; run_cli's
+    # timeout fails a command that runs on again
     if args[0] == "measure":
         args = args + ["--input", str(koch_input(tmp_path, 2))]
-    res = split_runner().invoke(main, args)
-    assert res.exit_code == 1
-    assert res.stdout == ""
-    assert res.stderr == f"Error: {message}\n"
+    res = run_cli(args)
+    assert res.returncode == 1
+    assert res.stdout == b""
+    assert res.stderr == f"Error: {message}\n".encode()
 
 
 def test_measure_scales_comma_list(runner, tmp_path):
@@ -311,7 +323,7 @@ def test_analyze_overflowed_counts_are_standard_json(runner):
     assert last.split(",")[2] == "inf"
 
 
-@pytest.mark.parametrize("generator", ["koch", "peano"])
+@pytest.mark.parametrize("generator", ["koch", "peano", "line"])
 def test_analyze_k_max_2000(runner, generator):
     # rho^k passes float64 at k = 647: dx_k underflows toward 0, peano's
     # L_k, v_k and dL_k become null, and every bound is still decided
@@ -466,6 +478,7 @@ def _relaid(doc: dict) -> dict[str, str]:
         "compact": json.dumps(doc, separators=(",", ":")),
         "crlf": json_text(doc).replace("\n", "\r\n"),
         "keys-reversed": json_text(front),
+        "no-final-newline": json_text(doc)[:-1],
     }
 
 

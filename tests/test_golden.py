@@ -47,7 +47,7 @@ def test_cli_output_matches_golden_bytes(tmp_path, name, args):
 
 def test_koch_l7_outputs_match_golden_digests(tmp_path):
     # 16385 vertices: two full chunks of each writer and one more vertex;
-    # the file holds `sha256sum` lines, checked the same way in CI
+    # the file holds `sha256sum` lines
     digests = dict(line.split()[::-1] for line in
                    (DATA / "generate_koch_l7.sha256").read_text().splitlines())
     assert set(digests) == {"koch_l7.json", "koch_l7.svg"}
@@ -83,26 +83,50 @@ MEASURE_GOLDEN = [
 ]
 
 
+def _measure_input(tmp_path, make):
+    poly = tmp_path / "input.json"
+    res = CliRunner().invoke(main, make + ["--out", str(poly)], catch_exceptions=False)
+    assert res.exit_code == 0
+    return poly
+
+
 @pytest.mark.parametrize("name,make,args", MEASURE_GOLDEN,
                          ids=[name for name, _, _ in MEASURE_GOLDEN])
 def test_measure_output_matches_golden_bytes(tmp_path, name, make, args):
-    runner = CliRunner()
-    poly = tmp_path / "input.json"
-    res = runner.invoke(main, make + ["--out", str(poly)], catch_exceptions=False)
-    assert res.exit_code == 0
+    poly = _measure_input(tmp_path, make)
     out = tmp_path / name
-    res = runner.invoke(main, ["measure", "--input", str(poly)] + args
-                        + ["--out", str(out)], catch_exceptions=False)
+    res = CliRunner().invoke(main, ["measure", "--input", str(poly)] + args
+                             + ["--out", str(out)], catch_exceptions=False)
     assert res.exit_code == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def _subprocess_env(**extra):
+    """This environment with src importable and `extra` set on top."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])), **extra)
+
+
+@pytest.mark.parametrize("name", ["measure_cesaro85_l5_divider.csv",
+                                  "measure_koch_l6_grid.json"])
+def test_measure_golden_bytes_under_the_nehalem_kernel(tmp_path, name):
+    # the divider's chord test and the fit once went through OpenBLAS, whose
+    # Haswell kernel fused a multiply-add that Nehalem's did not; OpenBLAS
+    # picks its kernel as numpy loads, hence a fresh interpreter
+    make, args = {n: (m, a) for n, m, a in MEASURE_GOLDEN}[name]
+    poly = _measure_input(tmp_path, make)
+    out = tmp_path / name
+    subprocess.run([sys.executable, "-m", "fractalkin", "measure", "--input", str(poly),
+                    *args, "--out", str(out)],
+                   env=_subprocess_env(OPENBLAS_CORETYPE="Nehalem"), check=True,
+                   capture_output=True, timeout=120)
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
 def test_camera_figure_matches_golden_bytes(tmp_path):
     # three koch panels with the level-2 grid overlay: <g>, <line> and <path>
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, str(ROOT / "scripts" / "camera_figures.py"),
-                    "--out-dir", str(tmp_path)], env=env, check=True,
+                    "--out-dir", str(tmp_path)], env=_subprocess_env(), check=True,
                    capture_output=True)
     golden = (DATA / "camera_koch.svg").read_bytes()
     assert (tmp_path / "koch_cameras.svg").read_bytes() == golden

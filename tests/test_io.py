@@ -768,11 +768,13 @@ def test_render_panels_requires_input():
 
 
 def test_regime_sweep_report_uses_json_text(tmp_path):
+    # the script's default sweep; it exits 1 on any row out of bounds
     out = tmp_path / "sweep.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, str(ROOT / "scripts" / "regime_sweep.py"),
-                    "--k-max", "3", "--out", str(out)], env=env, check=True,
+                    "--k-max", "50", "--out", str(out)], env=env, check=True,
                    capture_output=True)
     text = out.read_text()
     assert text == json_text(json.loads(text))
+    assert json.loads(text)["violations"] == []
