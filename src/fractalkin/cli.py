@@ -19,7 +19,7 @@ import click
 
 # numpy loads with `estimator` and `render`, which the commands that use
 # them import; --help, analyze and usage errors run without it
-from . import kinematics, measures, serialize
+from . import __version__, kinematics, measures, serialize
 from .geometry import BUILTIN_NAMES, base_segment, builtin, refine
 
 
@@ -153,7 +153,7 @@ _angle_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="fractalkin")
+@click.version_option(version=__version__)  # from the source, installed or not
 def main() -> None:
     """Self-similar trajectory toolkit: build, analyze, measure, render."""
 

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_VERTEX_CAP, Polyline, _check_k
+from .geometry import DEFAULT_VERTEX_CAP, K_MAX, Polyline, _check_k
 from .measures import DimensionFit, MeasurementResult, MeasurementRow, resolution
 
 #: PRNG contract for brownian_path, recorded in output metadata.
@@ -149,7 +149,10 @@ def grid_count(poly: Polyline, cell: float) -> int:
     (segment, t); the parameters of all the points go into one array in
     path order, and their cells come from one pass over it per axis.  Each
     cell equal to the one before it is dropped, and the rest are sorted to
-    count the distinct ones.
+    count the distinct ones.  The segments go `_GRID_CHUNK` at a time, and
+    each chunk's distinct cells are appended to one buffer that grows in
+    place, so the cells are held once; one sort of that buffer merges the
+    chunks' sorted runs.
 
     Raises ValueError where a cell index would reach 2**53, past which
     float64 no longer holds every integer, and where one chunk of
@@ -164,13 +167,14 @@ def grid_count(poly: Polyline, cell: float) -> int:
             f"cell {cell!r} is too fine for coordinates up to {reach!r}: "
             "cell indices would reach 2**53"
         )
-    chunks = []
+    from array import array  # an extension module, loaded only where cells are counted
+
+    cells = array("d")  # each chunk's distinct cells, as the doubles of complex numbers
     for lo in range(0, len(v) - 1, _GRID_CHUNK):
         blk = v[lo : lo + _GRID_CHUNK + 1]
         x, y = np.ascontiguousarray(blk[:, 0]), np.ascontiguousarray(blk[:, 1])
-        chunks.append(_distinct(_drop_repeats(_path_cells(x, y, cell))))
-    z = np.concatenate(chunks)
-    del chunks
+        cells.frombytes(memoryview(_distinct(_drop_repeats(_path_cells(x, y, cell)))).cast("B"))
+    z = np.frombuffer(cells, dtype=complex)
     z.sort(kind="stable")  # in place; merges the chunks' sorted runs
     return int(np.count_nonzero(z[1:] != z[:-1])) + 1
 
@@ -360,6 +364,21 @@ def estimate_dimension(rows: Sequence[MeasurementRow]) -> DimensionFit:
     )
 
 
+def _first_underflow(l0: float, rho: float, good: int, top: int) -> int:
+    """The least k in (good, top] whose dx_k = L0 / rho^k underflows to 0,
+    or top + 1 if none does, given dx_good > 0.  dx_k never grows with k,
+    so dx_top decides whether there is one and a bisection finds it."""
+    if resolution(top, l0, rho) > 0.0:
+        return top + 1
+    while top - good > 1:  # dx_good > 0 = dx_top
+        mid = (good + top) // 2
+        if resolution(mid, l0, rho) == 0.0:
+            top = mid
+        else:
+            good = mid
+    return top
+
+
 def measure_polyline(
     poly: Polyline,
     ks: Iterable[int],
@@ -375,11 +394,15 @@ def measure_polyline(
     indices `ks` are read in one lazy pass, in the caller's order: each is
     checked (`_check_k`, which bounds it by `K_MAX`), a repeat is skipped,
     and the first whose dx underflows to 0 is refused, so a long range ends
-    at its first bad index without being built.  Every scale is checked
-    before any is counted, and the rows come out in ascending k.  The
-    scales are counted one after another.  `workers` is accepted and
-    ignored: a thread pool made the sweep slower (the counters hold the
-    GIL), and the benchmark's traced replay still passes `workers=1`.
+    at its first bad index without being built.  dx_k never grows with k,
+    so an index past those settled so far settles dx only at twice the
+    last such bound (or at the index, if further), and bisects below it
+    once that dx is 0 (`_first_underflow`): a ladder up to k settles
+    O(log k) values of dx, not k.  Every scale is checked before any is
+    counted, and the rows come out in ascending k.  The scales are
+    counted one after another.  `workers` is accepted and ignored: a
+    thread pool made the sweep slower (the counters hold the GIL), and
+    the benchmark's traced replay still passes `workers=1`.
     """
     if method not in (GRID_METHOD, DIVIDER_METHOD):
         raise ValueError(f"unknown method {method!r}")
@@ -389,16 +412,20 @@ def measure_polyline(
     if not l0 > 0.0:
         raise ValueError("base length must be positive")
     scales = {}
+    top, zero = 0, 1  # dx_k > 0 for every k < zero, which is top + 1 until one underflows
     for k in map(_check_k, ks):
-        if k not in scales:
-            scales[k] = resolution(k, l0, rho)
-            if scales[k] == 0.0:
-                raise ValueError(f"scale k={k} is too fine: L0 / rho^k underflows to 0")
+        if zero == top + 1 <= k:  # past every index settled so far
+            good, top = top, min(max(k, 2 * top + 1), K_MAX)
+            zero = _first_underflow(l0, rho, good, top)
+        if k >= zero:
+            raise ValueError(f"scale k={k} is too fine: L0 / rho^k underflows to 0")
+        scales[k] = None
     if not scales:
         raise ValueError("scale indices must be non-empty")
     counter = grid_count if method == GRID_METHOD else divider_count
     rows = []
-    for k, dx in sorted(scales.items()):
+    for k in sorted(scales):
+        dx = resolution(k, l0, rho)
         c = float(counter(poly, dx))
         rows.append(MeasurementRow(k=k, dx=dx, count=c, length=c * dx))
     fitted = estimate_dimension(rows) if fit else None

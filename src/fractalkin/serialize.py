@@ -25,12 +25,15 @@ are the same either way.
 
 `read_polyline_json` reads a polyline file back.  A file whose text
 around the vertex rows is `write_polyline_json`'s own for its `level` and
-`metadata` (`_around`) is read from one open file object, its rows
-`_SLAB` bytes at a time (`_writer_layout`), so its memory is one slab's
-bytes and lists and the float64 vertices; any other document goes
-through ``polyline_from_dict(json.loads(...))`` whole.  Both paths check
-their decoded rows with `_vertex_array` alone, which refuses a JSON
-boolean, string, null or object among the coordinates.
+`metadata` (`_around`), and whose rows are laid out as `_VERTEX` lays
+them out with one JSON number per coordinate (`_read_rows`), is read from
+one open file object, its rows `_SLAB` bytes at a time
+(`_writer_layout`), its coordinate texts decoded into one flat buffer of
+doubles; its memory is one slab's bytes and texts and the float64
+vertices, held once.  Any other document goes through
+``polyline_from_dict(json.loads(...))`` whole, whose rows `_vertex_array`
+checks: it refuses a JSON boolean, string, null or object among the
+coordinates, as `_read_rows` does.
 """
 
 from __future__ import annotations
@@ -274,7 +277,8 @@ def _vertex_array(rows):
     otherwise, "vertices must be an (n, 2) array" for any other shape (a
     list among the coordinates is one) and "vertices must be numbers" for
     any other coordinate (a bool, which numpy would read as one, is not).
-    Both paths of `read_polyline_json` check their rows here."""
+    The whole-document read checks its rows here; the slab reader takes
+    only rows that would pass (`_read_rows`)."""
     import numpy as np
 
     if (type(rows) is not list or set(map(type, rows)) != {list}
@@ -303,9 +307,9 @@ def read_polyline_json(path: Path | str) -> Polyline:
     UTF-16 or -32, as json.loads detects), whatever the locale.
 
     A file that `write_polyline_json` could have written is read a slab
-    at a time into float64 rows (`_writer_layout`), without that call's
-    bytes and tree of lists and floats; any other goes through the
-    whole-document call.
+    at a time into one flat buffer of float64 coordinates
+    (`_writer_layout`), without that call's bytes and tree of lists and
+    floats; any other goes through the whole-document call.
     """
     path = Path(path)
     with path.open("rb") as fp:
@@ -326,38 +330,72 @@ def _writer_layout(fp):
 
     The rows, from the first `_VERTICES` to the first `_BLOCK_END`, are
     read `_SLAB` bytes at a time and cut just after the last ``],`` read
-    so far; each slab must be list items that `_vertex_array` takes, and
-    the rows must number one more than the block's ``],``, so that the
-    slabs joined by their commas are the block.
+    so far.  Each slab must be rows in the writer's own layout joined by
+    ``,`` (`_read_rows`), so the slabs joined by the commas at their cuts
+    are the block; their coordinates go into one `array` of doubles,
+    which the vertex array views without a copy.
     """
+    from array import array  # an extension module, which the closed-form commands never load
+
     import numpy as np
 
     data = fp.read(64)  # the head, with a level of up to 34 digits
     start = data.index(_VERTICES.encode()) + len(_VERTICES)
     end_mark = _BLOCK_END.encode()
-    slabs, seps = [], 0  # the rows of each slab; the block's "]," so far
+    coords = array("d")
     buf = data[start:]
     # the start of a "\n  ]" at the end of buf holds no "],": every "]," in
     # buf lies in the block
     while (end := buf.find(end_mark)) < 0:
         cut = buf.rfind(b"],")
         if cut >= 0:
-            slabs.append(_vertex_array(json.loads(b"[" + buf[:cut + 1] + b"]")))
-            seps += buf.count(b"],", 0, cut + 2)
+            if not _read_rows(buf[:cut + 1], coords):
+                return None
             buf = buf[cut + 2:]  # past the comma after the cut
         more = fp.read(_SLAB)
         if not more:
             return None
         buf += more
     # a cut just before `end` leaves an empty last slab, refused
-    slabs.append(_vertex_array(json.loads(b"[" + buf[:end] + b"]")))
-    seps += buf.count(b"],", 0, end)
+    if not _read_rows(buf[:end], coords):
+        return None
     rest = data[:start] + buf[end:] + fp.read()
     doc = json.loads(rest)
     if rest != "".join(_around(doc.get("level"), doc.get("metadata"))).encode():
         return None
-    out = np.concatenate(slabs)
-    return (doc, out) if len(out) == seps + 1 else None
+    return doc, np.frombuffer(coords).reshape(-1, 2)
+
+
+def _read_rows(slab: bytes, out) -> bool:
+    """Append the coordinates of `slab` to the ``array("d")`` `out` if
+    `slab` is vertex rows laid out as `_VERTEX` lays them out, joined by
+    ``,``, each coordinate one JSON number; return False, appending
+    nothing, if not (an empty slab is not).
+
+    The coordinate texts are the runs of bytes between whitespace, commas
+    and brackets, and the rows rebuilt from them must be `slab`, byte for
+    byte.  One ``json.loads`` decodes the texts, each distinct one once
+    where at most half of them are distinct (a lattice curve's repeated
+    coordinates; a random walk's are all distinct, and a dict of them
+    would cost more than it saves), and must give one int or float per
+    text (no bool, string, null, list or object): so every text is one
+    JSON number, read as the whole document reads it, and a text that
+    ``float`` takes but JSON does not (``1.``, ``+1``, ``inf``) fails here.
+    """
+    texts = slab.translate(None, b",[]").split()
+    rows = len(texts) // 2
+    if not texts or len(texts) % 2 or (_VERTEX.encode() * rows)[1:] % tuple(texts) != slab:
+        return False
+    distinct = dict.fromkeys(texts)
+    once = 2 * len(distinct) <= len(texts)  # the writer's rule (`_format_once`)
+    keys = distinct if once else texts
+    decoded = json.loads(b"[" + b",".join(keys) + b"]")
+    if len(decoded) != len(keys) or not {int, float}.issuperset(map(type, decoded)):
+        return False
+    if once:
+        decoded = list(map(dict(zip(distinct, decoded)).__getitem__, texts))
+    out.fromlist(decoded)  # an int as float(int) would read it
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -686,6 +687,21 @@ def run_cli(args, **env):
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])), **env)
     return subprocess.run([sys.executable, "-m", "fractalkin", *args], env=env,
                           capture_output=True, timeout=120)
+
+
+def test_version_runs_from_a_source_checkout():
+    # the version comes from the package, not its installed metadata:
+    # without an install this was a RuntimeError traceback and exit 1
+    res = run_cli(["--version"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.decode().endswith(f", version {fractalkin.__version__}\n")
+    assert res.stderr == b""
+
+
+def test_version_is_the_one_in_pyproject():
+    # read as text: tomllib is not in Python 3.10
+    versions = re.findall(r'(?m)^version = "([^"]*)"$', (ROOT / "pyproject.toml").read_text())
+    assert versions == [fractalkin.__version__]
 
 
 def test_config_is_read_as_utf8_whatever_the_locale(tmp_path):

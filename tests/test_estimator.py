@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fractalkin import estimator
+from fractalkin import estimator, measures
 from fractalkin.estimator import (
     MeasurementRow,
     brownian_metadata,
@@ -16,7 +17,7 @@ from fractalkin.estimator import (
     grid_count,
     measure_polyline,
 )
-from fractalkin.geometry import Polyline, base_segment, builtin, refine
+from fractalkin.geometry import K_MAX, Polyline, base_segment, builtin, refine
 from fractalkin.measures import resolution
 
 LOG3_4 = math.log(4.0) / math.log(3.0)
@@ -222,6 +223,21 @@ def test_grid_count_refuses_crossings_past_the_cap():
     # Koch L2 at dx = 3^-18 needs ~3.4e8 crossings per axis in one chunk
     with pytest.raises(ValueError, match="gridlines"):
         grid_count(koch_level(2), 3.0**-18)
+
+
+def test_grid_count_holds_each_cell_once():
+    # the chunks' distinct cells go into one buffer that grows in place:
+    # Koch L9 at k = 9 traces 23 B per cell, where a list of chunk arrays
+    # and their concatenation traced 32.5
+    poly = koch_level(9)
+    tracemalloc.start()
+    try:
+        count = grid_count(poly, resolution(9, 1.0, 3.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 272229
+    assert peak < 28 * count
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +645,25 @@ def test_measure_polyline_reads_any_iterable_of_scales_in_one_pass():
 def test_measure_polyline_names_the_first_bad_scale_in_the_callers_order(ks, message):
     with pytest.raises(ValueError, match=message):
         measure_polyline(koch_level(2), ks, rho=3.0, fit=False)
+
+
+def test_measure_polyline_settles_few_scales_before_refusing_past_k_max(monkeypatch):
+    # no dx underflows before K_MAX at rho = 1 + 1e-7: settling dx at each
+    # index up to it took 100,000 settles and 2 s before the refusal
+    settles = []
+    settle = measures._settle
+    monkeypatch.setattr(measures, "_settle", lambda *args: settles.append(args) or settle(*args))
+    with pytest.raises(ValueError, match=r"^k must be <= 100000$"):
+        measure_polyline(koch_level(2), range(1, 10**11 + 1), rho=1.0000001, fit=False)
+    assert len(settles) <= 2 * K_MAX.bit_length()
+
+
+@pytest.mark.parametrize("l0", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("rho", [1.5, 3.0, 1000.0])
+@pytest.mark.parametrize("top", [1, 6, 700, 2000])
+def test_first_underflow_is_the_first_zero_dx(l0, rho, top):
+    first = next((k for k in range(top + 1) if resolution(k, l0, rho) == 0.0), top + 1)
+    assert estimator._first_underflow(l0, rho, 0, top) == first
 
 
 def test_measure_polyline_ends_an_unbounded_ladder_at_k_max():

@@ -255,8 +255,17 @@ def _hostile() -> dict[str, str]:
         "nested-level": text.replace('"level": 1', '"level": {\n    "vertices": []\n  }'),
     }
     for name, token in [("int", "2"), ("bool", "true"), ("string", '"1.5"'), ("null", "null"),
-                        ("nan", "NaN"), ("infinity", "Infinity"), ("overflow", "1e999")]:
+                        ("nan", "NaN"), ("infinity", "Infinity"), ("overflow", "1e999"),
+                        ("inexact-int", "9007199254740993")]:
         out[f"{name}-coordinate"] = text.replace("      1.5,", f"      {token},")
+    # texts that float() reads as numbers and JSON refuses: once, and twice
+    # in one row, so twice in one slab however the block is cut
+    for name, token in [("trailing-point", "1."), ("leading-point", ".5"), ("plus", "+1"),
+                        ("leading-zero", "01"), ("underscore", "1_0"), ("inf", "inf"),
+                        ("nan", "nan"), ("arabic-indic-digit", "\u0661")]:
+        out[f"float-only-{name}"] = text.replace("      1.5,", f"      {token},")
+        out[f"float-only-{name}-repeated"] = text.replace(
+            "[\n      1.5,\n      -0.5\n    ]", f"[\n      {token},\n      {token}\n    ]")
     return out
 
 
@@ -282,7 +291,8 @@ def _takes_slab_path(data: bytes) -> bool:
 def test_read_polyline_json_takes_the_slab_path_only_where_it_reads_the_same():
     taken = {name for name, text in HOSTILE.items() if _takes_slab_path(text.encode())}
     assert taken == {"strings-in-metadata", "bool-level", "nested-level", "int-coordinate",
-                     "nan-coordinate", "infinity-coordinate", "overflow-coordinate"}
+                     "nan-coordinate", "infinity-coordinate", "overflow-coordinate",
+                     "inexact-int-coordinate"}
 
 
 def test_read_polyline_json_holds_less_than_the_file(tmp_path):
