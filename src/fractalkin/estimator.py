@@ -364,13 +364,13 @@ def estimate_dimension(rows: Sequence[MeasurementRow]) -> DimensionFit:
     )
 
 
-def _first_underflow(l0: float, rho: float, good: int, top: int) -> int:
-    """The least k in (good, top] whose dx_k = L0 / rho^k underflows to 0,
-    or top + 1 if none does, given dx_good > 0.  dx_k never grows with k,
-    so dx_top decides whether there is one and a bisection finds it."""
-    if resolution(top, l0, rho) > 0.0:
-        return top + 1
-    while top - good > 1:  # dx_good > 0 = dx_top
+def _first_underflow(l0: float, rho: float) -> int:
+    """The least k <= `K_MAX` whose dx_k = L0 / rho^k underflows to 0, or
+    K_MAX + 1 if none does.  dx_0 = L0 > 0 and dx_k never grows with k, so
+    a bisection of 0..K_MAX + 1 finds it in K_MAX.bit_length() settles,
+    each O(log k)."""
+    good, top = 0, K_MAX + 1  # dx_good > 0, and dx_top = 0 unless top = K_MAX + 1
+    while top - good > 1:
         mid = (good + top) // 2
         if resolution(mid, l0, rho) == 0.0:
             top = mid
@@ -394,15 +394,12 @@ def measure_polyline(
     indices `ks` are read in one lazy pass, in the caller's order: each is
     checked (`_check_k`, which bounds it by `K_MAX`), a repeat is skipped,
     and the first whose dx underflows to 0 is refused, so a long range ends
-    at its first bad index without being built.  dx_k never grows with k,
-    so an index past those settled so far settles dx only at twice the
-    last such bound (or at the index, if further), and bisects below it
-    once that dx is 0 (`_first_underflow`): a ladder up to k settles
-    O(log k) values of dx, not k.  Every scale is checked before any is
-    counted, and the rows come out in ascending k.  The scales are
-    counted one after another.  `workers` is accepted and ignored: a
-    thread pool made the sweep slower (the counters hold the GIL), and
-    the benchmark's traced replay still passes `workers=1`.
+    at its first bad index without being built.  The least such index is
+    found once, by bisection (`_first_underflow`).  Every scale is checked
+    before any is counted, and the rows come out in ascending k.
+    The scales are counted one after another.  `workers` is accepted and
+    ignored: a thread pool made the sweep slower (the counters hold the
+    GIL), and the benchmark's traced replay still passes `workers=1`.
     """
     if method not in (GRID_METHOD, DIVIDER_METHOD):
         raise ValueError(f"unknown method {method!r}")
@@ -411,12 +408,12 @@ def measure_polyline(
     l0 = poly.diameter() if base_length is None else float(base_length)
     if not l0 > 0.0:
         raise ValueError("base length must be positive")
+    if l0 == math.inf:
+        raise ValueError("base length must be finite" if base_length is not None
+                         else "the polyline's extent overflows float64")
+    zero = _first_underflow(l0, rho)  # dx_k > 0 for every k < zero
     scales = {}
-    top, zero = 0, 1  # dx_k > 0 for every k < zero, which is top + 1 until one underflows
     for k in map(_check_k, ks):
-        if zero == top + 1 <= k:  # past every index settled so far
-            good, top = top, min(max(k, 2 * top + 1), K_MAX)
-            zero = _first_underflow(l0, rho, good, top)
         if k >= zero:
             raise ValueError(f"scale k={k} is too fine: L0 / rho^k underflows to 0")
         scales[k] = None

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .geometry import GeneratorSpec, _check_k
-from .measures import RegimeBound, _passes, _rounded, classify_ds, gammas, regime_interval
+from .measures import RegimeBound, _rounded, classify_ds, gammas, regime_interval
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def uncertainty_table(
     regime = classify_ds(spec.ds)
     c = 2 * ctx.eta0_exact()  # dP_k = m dV_k = 2 eta0 gamma(k)
     return [UncertaintyRow(k=k, dV_k=dv_k, dP_k=dp_k, regime=regime)
-            for k, (dv_k, dp_k) in gammas(spec, range(k_max + 1), (c / Fraction(ctx.m), c))]
+            for k, (dv_k, dp_k), _ in gammas(spec, range(k_max + 1), (c / Fraction(ctx.m), c))]
 
 
 def verify_bounds(
@@ -134,10 +134,10 @@ def verify_bounds(
     """Check the regime inequality for every k in `k_range` (all k >= 1).
 
     Violations are reported as data, not raised.  The product is the
-    correctly rounded 2 eta0 gamma(k), inf past the float64 range
-    (`measures.gammas`).  `passed` is exact: eta0 > 0 cancels out of the
-    regime inequality, so a row passes when gamma(k) lies in the regime
-    table in units of 1/2 (`measures._passes`).
+    correctly rounded 2 eta0 gamma(k), inf past the float64 range, and
+    `passed` is exact: eta0 > 0 cancels out of the regime inequality, so a
+    row passes when gamma(k) lies in the regime table in units of 1/2.
+    Both come from one walk of `measures.gammas`.
     """
     ks = sorted(set(_check_k(k) for k in k_range))
     if not ks:
@@ -147,8 +147,7 @@ def verify_bounds(
     ds = spec.ds
     bound = classify_regime(ds, ctx)
     rows = [BoundsRow(k=k, product=product, lower=bound.lower, upper=bound.upper, passed=passed)
-            for (k, (product,)), passed in zip(gammas(spec, ks, (2 * ctx.eta0_exact(),)),
-                                               _passes(spec, ks))]
+            for k, (product,), passed in gammas(spec, ks, (2 * ctx.eta0_exact(),))]
     return BoundsReport(
         spec_name=spec.name,
         ds=ds,

@@ -5,11 +5,12 @@ ladder, the scale table (length, area and the surface-change factor
 gamma(k) = (N/rho^2)^k - rho^-k at every scale), and the
 similarity-dimension bound regimes.  Every per-scale float, here or in
 `kinematics`, is its exact closed form correctly rounded at one site
-(`_settled`): it reads 60-digit decimal bounds off the `ladders` of the
-three powers, and the exact rational (`_exact`) is formed only where the
-bounds round to two floats.  gamma(k) is formed in `gammas` alone, which
-yields it and its multiples as floats, and `_passes` decides exactly
-whether it lies in the regime table; no decimal bound leaves this module.
+(`_settle`): it reads 60-digit decimal bounds on rho^-k, (N/rho)^k and
+(N/rho^2)^k (`_bounds`), and the exact rational (`_exact`) is formed only
+where the bounds round to two floats.  gamma(k) is formed in `gammas`
+alone, which yields it and its multiples as floats and decides exactly
+whether it lies in the regime table.  No decimal bound leaves this
+module, and none outlives the call that formed it.
 
 The rows of an empirical measurement (`MeasurementRow`, `DimensionFit`,
 `MeasurementResult`) are declared here too, and re-exported by
@@ -18,7 +19,6 @@ The rows of an empirical measurement (`MeasurementRow`, `DimensionFit`,
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
@@ -158,122 +158,125 @@ def _settle(
     return _rounded(*_exact(k, c, plus, minus))
 
 
-class Ladder:
-    """Decimal bounds lo[k] <= ratio^k <= hi[k], each one rounded multiply
-    from the bound at k - 1.  `ratio` is the (numerator, denominator) pair of
-    `_exact`."""
-
-    __slots__ = ("ratio", "lo", "hi")
-
-    def __init__(self, ratio: Fraction) -> None:
-        self.ratio = ratio.as_integer_ratio()
-        self.lo, self.hi = [Decimal(1)], [Decimal(1)]
-
-    def reach(self, k: int) -> None:
-        """Extend both bound lists to index k."""
-        lo, hi = self.lo, self.hi
-        if len(lo) <= k:
-            step_lo, step_hi = DOWN.divide(*self.ratio), UP.divide(*self.ratio)
-            for _ in range(len(lo), k + 1):
-                lo.append(DOWN.multiply(lo[-1], step_lo))
-                hi.append(UP.multiply(hi[-1], step_hi))
+def _power(step: tuple[Decimal, Decimal], e: int) -> tuple[Decimal, Decimal]:
+    """Bounds (lo, hi) on ratio^e, for an integer e >= 0, from the bounds
+    `step` > 0 on ratio: square and multiply, O(log e) rounded multiplies,
+    each lower bound rounded down and each upper bound up."""
+    lo = hi = Decimal(1)
+    base_lo, base_hi = step
+    while e:
+        if e & 1:
+            lo, hi = DOWN.multiply(lo, base_lo), UP.multiply(hi, base_hi)
+        base_lo, base_hi = DOWN.multiply(base_lo, base_lo), UP.multiply(base_hi, base_hi)
+        e >>= 1
+    return lo, hi
 
 
-@functools.lru_cache(maxsize=3)
-def _ladder(ratio: Fraction, digits: int) -> Ladder:
-    """One ladder per ratio and precision, every bound reached kept: the
-    tables and bound checks of one generator walk each of its three powers
-    once."""
-    return Ladder(ratio)
+def _bounds(ratio: tuple[int, int], ks: Iterable[int]) -> Iterator[tuple[Decimal, Decimal]]:
+    """Bounds (lo, hi) on ratio^k, the ratio given as the (numerator,
+    denominator) pair of `_exact`, for each k of `ks` (each an integer >= 0).
+    Only the last bounds are kept: each k is reached from the one before,
+    times the bounds on ratio^gap (`_power`, formed again only when the gap
+    changes, so a run of consecutive k costs one rounded multiply a side),
+    and from ratio^0 = 1 where k falls."""
+    step = DOWN.divide(*ratio), UP.divide(*ratio)
+    mul_dn, mul_up = DOWN.multiply, UP.multiply
+    at, lo, hi, gap = 0, Decimal(1), Decimal(1), None
+    for k in ks:
+        if k < at:
+            at, lo, hi = 0, Decimal(1), Decimal(1)
+        if k - at != gap:
+            gap = k - at
+            gap_lo, gap_hi = _power(step, gap)
+        at, lo, hi = k, mul_dn(lo, gap_lo), mul_up(hi, gap_hi)
+        yield lo, hi
 
 
-def ladders(spec: GeneratorSpec) -> tuple[Ladder, Ladder, Ladder]:
-    """The ladders of rho^-k, (N/rho)^k and (N/rho^2)^k: dx_k, L_k and A_k
-    in units of L0 and L0^2."""
+def ratios(spec: GeneratorSpec) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """rho^-1, N/rho and N/rho^2 as (numerator, denominator) pairs: their
+    k-th powers are dx_k, L_k and A_k in units of L0 and L0^2."""
     rho = Fraction(spec.rho)
-    return tuple(_ladder(x, DOWN.prec) for x in (1 / rho, spec.n / rho, spec.n / rho**2))
+    return tuple(x.as_integer_ratio() for x in (1 / rho, spec.n / rho, spec.n / rho**2))
+
+
+def _scaled(c: Fraction | int) -> tuple[Decimal, Decimal]:
+    """Bounds (lo, hi) on the rational c."""
+    n, d = c.as_integer_ratio()
+    return DOWN.divide(n, d), UP.divide(n, d)
 
 
 def _settled(
-    ks: Sequence[int], c: Fraction | int, plus: Ladder, minus: Ladder | None = None
+    ks: Sequence[int], c: Fraction | int, plus: tuple[int, int],
+    minus: tuple[int, int] | None = None,
 ) -> Iterator[float]:
     """c (plus^k - minus^k), or c plus^k without `minus`, correctly rounded
-    (`_settle`) for each k of `ks` (each an integer >= 0): the one place a
-    closed-form float is formed.  The bounds are those of the ladders, less
+    (`_settle`) for each k of `ks` (each an integer >= 0), the ratios given
+    as (numerator, denominator) pairs: with `gammas`, the one place a
+    closed-form float is formed.  The bounds are those of `_bounds`, less
     those of `minus`, times those of c, every lower bound rounded down and
     every upper bound up."""
-    n, d = c.as_integer_ratio()
-    c_lo, c_hi = DOWN.divide(n, d), UP.divide(n, d)
-    top = max(ks, default=0)
-    plus.reach(top)
-    p_lo, p_hi, m_ratio = plus.lo, plus.hi, None
+    c_lo, c_hi = _scaled(c)
+    mul_dn, mul_up = DOWN.multiply, UP.multiply
+    bounds = _bounds(plus, ks)
     if minus is not None:
-        minus.reach(top)
-        m_ratio = minus.ratio
-        # one ladder on both sides (gamma(k) on the classical line N = rho) is 0
-        # exactly: pairing each bound with itself makes the bounds on it 0 too
-        m_lo, m_hi = (minus.lo, minus.hi) if minus is not plus else (p_hi, p_lo)
-    mul_dn, mul_up, sub_dn, sub_up = DOWN.multiply, UP.multiply, DOWN.subtract, UP.subtract
-    for k in ks:
-        lo, hi = p_lo[k], p_hi[k]
-        if minus is not None:
-            lo, hi = sub_dn(lo, m_hi[k]), sub_up(hi, m_lo[k])
-        yield _settle(mul_dn(lo, c_lo), mul_up(hi, c_hi), k, c, plus.ratio, m_ratio)
+        bounds = ((DOWN.subtract(lo, m_hi), UP.subtract(hi, m_lo))
+                  for (lo, hi), (m_lo, m_hi) in zip(bounds, _bounds(minus, ks)))
+    for k, (lo, hi) in zip(ks, bounds):
+        yield _settle(mul_dn(lo, c_lo), mul_up(hi, c_hi), k, c, plus, minus)
 
 
 def gammas(
     spec: GeneratorSpec, ks: Iterable[int], cs: Iterable[Fraction | int]
-) -> Iterator[tuple[int, list[float]]]:
-    """(k, [c gamma(k) for c in cs]) for each k of `ks`, each value correctly
-    rounded: the one place gamma(k) = (N/rho^2)^k - rho^-k, dA_k0 in units
-    of L0^2, is formed.  Raises ValueError, as the tables do, on a k that is
-    not an integer >= 0."""
+) -> Iterator[tuple[int, list[float], bool]]:
+    """(k, [c gamma(k) for c in cs], passed) for each k of `ks`: the one
+    place gamma(k) = (N/rho^2)^k - rho^-k, dA_k0 in units of L0^2, is
+    formed, each value correctly rounded, and `passed` exact: whether
+    gamma(k) lies in the regime table in units of 1/2.  One walk of the
+    bounds on both powers settles both: `passed` when, for each finite
+    endpoint c, (N/rho^2)^k - c lies strictly above or below rho^-k at both
+    ends (bounds on gamma(k) itself would cancel to 1 on the D_s = 2 line),
+    and the exact gamma(k) where they admit gamma(k) = c.  Raises
+    ValueError, as the tables do, on a k that is not an integer >= 0."""
     ks = [_check_k(k) for k in ks]
-    res, _, area = ladders(spec)
-    for k, *values in zip(ks, *[_settled(ks, c, area, res) for c in cs]):
-        yield k, values
-
-
-def _passes(spec: GeneratorSpec, ks: Sequence[int]) -> Iterator[bool]:
-    """For each k of `ks` (each an integer >= 0), whether gamma(k) =
-    area^k - res^k of the `ladders` lies in the regime table in units of
-    1/2.  Settled from the bounds when, for each finite endpoint c, area^k - c
-    lies strictly above or below res^k at both ends (bounds on gamma(k) itself
-    would cancel to 1 on the D_s = 2 line), and from the exact gamma(k) where
-    they admit gamma(k) = c."""
+    scaled = [(c, *_scaled(c)) for c in cs]
+    res, _, area = ratios(spec)
     ds = spec.ds
     table = regime_interval(ds, Decimal("0.5"))
     ends = tuple(c for c in (table.lower, table.upper) if c != math.inf)
-    res, _, area = ladders(spec)
-    top = max(ks, default=0)
-    res.reach(top)
-    area.reach(top)
-    for k in ks:
-        a_lo, a_hi, r_lo, r_hi = area.lo[k], area.hi[k], res.lo[k], res.hi[k]
-        for inside_above, c in zip((True, False), ends):
-            if DOWN.subtract(a_lo, c) > r_hi:
-                above = True
-            elif UP.subtract(a_hi, c) < r_lo:
-                above = False
-            else:
-                n, d = _exact(k, 1, area.ratio, res.ratio)  # 2 n in the table in units of d
-                yield regime_interval(ds, d).contains(2 * n)
-                break
-            if above != inside_above:
-                yield False
-                break
+    mul_dn, mul_up, sub_dn, sub_up = DOWN.multiply, UP.multiply, DOWN.subtract, UP.subtract
+    for k, (a_lo, a_hi), (r_lo, r_hi) in zip(ks, _bounds(area, ks), _bounds(res, ks)):
+        if area == res:  # the classical line N = rho, where gamma(k) = 0 exactly
+            g_lo = g_hi = Decimal(0)
+            passed = table.contains(0)
         else:
-            yield True
+            g_lo, g_hi = sub_dn(a_lo, r_hi), sub_up(a_hi, r_lo)
+            passed = True
+            for inside_above, c in zip((True, False), ends):
+                if sub_dn(a_lo, c) > r_hi:
+                    above = True
+                elif sub_up(a_hi, c) < r_lo:
+                    above = False
+                else:
+                    n, d = _exact(k, 1, area, res)  # 2 n in the table in units of d
+                    passed = regime_interval(ds, d).contains(2 * n)
+                    break
+                if above != inside_above:
+                    passed = False
+                    break
+        values = [_settle(mul_dn(g_lo, c_lo), mul_up(g_hi, c_hi), k, c, area, res)
+                  for c, c_lo, c_hi in scaled]
+        yield k, values, passed
 
 
 def resolution(k: int, dx0: float, rho: float) -> float:
     """Minimum detectable length at ladder index k: dx0 / rho^k."""
     k = _check_k(k)
-    if not dx0 > 0.0:
-        raise ValueError("dx0 must be positive")
-    if not rho > 1.0:
-        raise ValueError("rho must be > 1")
-    return next(_settled([k], Fraction(dx0), _ladder(1 / Fraction(rho), DOWN.prec)))
+    # +inf passes a bare positivity check but has no exact ratio
+    if not 0.0 < dx0 < math.inf:
+        raise ValueError(f"dx0 must be positive and finite, got {dx0}")
+    if not 1.0 < rho < math.inf:
+        raise ValueError(f"rho must be > 1 and finite, got {rho}")
+    return next(_settled([k], Fraction(dx0), (1 / Fraction(rho)).as_integer_ratio()))
 
 
 def cell_count(spec: GeneratorSpec, k: int) -> int:
@@ -324,21 +327,20 @@ def scale_table(
     """Rows for k = 0..k_max with every per-scale quantity filled in, each
     float correctly rounded from its exact closed form."""
     k_max = _check_k(k_max)
-    if not l0 > 0.0:
-        raise ValueError("l0 must be positive")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < l0 < math.inf:
+        raise ValueError(f"l0 must be positive and finite, got {l0}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     ks = range(k_max + 1)
-    res, length, area = ladders(spec)
+    res, length, area = ratios(spec)
     x = Fraction(l0)
     per_area, per_speed = x * x, x / Fraction(dt)
-    one = Ladder(Fraction(1))  # 1^k: dL_k = L0 ((N/rho)^k - 1)
     columns = zip(_settled(ks, x, res), _settled(ks, x, length), _settled(ks, per_area, area),
                   _settled(ks, per_speed, length), gammas(spec, ks, (1, per_area)),
-                  _settled(ks, x, length, one))
+                  _settled(ks, x, length, (1, 1)))  # dL_k = L0 ((N/rho)^k - 1^k)
     n_k = 1.0
     rows = []
-    for dx_k, l_k, a_k, v_k, (k, (gamma, da_k0)), dl_k in columns:
+    for dx_k, l_k, a_k, v_k, (k, (gamma, da_k0), _), dl_k in columns:
         if n_k < math.inf:
             try:
                 n_k = float(cell_count(spec, k))

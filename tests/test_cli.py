@@ -453,15 +453,17 @@ def test_measure_runtime_error_is_exit_1(runner, tmp_path):
     ('{"vertices": 5}', "vertices must be an (n, 2) array"),
     ('{"vertices": "ab"}', "vertices must be an (n, 2) array"),
     ('{"vertices": [[0, 0], [1, [2]]]}', "vertices must be an (n, 2) array"),
+    ('{"vertices": [[-1e308, 0], [1e308, 0]]}', "the polyline's extent overflows float64"),
 ], ids=["not-an-object", "no-vertices", "string-vertex", "float-level", "bool-level",
         "bool-vertex-among-ints", "bool-vertex-among-floats", "bool-row", "short-row",
         "string-row", "long-row", "dict-coordinate", "dict-vertices", "null-coordinate",
-        "number-vertices", "string-vertices", "list-coordinate"])
+        "number-vertices", "string-vertices", "list-coordinate", "extent-overflow"])
 def test_measure_refuses_a_malformed_polyline_with_one_line(tmp_path, text, message):
     # the first two raised AttributeError and KeyError; the next five were
     # read as 1.0, level 2, level 1 and the vertex (1, 0); the ragged rows
     # printed numpy's "inhomogeneous shape" message; a dict ended in a
-    # TypeError traceback and a null coordinate was called not finite
+    # TypeError traceback and a null coordinate was called not finite; an
+    # extent past float64 printed "cannot convert Infinity to integer ratio"
     path = tmp_path / "bad.json"
     path.write_text(text)
     res = split_runner().invoke(main, ["measure", "--input", str(path), "--scales", "1..2"])

@@ -488,16 +488,22 @@ def exact_route_ks(monkeypatch):
 @pytest.fixture
 def fallbacks(monkeypatch):
     """One flag per `measures._settle` call, in call order: whether the
-    bounds left the float to the exact value."""
-    flags = []
+    bounds left the float to the exact value.  An exact value formed
+    outside `_settle`, for a bound check's pass flag, flags nothing."""
+    flags, settling = [], []
     settle, seam = measures._settle, measures._exact
 
     def recorded(*args):
         flags.append(False)
-        return settle(*args)
+        settling.append(True)
+        try:
+            return settle(*args)
+        finally:
+            settling.pop()
 
-    def formed(*args):  # settle's own call of the seam
-        flags[-1] = True
+    def formed(*args):
+        if settling:  # settle's own call of the seam
+            flags[-1] = True
         return seam(*args)
 
     monkeypatch.setattr(measures, "_exact", formed)

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalkin.geometry import base_segment, builtin, integer_generator, refine
+from fractalkin import measures
+from fractalkin.geometry import K_MAX, base_segment, builtin, integer_generator, refine
 from fractalkin.kinematics import ParticleContext, verify_bounds
 from fractalkin.measures import (
     ScaleRow,
@@ -12,7 +15,7 @@ from fractalkin.measures import (
     _exact,
     classify_ds,
     gammas,
-    ladders,
+    ratios,
     regime_interval,
     resolution,
     scale_table,
@@ -49,6 +52,74 @@ def test_resolution_validation():
         resolution(2, 0.0, 3.0)
     with pytest.raises(ValueError):
         resolution(2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("dx0,rho,message", [
+    (math.inf, 3.0, "dx0 must be positive and finite, got inf"),
+    (1.0, math.inf, "rho must be > 1 and finite, got inf"),
+])
+def test_resolution_refuses_a_non_finite_input_by_name(dx0, rho, message):
+    # each raised OverflowError: cannot convert Infinity to integer ratio
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        resolution(1, dx0, rho)
+
+
+#: decimal arithmetic on integers that traps any rounding: exact
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+#: indices in any order, with repeats, gaps and descents, and at most two
+#: sparse ones up to K_MAX (the exact check at K_MAX takes up to 0.5 s)
+_walk = st.tuples(st.lists(st.integers(0, 40), max_size=10),
+                  st.lists(st.integers(0, K_MAX), max_size=2)).flatmap(
+    lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(rho=st.floats(min_value=1.0, max_value=1000.0, exclude_min=True),
+       n=st.integers(min_value=1, max_value=1000), which=st.integers(0, 2), ks=_walk)
+def test_bounds_enclose_every_power_walked(rho, n, which, ks):
+    # 1/rho, N/rho or N/rho^2; lo <= (a/b)^k <= hi checked as lo b^k <= a^k <= hi b^k
+    ratio = (Fraction(n) ** min(which, 1) / Fraction(rho) ** max(which, 1)).as_integer_ratio()
+    a, b = ratio
+    walked = list(measures._bounds(ratio, ks))
+    assert len(walked) == len(ks)
+    for k, (lo, hi) in zip(ks, walked):
+        num, den = EXACT.power(Decimal(a), k), EXACT.power(Decimal(b), k)
+        assert EXACT.multiply(lo, den) <= num <= EXACT.multiply(hi, den), (ratio, k)
+
+
+def test_resolution_at_k_max_takes_o_log_k_rounded_multiplies(monkeypatch):
+    # a walk of every index up to K_MAX took 200,002
+    count = 0
+
+    class Counting(Context):
+        def multiply(self, a, b):
+            nonlocal count
+            count += 1
+            return super().multiply(a, b)
+
+    want = resolution(K_MAX, 1.0, 1.0000001)
+    for name in ("DOWN", "UP"):
+        ctx = getattr(measures, name)
+        monkeypatch.setattr(measures, name, Counting(
+            prec=ctx.prec, rounding=ctx.rounding, Emin=ctx.Emin, Emax=ctx.Emax))
+    assert resolution(K_MAX, 1.0, 1.0000001) == want
+    assert 0 < count <= 4 * K_MAX.bit_length() + 2
+
+
+def test_measures_keeps_nothing_between_calls():
+    # the kept bounds of every index walked once held 4.2 MB here
+    koch = builtin("koch")
+    scale_table(koch, 1.0, 1.0, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        resolution(K_MAX, 1.0, 1.0000001)
+        scale_table(koch, 1.0, 1.0, 5000)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 def _overflows(base, k):
@@ -159,14 +230,14 @@ def test_cell_count_exact_integer():
 
 def exact_gammas(spec, ks):
     """gamma(k) for each k of `ks` as an exact Fraction, from the exact value
-    of the ladders that `gammas` reads, after checking it against
+    of the ratios whose powers `gammas` bounds, after checking it against
     (N/rho^2)^k - rho^-k in Fractions and the floats of `gammas` against it:
     gamma(k) and 3 gamma(k), each correctly rounded."""
     rho = Fraction(spec.rho)
-    res, _, area = ladders(spec)
+    res, _, area = ratios(spec)
     out = []
-    for k, settled in gammas(spec, ks, (1, 3)):
-        g = Fraction(*_exact(k, 1, area.ratio, res.ratio))
+    for k, settled, _ in gammas(spec, ks, (1, 3)):
+        g = Fraction(*_exact(k, 1, area, res))
         assert g == Fraction(spec.n) ** k / rho ** (2 * k) - rho**-k, (spec.name, k)
         assert settled == [float(g), float(3 * g)], (spec.name, k)
         out.append(g)
@@ -202,7 +273,7 @@ def test_gamma_validation():
 
 
 def test_gammas_refuses_a_k_that_is_not_an_integer_ge_0():
-    # a negative k must not index the ladder's bound lists from the end
+    # a negative k must not reach a negative power of a ratio
     koch = builtin("koch")
     with pytest.raises(ValueError, match="k must be >= 0"):
         list(gammas(koch, [-1], (1,)))
@@ -327,7 +398,7 @@ def test_gamma_sub_vanishes(rho, extra):
     # below 1e-9; k* reaches ~2,000 at N = 99, rho = 10
     n = rho + 1 + extra % (rho * rho - rho - 1)
     k_star = math.ceil(math.log(1e-9) / math.log(n / rho**2)) + 1
-    ((_, (g,)),) = gammas(integer_generator(n, rho), [k_star], (1,))
+    ((_, (g,), _),) = gammas(integer_generator(n, rho), [k_star], (1,))
     assert 0.0 < g < 1e-9
 
 
@@ -407,6 +478,13 @@ def test_scale_table_validation():
         scale_table(builtin("koch"), 0.0, 1.0, 3)
     with pytest.raises(ValueError):
         scale_table(builtin("koch"), 1.0, -1.0, 3)
+
+
+@pytest.mark.parametrize("l0,dt,name", [(math.inf, 1.0, "l0"), (1.0, math.inf, "dt")])
+def test_scale_table_refuses_a_non_finite_input_by_name(l0, dt, name):
+    # each raised OverflowError: cannot convert Infinity to integer ratio
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got inf$"):
+        scale_table(builtin("koch"), l0, dt, 3)
 
 
 # ---------------------------------------------------------------------------
