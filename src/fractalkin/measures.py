@@ -5,12 +5,14 @@ ladder, the scale table (length, area and the surface-change factor
 gamma(k) = (N/rho^2)^k - rho^-k at every scale), and the
 similarity-dimension bound regimes.  Every per-scale float, here or in
 `kinematics`, is its exact closed form correctly rounded at one site
-(`_settle`): it reads 60-digit decimal bounds on rho^-k, (N/rho)^k and
-(N/rho^2)^k (`_bounds`), and the exact rational (`_exact`) is formed only
-where the bounds round to two floats.  gamma(k) is formed in `gammas`
-alone, which yields it and its multiples as floats and decides exactly
-whether it lies in the regime table.  No decimal bound leaves this
-module, and none outlives the call that formed it.
+(`_settled`): a table names all its terms at once, each distinct power
+among rho^-k, N^k, (N/rho)^k, (N/rho^2)^k and 1^k is walked once as
+60-digit decimal bounds (`_bounds`), each term is settled from them
+(`_settle`), and the exact rational (`_exact`) is formed only where the
+bounds round to two floats.  `gammas` adds to that one pass only the exact
+decision whether gamma(k) lies in the regime table, read from the same
+bounds.  No decimal bound leaves this module, and none outlives the call
+that formed it.
 
 The rows of an empirical measurement (`MeasurementRow`, `DimensionFit`,
 `MeasurementResult`) are declared here too, and re-exported by
@@ -199,57 +201,64 @@ def ratios(spec: GeneratorSpec) -> tuple[tuple[int, int], tuple[int, int], tuple
     return tuple(x.as_integer_ratio() for x in (1 / rho, spec.n / rho, spec.n / rho**2))
 
 
-def _scaled(c: Fraction | int) -> tuple[Decimal, Decimal]:
-    """Bounds (lo, hi) on the rational c."""
-    n, d = c.as_integer_ratio()
-    return DOWN.divide(n, d), UP.divide(n, d)
-
-
 def _settled(
-    ks: Sequence[int], c: Fraction | int, plus: tuple[int, int],
-    minus: tuple[int, int] | None = None,
-) -> Iterator[float]:
-    """c (plus^k - minus^k), or c plus^k without `minus`, correctly rounded
-    (`_settle`) for each k of `ks` (each an integer >= 0), the ratios given
-    as (numerator, denominator) pairs: with `gammas`, the one place a
-    closed-form float is formed.  The bounds are those of `_bounds`, less
-    those of `minus`, times those of c, every lower bound rounded down and
-    every upper bound up."""
-    c_lo, c_hi = _scaled(c)
-    mul_dn, mul_up = DOWN.multiply, UP.multiply
-    bounds = _bounds(plus, ks)
-    if minus is not None:
-        bounds = ((DOWN.subtract(lo, m_hi), UP.subtract(hi, m_lo))
-                  for (lo, hi), (m_lo, m_hi) in zip(bounds, _bounds(minus, ks)))
-    for k, (lo, hi) in zip(ks, bounds):
-        yield _settle(mul_dn(lo, c_lo), mul_up(hi, c_hi), k, c, plus, minus)
+    ks: Sequence[int],
+    terms: Sequence[tuple[Fraction | int, tuple[int, int], tuple[int, int] | None]],
+) -> Iterator[tuple[int, tuple[tuple[Decimal, Decimal], ...], list[float]]]:
+    """(k, bounds, values) for each k of `ks` (each an integer >= 0): the one
+    place a closed-form float is formed.  A term (c, plus, minus) stands for
+    c (plus^k - minus^k), or c plus^k where `minus` is None, the ratios given
+    as (numerator, denominator) pairs, and `values` holds each term
+    correctly rounded (`_settle`), in the order of `terms`.  Each distinct
+    ratio is walked once (`_bounds`), and `bounds` holds its bounds at k in
+    the order the terms first name it.  A term's bounds are those on plus^k,
+    less those on minus^k, times those on c, every lower bound rounded down
+    and every upper bound up; where minus is plus the term is 0 exactly."""
+    powers = list(dict.fromkeys(r for _, *pair in terms for r in pair if r is not None))
+    plan = []
+    for c, plus, minus in terms:
+        n, d = c.as_integer_ratio()
+        j = None if minus in (None, plus) else powers.index(minus)
+        plan.append((c, plus, minus, DOWN.divide(n, d), UP.divide(n, d), powers.index(plus), j))
+    mul_dn, mul_up, sub_dn, sub_up = DOWN.multiply, UP.multiply, DOWN.subtract, UP.subtract
+    zero = Decimal(0)
+    for k, bounds in zip(ks, zip(*(_bounds(r, ks) for r in powers))):
+        values = []
+        for c, plus, minus, c_lo, c_hi, i, j in plan:
+            lo, hi = bounds[i]
+            if j is not None:
+                m_lo, m_hi = bounds[j]
+                lo, hi = sub_dn(lo, m_hi), sub_up(hi, m_lo)
+            elif minus is not None:  # minus is plus
+                lo = hi = zero
+            values.append(_settle(mul_dn(lo, c_lo), mul_up(hi, c_hi), k, c, plus, minus))
+        yield k, bounds, values
 
 
 def gammas(
     spec: GeneratorSpec, ks: Iterable[int], cs: Iterable[Fraction | int]
 ) -> Iterator[tuple[int, list[float], bool]]:
-    """(k, [c gamma(k) for c in cs], passed) for each k of `ks`: the one
-    place gamma(k) = (N/rho^2)^k - rho^-k, dA_k0 in units of L0^2, is
-    formed, each value correctly rounded, and `passed` exact: whether
-    gamma(k) lies in the regime table in units of 1/2.  One walk of the
-    bounds on both powers settles both: `passed` when, for each finite
-    endpoint c, (N/rho^2)^k - c lies strictly above or below rho^-k at both
-    ends (bounds on gamma(k) itself would cancel to 1 on the D_s = 2 line),
-    and the exact gamma(k) where they admit gamma(k) = c.  Raises
-    ValueError, as the tables do, on a k that is not an integer >= 0."""
+    """(k, [c gamma(k) for c in cs], passed) for each k of `ks`, gamma(k) =
+    (N/rho^2)^k - rho^-k being dA_k0 in units of L0^2: each value settled by
+    `_settled`, and `passed` exact: whether gamma(k) lies in the regime
+    table in units of 1/2.  It is decided from the bounds `_settled` walked
+    on both powers: `passed` when, for each finite endpoint c,
+    (N/rho^2)^k - c lies strictly above or below rho^-k at both ends (bounds
+    on gamma(k) itself would cancel to 1 on the D_s = 2 line), and from the
+    exact gamma(k) where they admit gamma(k) = c.  On the classical line
+    N = rho, gamma(k) = 0 and no bound is read.  Raises ValueError, as the
+    tables do, on a k that is not an integer >= 0."""
     ks = [_check_k(k) for k in ks]
-    scaled = [(c, *_scaled(c)) for c in cs]
     res, _, area = ratios(spec)
     ds = spec.ds
     table = regime_interval(ds, Decimal("0.5"))
     ends = tuple(c for c in (table.lower, table.upper) if c != math.inf)
-    mul_dn, mul_up, sub_dn, sub_up = DOWN.multiply, UP.multiply, DOWN.subtract, UP.subtract
-    for k, (a_lo, a_hi), (r_lo, r_hi) in zip(ks, _bounds(area, ks), _bounds(res, ks)):
+    sub_dn, sub_up = DOWN.subtract, UP.subtract
+    for k, bounds, values in _settled(ks, [(c, area, res) for c in cs]):
         if area == res:  # the classical line N = rho, where gamma(k) = 0 exactly
-            g_lo = g_hi = Decimal(0)
             passed = table.contains(0)
         else:
-            g_lo, g_hi = sub_dn(a_lo, r_hi), sub_up(a_hi, r_lo)
+            (a_lo, a_hi), (r_lo, r_hi) = bounds
             passed = True
             for inside_above, c in zip((True, False), ends):
                 if sub_dn(a_lo, c) > r_hi:
@@ -263,8 +272,6 @@ def gammas(
                 if above != inside_above:
                     passed = False
                     break
-        values = [_settle(mul_dn(g_lo, c_lo), mul_up(g_hi, c_hi), k, c, area, res)
-                  for c, c_lo, c_hi in scaled]
         yield k, values, passed
 
 
@@ -276,12 +283,9 @@ def resolution(k: int, dx0: float, rho: float) -> float:
         raise ValueError(f"dx0 must be positive and finite, got {dx0}")
     if not 1.0 < rho < math.inf:
         raise ValueError(f"rho must be > 1 and finite, got {rho}")
-    return next(_settled([k], Fraction(dx0), (1 / Fraction(rho)).as_integer_ratio()))
-
-
-def cell_count(spec: GeneratorSpec, k: int) -> int:
-    """Exact number of generator cells at level k: N^k (Python integer)."""
-    return spec.n ** _check_k(k)
+    step = (1 / Fraction(rho)).as_integer_ratio()
+    ((_, _, (dx,)),) = _settled([k], [(Fraction(dx0), step, None)])
+    return dx
 
 
 def classify_ds(ds: float) -> str:
@@ -325,27 +329,18 @@ def scale_table(
     spec: GeneratorSpec, l0: float, dt: float, k_max: int
 ) -> list[ScaleRow]:
     """Rows for k = 0..k_max with every per-scale quantity filled in, each
-    float correctly rounded from its exact closed form."""
+    float correctly rounded from its exact closed form, N_k = N^k inf past
+    the float64 range: one `_settled` pass over the fields of `ScaleRow`."""
     k_max = _check_k(k_max)
     if not 0.0 < l0 < math.inf:
         raise ValueError(f"l0 must be positive and finite, got {l0}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    ks = range(k_max + 1)
     res, length, area = ratios(spec)
     x = Fraction(l0)
     per_area, per_speed = x * x, x / Fraction(dt)
-    columns = zip(_settled(ks, x, res), _settled(ks, x, length), _settled(ks, per_area, area),
-                  _settled(ks, per_speed, length), gammas(spec, ks, (1, per_area)),
-                  _settled(ks, x, length, (1, 1)))  # dL_k = L0 ((N/rho)^k - 1^k)
-    n_k = 1.0
-    rows = []
-    for dx_k, l_k, a_k, v_k, (k, (gamma, da_k0), _), dl_k in columns:
-        if n_k < math.inf:
-            try:
-                n_k = float(cell_count(spec, k))
-            except OverflowError:  # N^k beyond float range, and so every later power
-                n_k = math.inf
-        rows.append(ScaleRow(k=k, dx_k=dx_k, N_k=n_k, L_k=l_k, A_k=a_k, v_k=v_k, gamma=gamma,
-                             dA_k0=da_k0, dL_k=dl_k))
-    return rows
+    # in ScaleRow's field order; dL_k = L0 ((N/rho)^k - 1^k)
+    terms = [(x, res, None), (1, (spec.n, 1), None), (x, length, None), (per_area, area, None),
+             (per_speed, length, None), (1, area, res), (per_area, area, res),
+             (x, length, (1, 1))]
+    return [ScaleRow(k, *values) for k, _, values in _settled(range(k_max + 1), terms)]

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -682,13 +683,41 @@ def test_config_satisfies_required_options(runner, tmp_path):
 ASCII_LOCALE = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
 
 
+def cli_env(**env):
+    """This interpreter's environment with `src` on PYTHONPATH, `env` set on top."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])), **env)
+
+
 def run_cli(args, **env):
     """`python -m fractalkin ARGS` in a fresh interpreter, `env` set on top
     of this one's environment."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])), **env)
-    return subprocess.run([sys.executable, "-m", "fractalkin", *args], env=env,
+    return subprocess.run([sys.executable, "-m", "fractalkin", *args], env=cli_env(**env),
                           capture_output=True, timeout=120)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_analyze_at_k_max_100000_peaks_under_its_pin(tmp_path):
+    # peak RSS (os.wait4) of koch at k-max 100000: 377 MiB when each power's
+    # bounds were kept at every index, 288-293 MiB since (x86-64, Python
+    # 3.11, numpy 2.4); the pin leaves room for another interpreter, not
+    # for kept bounds
+    err = tmp_path / "stderr"
+    with open(err, "wb") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "fractalkin", "analyze", "--generator",
+                                 "koch", "--k-max", "100000", "--out", os.devnull],
+                                env=cli_env(), stdout=subprocess.DEVNULL, stderr=stderr)
+    deadline = time.monotonic() + 120
+    while not (waited := os.wait4(proc.pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            proc.kill()
+            waited = os.wait4(proc.pid, 0)
+            break
+        time.sleep(0.05)
+    _, status, usage = waited
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+    assert proc.returncode == 0, err.read_text()
+    assert usage.ru_maxrss < 340 * 1024
 
 
 def test_version_runs_from_a_source_checkout():

@@ -512,7 +512,7 @@ def fallbacks(monkeypatch):
 
 
 #: in the order each table settles the fields of a row
-SCALE_FIELDS = ("dx_k", "L_k", "A_k", "v_k", "gamma", "dA_k0", "dL_k")
+SCALE_FIELDS = ("dx_k", "N_k", "L_k", "A_k", "v_k", "gamma", "dA_k0", "dL_k")
 UNCERTAINTY_FIELDS = ("dV_k", "dP_k")
 
 
@@ -535,6 +535,7 @@ def tables_oracle(spec: GeneratorSpec, ctx: ParticleContext, k: int) -> dict[str
 
     return {
         "dx_k": _rounded(lp * res, lq * d),
+        "N_k": _rounded(spec.n**k, 1),
         "L_k": _rounded(lp * length, lq * d),
         "A_k": _rounded(lp * lp * area, lq * lq * d * d),
         "v_k": _rounded(lp * length * tq, lq * d * tp),

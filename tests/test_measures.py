@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from fractalkin import measures
 from fractalkin.geometry import K_MAX, base_segment, builtin, integer_generator, refine
-from fractalkin.kinematics import ParticleContext, verify_bounds
+from fractalkin.kinematics import ParticleContext, uncertainty_table, verify_bounds
 from fractalkin.measures import (
     ScaleRow,
-    cell_count,
     _exact,
     classify_ds,
     gammas,
@@ -122,6 +121,26 @@ def test_measures_keeps_nothing_between_calls():
     assert retained < 64 * 1024
 
 
+@pytest.mark.parametrize("name,walks", [("koch", 5), ("peano", 4), ("line", 3)])
+def test_each_table_walks_each_distinct_power_once(monkeypatch, name, walks):
+    # the scale table walked 8 powers a call, (N/rho)^k three times, and
+    # the area and resolution powers twice; koch's five are rho^-k, N^k,
+    # (N/rho)^k, (N/rho^2)^k and 1^k, and peano's and the line's coincide
+    walked = []
+    bounds = measures._bounds
+    monkeypatch.setattr(measures, "_bounds",
+                        lambda ratio, ks: walked.append(ratio) or bounds(ratio, ks))
+    spec, ctx = builtin(name), ParticleContext(1.0, 1.0, 1.0)
+    scale_table(spec, 1.0, 1.0, 30)
+    assert len(walked) == len(set(walked)) == walks
+    if name == "koch":
+        for table in (lambda: uncertainty_table(spec, ctx, 30),
+                      lambda: verify_bounds(spec, ctx, range(1, 31))):
+            del walked[:]
+            table()
+            assert sorted(walked) == sorted(ratios(spec)[::2])
+
+
 def _overflows(base, k):
     try:
         base**k
@@ -215,13 +234,8 @@ def test_area_identity_with_cell_count():
     for spec in all_test_specs():
         rows = scale_table(spec, 1.0, 1.0, 40)
         for k in range(0, 41, 5):
-            direct = cell_count(spec, k) * resolution(k, 1.0, spec.rho) ** 2
+            direct = spec.n**k * resolution(k, 1.0, spec.rho) ** 2
             assert rows[k].A_k == pytest.approx(direct, rel=1e-12)
-
-
-def test_cell_count_exact_integer():
-    assert cell_count(builtin("peano"), 50) == 9**50
-    assert isinstance(cell_count(builtin("koch"), 30), int)
 
 
 # ---------------------------------------------------------------------------
