@@ -5,7 +5,10 @@ Decides the regime inequality exactly with `verify_bounds` at k = 1..k_max
 for every integer generator with rho = 2..10 and N = rho..rho^3, whose
 D_s = ln N / ln rho covers [1, 3] with the classical line N = rho and the
 critical line N = rho^2, and for the Cesaro family on a grid of angles,
-the sub regime at non-integer rho.  Exits 1 if any row is out of bounds.
+the sub regime at non-integer rho, with one angle a hair from each end
+(D_s within 1e-12 of 1 and of 2).  Each generator's regime is decided
+exactly from N and rho (`measures.classify`).  Exits 1 if any row is out
+of bounds.
 """
 
 import argparse
@@ -14,10 +17,10 @@ import time
 
 from fractalkin.geometry import builtin, integer_generator
 from fractalkin.kinematics import ParticleContext, verify_bounds
-from fractalkin.measures import REGIMES, classify_ds
+from fractalkin.measures import REGIMES, classify
 from fractalkin.serialize import dump_json
 
-CESARO_ANGLES = range(5, 90, 5)
+CESARO_ANGLES = (1e-4, *range(5, 90, 5), 89.99999999999999)
 
 
 def generators():
@@ -40,7 +43,7 @@ def main() -> int:
     start = time.perf_counter()
     for spec in generators():
         report = verify_bounds(spec, ctx, range(1, args.k_max + 1))
-        counts[classify_ds(report.ds)] += 1
+        counts[classify(spec)] += 1
         violations += [{"generator": spec.name, "n": spec.n, "rho": spec.rho, "k": row.k}
                        for row in report.violations]
     elapsed = time.perf_counter() - start

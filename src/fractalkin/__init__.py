@@ -33,7 +33,7 @@ from .measures import (
     MeasurementRow,
     RegimeBound,
     ScaleRow,
-    classify_ds,
+    classify,
     resolution,
     scale_table,
 )

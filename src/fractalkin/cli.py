@@ -193,12 +193,12 @@ def generate(generator, angle, level, l0, out):
 def analyze(generator, angle, k_max, mass, dt, l0, fmt, out):
     """Scale table, uncertainty products, regime, and bound checks."""
     spec = _spec_from_flags(generator, angle)
-    ctxp = kinematics.ParticleContext(m=mass, dt=dt, L0=l0)
-    rows = measures.scale_table(spec, l0, dt, k_max)
-    if fmt == "csv":
-        text = serialize.scale_rows_to_csv(rows)
+    if fmt == "csv":  # CSV writes no eta0, E0 or V0, so it needs no context
+        text = serialize.scale_rows_to_csv(measures.scale_table(spec, l0, dt, k_max))
     else:
-        regime = kinematics.classify_regime(spec.ds, ctxp)
+        ctxp = kinematics.ParticleContext(m=mass, dt=dt, L0=l0)
+        rows = measures.scale_table(spec, l0, dt, k_max)
+        regime = kinematics.classify_regime(spec, ctxp)
         table = kinematics.uncertainty_table(spec, ctxp, k_max)
         ks = range(1, k_max + 1)
         bounds = kinematics.verify_bounds(spec, ctxp, ks) if ks else None

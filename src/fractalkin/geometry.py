@@ -247,7 +247,7 @@ def builtin(name: str, angle_deg: float | None = None) -> GeneratorSpec:
         s = math.sin(math.radians(angle_deg))
         rho = 2.0 * (1.0 + c)
         disp = [(1.0, 0.0), (c, s), (c, -s), (1.0, 0.0)]
-        return GeneratorSpec(f"cesaro-{angle_deg:g}", rho, disp)
+        return GeneratorSpec(f"cesaro-{float(angle_deg)!r}".removesuffix(".0"), rho, disp)
     raise ValueError(f"unknown generator {name!r}; choose from {BUILTIN_NAMES}")
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .geometry import GeneratorSpec, _check_k
-from .measures import RegimeBound, _rounded, classify_ds, gammas, regime_interval
+from .measures import RegimeBound, _rounded, _settled, classify, gammas, ratios, regime_interval
 
 
 @dataclass(frozen=True)
@@ -106,26 +106,29 @@ class BoundsReport:
         return not self.violations
 
 
-def classify_regime(ds: float, ctx: ParticleContext) -> RegimeBound:
-    """Bounds on dx_k * dp_k in action units: the regime table with unit eta0,
-    each finite endpoint the correctly rounded eta0 or 2 eta0.
+def classify_regime(spec: GeneratorSpec, ctx: ParticleContext) -> RegimeBound:
+    """Bounds on dx_k * dp_k in action units: the table of the generator's
+    regime (`measures.classify`) with unit eta0, each finite endpoint the
+    correctly rounded eta0 or 2 eta0.
 
-    For example eta0 <= product < 2 eta0 on the D_s = 2 line.  Twice the
-    rounded eta0 is not the rounded 2 eta0 where eta0 is subnormal.
+    For example eta0 <= product < 2 eta0 on the critical line N = rho^2.
+    Twice the rounded eta0 is not the rounded 2 eta0 where eta0 is subnormal.
     """
-    table = regime_interval(ds, ctx.eta0_exact())
+    table = regime_interval(classify(spec), ctx.eta0_exact())
     return dataclasses.replace(table, lower=float(table.lower), upper=float(table.upper))
 
 
 def uncertainty_table(
     spec: GeneratorSpec, ctx: ParticleContext, k_max: int
 ) -> list[UncertaintyRow]:
-    """Rows of areolar velocity/momentum changes for k = 0..k_max."""
+    """Rows of areolar velocity/momentum changes for k = 0..k_max, one `_settled` pass."""
     k_max = _check_k(k_max)
-    regime = classify_ds(spec.ds)
+    regime = classify(spec)
+    res, _, area = ratios(spec)
     c = 2 * ctx.eta0_exact()  # dP_k = m dV_k = 2 eta0 gamma(k)
+    terms = [(c / Fraction(ctx.m), area, res), (c, area, res)]
     return [UncertaintyRow(k=k, dV_k=dv_k, dP_k=dp_k, regime=regime)
-            for k, (dv_k, dp_k), _ in gammas(spec, range(k_max + 1), (c / Fraction(ctx.m), c))]
+            for k, _, (dv_k, dp_k) in _settled(range(k_max + 1), terms)]
 
 
 def verify_bounds(
@@ -144,13 +147,12 @@ def verify_bounds(
         raise ValueError("k_range must be non-empty")
     if ks[0] < 1:
         raise ValueError("bound checking applies to k >= 1 only")
-    ds = spec.ds
-    bound = classify_regime(ds, ctx)
+    bound = classify_regime(spec, ctx)
     rows = [BoundsRow(k=k, product=product, lower=bound.lower, upper=bound.upper, passed=passed)
             for k, (product,), passed in gammas(spec, ks, (2 * ctx.eta0_exact(),))]
     return BoundsReport(
         spec_name=spec.name,
-        ds=ds,
+        ds=spec.ds,
         eta0=ctx.eta0,
         rows=tuple(rows),
         k_min=1,

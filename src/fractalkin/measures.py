@@ -3,16 +3,16 @@
 Everything here is a pure function of (k, rho, N, L0, dt): the resolution
 ladder, the scale table (length, area and the surface-change factor
 gamma(k) = (N/rho^2)^k - rho^-k at every scale), and the
-similarity-dimension bound regimes.  Every per-scale float, here or in
-`kinematics`, is its exact closed form correctly rounded at one site
-(`_settled`): a table names all its terms at once, each distinct power
-among rho^-k, N^k, (N/rho)^k, (N/rho^2)^k and 1^k is walked once as
-60-digit decimal bounds (`_bounds`), each term is settled from them
-(`_settle`), and the exact rational (`_exact`) is formed only where the
-bounds round to two floats.  `gammas` adds to that one pass only the exact
-decision whether gamma(k) lies in the regime table, read from the same
-bounds.  No decimal bound leaves this module, and none outlives the call
-that formed it.
+similarity-dimension bound regimes, each decided exactly from N and rho
+(`classify`).  Every per-scale float, here or in `kinematics`, is its
+exact closed form correctly rounded at one site (`_settled`): a table
+names all its terms at once, each distinct power among rho^-k, N^k,
+(N/rho)^k, (N/rho^2)^k and 1^k is walked once as 60-digit decimal bounds
+(`_bounds`), each term is settled from them (`_settle`), and the exact
+rational (`_exact`) is formed only where the bounds round to two floats.
+`gammas` adds to that one pass only the exact decision whether gamma(k)
+lies in the regime table, read from the same bounds.  No decimal bound
+leaves this module, and none outlives the call that formed it.
 
 The rows of an empirical measurement (`MeasurementRow`, `DimensionFit`,
 `MeasurementResult`) are declared here too, and re-exported by
@@ -28,9 +28,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import GeneratorSpec, _check_k
-
-#: absolute tolerance used when classifying D_s as exactly 1 or 2
-DS_EQUALITY_TOL = 1e-12
 
 REGIME_SUPER = "super"
 REGIME_CRITICAL = "critical"
@@ -153,10 +150,11 @@ def _settle(
     c (plus^k - minus^k) >= 0 that lies in [lo, hi]: float() of a Decimal is
     correctly rounded and rounding is monotone, so bounds that round to one
     float settle it (-0.0 == 0.0 is no exception, as the value is >= 0 and hi
-    gives +0.0); where they round to two, the exact value decides."""
+    gives +0.0); where they round to two, the exact value decides.  Past the
+    float64 range every row shares the one math.inf, and below it one 0.0."""
     f = float(hi)
     if float(lo) == f:
-        return f
+        return f if 0.0 < f < math.inf else (math.inf if f else 0.0)
     return _rounded(*_exact(k, c, plus, minus))
 
 
@@ -240,22 +238,23 @@ def gammas(
 ) -> Iterator[tuple[int, list[float], bool]]:
     """(k, [c gamma(k) for c in cs], passed) for each k of `ks`, gamma(k) =
     (N/rho^2)^k - rho^-k being dA_k0 in units of L0^2: each value settled by
-    `_settled`, and `passed` exact: whether gamma(k) lies in the regime
-    table in units of 1/2.  It is decided from the bounds `_settled` walked
-    on both powers: `passed` when, for each finite endpoint c,
-    (N/rho^2)^k - c lies strictly above or below rho^-k at both ends (bounds
-    on gamma(k) itself would cancel to 1 on the D_s = 2 line), and from the
-    exact gamma(k) where they admit gamma(k) = c.  On the classical line
-    N = rho, gamma(k) = 0 and no bound is read.  Raises ValueError, as the
+    `_settled`, and `passed` exact: whether gamma(k) lies in the table of
+    the regime `classify` decides once per call, in units of 1/2.  It is
+    decided from the bounds `_settled` walked on both powers: `passed` when,
+    for each finite endpoint c, (N/rho^2)^k - c lies strictly above or below
+    rho^-k at both ends (bounds on gamma(k) itself would cancel to 1 on the
+    critical line N = rho^2), and from the exact gamma(k) where they admit
+    gamma(k) = c.  On the classical line N = rho, gamma(k) = 0 and no bound
+    is read.  Raises ValueError, as the
     tables do, on a k that is not an integer >= 0."""
     ks = [_check_k(k) for k in ks]
     res, _, area = ratios(spec)
-    ds = spec.ds
-    table = regime_interval(ds, Decimal("0.5"))
+    regime = classify(spec)
+    table = regime_interval(regime, Decimal("0.5"))
     ends = tuple(c for c in (table.lower, table.upper) if c != math.inf)
     sub_dn, sub_up = DOWN.subtract, UP.subtract
     for k, bounds, values in _settled(ks, [(c, area, res) for c in cs]):
-        if area == res:  # the classical line N = rho, where gamma(k) = 0 exactly
+        if regime == REGIME_CLASSICAL:  # N = rho, where gamma(k) = 0 exactly
             passed = table.contains(0)
         else:
             (a_lo, a_hi), (r_lo, r_hi) = bounds
@@ -267,7 +266,7 @@ def gammas(
                     above = False
                 else:
                     n, d = _exact(k, 1, area, res)  # 2 n in the table in units of d
-                    passed = regime_interval(ds, d).contains(2 * n)
+                    passed = regime_interval(regime, d).contains(2 * n)
                     break
                 if above != inside_above:
                     passed = False
@@ -288,33 +287,30 @@ def resolution(k: int, dx0: float, rho: float) -> float:
     return dx
 
 
-def classify_ds(ds: float) -> str:
-    """Map a similarity dimension to its bound regime.
-
-    Equality with 1 and 2 is tested at absolute tolerance 1e-12 (D_s is
-    usually a ratio of logs).
-    """
-    if ds < 1.0 - DS_EQUALITY_TOL:
-        raise ValueError(f"ds must be >= 1, got {ds}")
-    if abs(ds - 1.0) <= DS_EQUALITY_TOL:
+def classify(spec: GeneratorSpec) -> str:
+    """The bound regime of a generator, decided exactly from N and rho read
+    as its exact Fraction (as `ratios` reads it), never from the float D_s:
+    classical where N = rho (D_s = 1), critical where N = rho^2 (D_s = 2),
+    and sub or super where N lies below or above rho^2."""
+    rho, n = Fraction(spec.rho), spec.n
+    if n == rho:
         return REGIME_CLASSICAL
-    if abs(ds - 2.0) <= DS_EQUALITY_TOL:
+    if n == rho * rho:
         return REGIME_CRITICAL
-    return REGIME_SUB if ds < 2.0 else REGIME_SUPER
+    return REGIME_SUB if n < rho * rho else REGIME_SUPER
 
 
-def regime_interval(ds: float, unit) -> RegimeBound:
-    """The regime table, with endpoints in multiples of `unit`.
+def regime_interval(regime: str, unit) -> RegimeBound:
+    """The table of a regime as `classify` decides it, endpoints in multiples of `unit`.
 
-    super (D_s > 2):      unit < x < inf
-    critical (D_s = 2):   unit <= x < 2 unit
-    sub (1 < D_s < 2):    0 < x < 2 unit
-    classical (D_s = 1):  x = 0
+    super (N > rho^2):        unit < x < inf
+    critical (N = rho^2):     unit <= x < 2 unit
+    sub (rho < N < rho^2):    0 < x < 2 unit
+    classical (N = rho):      x = 0
     `unit` may be a float, an int or an exact Fraction; the finite
     endpoints keep its type.  The lower bounds of the first two regimes assume k >= 1 and
-    rho >= 2.
+    rho >= 2.  Any other `regime` raises ValueError.
     """
-    regime = classify_ds(ds)
     zero, full = 0 * unit, 2 * unit
     if regime == REGIME_SUPER:
         return RegimeBound(regime, unit, math.inf, True, True)

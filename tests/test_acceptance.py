@@ -18,7 +18,7 @@ from fractalkin.cli import main as cli_main
 from fractalkin.estimator import brownian_path, measure_polyline
 from fractalkin.geometry import base_segment, builtin, integer_generator, refine
 from fractalkin.kinematics import ParticleContext, uncertainty_table, verify_bounds
-from fractalkin.measures import classify_ds, scale_table
+from fractalkin.measures import classify, scale_table
 from fractalkin.serialize import (
     bounds_report_to_dict,
     measurement_from_dict,
@@ -99,7 +99,7 @@ def test_c04_gamma_regime_sweep():
             for n in {rho, rho + 1, rho * rho - 1, rho * rho, rho * rho + 1, rho**3}:
                 spec = integer_generator(n, rho)
                 assert verify_bounds(spec, UNIT_CTX, range(1, 51)).all_passed, spec.name
-                regimes.add(classify_ds(spec.ds))
+                regimes.add(classify(spec))
             assert regimes == {"classical", "sub", "critical", "super"}, rho
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"

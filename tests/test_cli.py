@@ -21,6 +21,7 @@ from fractalkin.measures import scale_table
 from fractalkin.serialize import (
     json_text,
     polyline_to_dict,
+    scale_rows_to_csv,
     scale_rows_to_records,
 )
 
@@ -522,6 +523,30 @@ def test_analyze_eta0_underflow_is_exit_1():
     assert res.stderr.count("\n") == 1 and "too small" in res.stderr
 
 
+def test_analyze_csv_builds_no_context(runner):
+    # the CSV writes no eta0, E0 or V0: it was refused, exit 1, for an eta0
+    # that underflows, which only the JSON bundle writes
+    args = ["analyze", "--generator", "koch", "--k-max", "2", "--l0", "1e-170"]
+    res = invoke(runner, args + ["--format", "csv"])
+    assert res.exit_code == 0
+    assert res.output == scale_rows_to_csv(scale_table(builtin("koch"), 1e-170, 1.0, 2))
+    refused = split_runner().invoke(main, args)
+    assert refused.exit_code == 1 and refused.stdout == ""
+    assert refused.stderr == "Error: eta0 = m L0^2 / (2 dt) is too small for float64\n"
+
+
+@pytest.mark.parametrize("angle", ["0.0001", "89.99999999999999"])
+def test_analyze_cesaro_near_a_regime_line_is_sub(runner, angle):
+    # D_s lies within 1e-12 of 1 (or 2), but N != rho (rho^2): a tolerance on
+    # D_s called these classical (critical), and every bounds row failed
+    args = ["analyze", "--generator", "cesaro", "--angle", angle, "--k-max", "50"]
+    doc = json.loads(invoke(runner, args).output)
+    assert doc["spec"]["name"] == f"cesaro-{angle}"
+    assert doc["regime"]["regime"] == "sub"
+    assert {row["regime"] for row in doc["uncertainty"]} == {"sub"}
+    assert [row["pass"] for row in doc["bounds"]["rows"]] == [True] * 50
+
+
 def test_analyze_refuses_a_critical_upper_end_past_float64():
     # eta0 = 1.62e308 fits but 2 eta0 does not: the regime and the bounds
     # rows were written with "upper": null, which marks the super regime
@@ -699,9 +724,10 @@ def run_cli(args, **env):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_analyze_at_k_max_100000_peaks_under_its_pin(tmp_path):
     # peak RSS (os.wait4) of koch at k-max 100000: 377 MiB when each power's
-    # bounds were kept at every index, 288-293 MiB since (x86-64, Python
-    # 3.11, numpy 2.4); the pin leaves room for another interpreter, not
-    # for kept bounds
+    # bounds were kept at every index, 288-293 MiB without, 259-260 MiB
+    # since rows past the float64 range share one inf and one 0.0 (x86-64,
+    # Python 3.11, numpy 2.4); the pin leaves room for another interpreter,
+    # not for kept bounds
     err = tmp_path / "stderr"
     with open(err, "wb") as stderr:
         proc = subprocess.Popen([sys.executable, "-m", "fractalkin", "analyze", "--generator",

@@ -84,6 +84,16 @@ def test_cesaro_angle_open_interval(angle):
         builtin("cesaro", angle_deg=angle)
 
 
+@pytest.mark.parametrize("angle,name", [
+    (85, "cesaro-85"), (85.0, "cesaro-85"), (85.00001, "cesaro-85.00001"), (12.5, "cesaro-12.5"),
+    (1e-05, "cesaro-1e-05"), (89.99999999999999, "cesaro-89.99999999999999"),
+])
+def test_cesaro_names_each_angle_apart(angle, name):
+    # six significant digits named 85.00001 "cesaro-85", and the largest
+    # float below 90 "cesaro-90", an angle the family refuses
+    assert builtin("cesaro", angle_deg=angle).name == name
+
+
 def test_cesaro_ds_sweeps_one_to_two():
     angles = np.linspace(60.0, 89.99, 40)
     ds = [builtin("cesaro", angle_deg=a).ds for a in angles]

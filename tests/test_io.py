@@ -487,7 +487,7 @@ def test_super_regime_tables_past_float_range_round_trip():
     assert records == [wire(r) for r in rows]
     table = uncertainty_table(spec, UNIT_CTX, 3300)
     bundle = json.loads(json_text(analysis_to_dict(
-        spec, UNIT_CTX, classify_regime(spec.ds, UNIT_CTX), rows, table, None)))
+        spec, UNIT_CTX, classify_regime(spec, UNIT_CTX), rows, table, None)))
     for field in ("dV_k", "dP_k"):
         assert [r[field] is None for r in bundle["uncertainty"][3179:3183]] == [False, False, True, True]
     assert scale_rows_to_csv(rows).strip().split("\n")[-1].split(",")[5] == "inf"

@@ -16,11 +16,19 @@ from fractalkin.kinematics import (
     uncertainty_table,
     verify_bounds,
 )
-from fractalkin.measures import classify_ds, resolution, scale_table
+from fractalkin.measures import classify, resolution, scale_table
 
 UNIT_CTX = ParticleContext(m=1.0, dt=1.0, L0=1.0)
 C06_CTX = ParticleContext(m=1.7, dt=0.9, L0=1.3)
 CESARO85_RHO = builtin("cesaro", angle_deg=85.0).rho
+
+
+def regime_oracle(spec: GeneratorSpec) -> str:
+    """The regime from N against the exact rho and rho^2 in Fraction arithmetic."""
+    rho = Fraction(spec.rho)
+    if spec.n == rho:
+        return "classical"
+    return {-1: "sub", 0: "critical", 1: "super"}[(spec.n > rho**2) - (spec.n < rho**2)]
 
 
 def bounds_oracle(spec: GeneratorSpec, ctx: ParticleContext, k: int) -> tuple[Fraction, bool]:
@@ -33,7 +41,7 @@ def bounds_oracle(spec: GeneratorSpec, ctx: ParticleContext, k: int) -> tuple[Fr
         "critical": eta0 <= p < 2 * eta0,
         "sub": 0 < p < 2 * eta0,
         "classical": p == 0,
-    }[classify_ds(spec.ds)]
+    }[regime_oracle(spec)]
     return p, passed
 
 
@@ -159,8 +167,8 @@ def test_passing_rows_lie_inside_their_bounds(name, m, dt, l0, k_max):
         assume(False)
     spec, eta0 = TABLE_SPECS[name], ctx.eta0_exact()
     ends = {"super": (eta0, math.inf), "critical": (eta0, 2 * eta0),
-            "sub": (0, 2 * eta0), "classical": (0, 0)}[classify_ds(spec.ds)]
-    bound = classify_regime(spec.ds, ctx)
+            "sub": (0, 2 * eta0), "classical": (0, 0)}[regime_oracle(spec)]
+    bound = classify_regime(spec, ctx)
     assert (bound.lower, bound.upper) == tuple(map(oracle_float, ends))
     for row in verify_bounds(spec, ctx, range(1, k_max + 1)).rows:
         assert (row.lower, row.upper) == (bound.lower, bound.upper)
@@ -233,19 +241,20 @@ def test_scale_invariance_of_products(alpha, beta, k):
 
 
 def test_classify_regime_examples():
-    bound = classify_regime(2.0, UNIT_CTX)
-    assert (bound.lower, bound.upper) == (0.5, 1.0)
+    bound = classify_regime(builtin("peano"), UNIT_CTX)
+    assert (bound.regime, bound.lower, bound.upper) == ("critical", 0.5, 1.0)
     assert not bound.lower_strict and bound.upper_strict
 
-    zero = classify_regime(1.0, UNIT_CTX)
-    assert (zero.lower, zero.upper) == (0.0, 0.0)
+    zero = classify_regime(builtin("line"), UNIT_CTX)
+    assert (zero.regime, zero.lower, zero.upper) == ("classical", 0.0, 0.0)
 
     ctx_eta1 = ParticleContext(m=2.0, dt=1.0, L0=1.0)  # eta0 = 1
-    sup = classify_regime(2.5, ctx_eta1)
+    sup = classify_regime(integer_generator(5, 2), ctx_eta1)
+    assert sup.regime == "super"
     assert sup.lower == 1.0 and math.isinf(sup.upper) and sup.lower_strict
 
-    with pytest.raises(ValueError):
-        classify_regime(0.5, UNIT_CTX)
+    sub = classify_regime(builtin("koch"), UNIT_CTX)
+    assert (sub.regime, sub.lower, sub.upper) == ("sub", 0.0, 1.0)
 
 
 def test_verify_bounds_builtins():
@@ -301,8 +310,9 @@ def rho_and_n(draw):
 # (a 49-bit numerator in rho) and the super 2/5 spec past float64
 @example(rn=(CESARO85_RHO, 4), ks=list(range(2990, 3001)), ctx=C06_CTX)
 @example(rn=(2.0, 5), ks=list(range(3180, 3191)), ctx=C06_CTX)
-# rho = sqrt(N) in float64 is classified critical, but N != rho^2: the
-# product leaves [eta0, 2 eta0) between k = 10 and k = 100 for N = 6 and 12
+# rho = sqrt(N) in float64 has D_s within 1e-12 of 2, but N != rho^2: the
+# product leaves [eta0, 2 eta0) between k = 10 and k = 100 for N = 6 and 12,
+# so these are sub or super, never critical
 @example(rn=(math.sqrt(5), 5), ks=[1, 10, 100, 1000, 3000], ctx=C06_CTX)
 @example(rn=(math.sqrt(6), 6), ks=[1, 10, 100, 1000, 3000], ctx=C06_CTX)
 @example(rn=(math.sqrt(12), 12), ks=[1, 10, 100, 1000, 3000], ctx=C06_CTX)
@@ -325,6 +335,34 @@ def integer_pair(draw):
     return draw(st.one_of(st.sampled_from(edges), st.integers(rho, rho**3))), rho
 
 
+def cesaro(angle: float) -> GeneratorSpec:
+    return builtin("cesaro", angle_deg=angle)
+
+
+@settings(deadline=None, max_examples=120)
+@given(spec=st.one_of(
+    # D_s within about 1e-6 of 1 (rho = 4.0 exactly below about 1e-6 degrees)
+    st.floats(0.0, 1e-3, exclude_min=True).map(cesaro),
+    # D_s within about 1e-10 of 2, N = 4 < rho^2 at every angle below 90
+    st.floats(90.0 - 1e-9, 90.0, exclude_max=True).map(cesaro),
+    integer_pair().map(lambda pair: integer_generator(*pair)),
+))
+@example(spec=cesaro(1e-4))
+@example(spec=cesaro(1e-5))
+@example(spec=cesaro(89.99999999999))
+@example(spec=cesaro(89.99999999999999))
+@example(spec=cesaro(1e-300))
+def test_regime_and_bounds_match_the_fraction_oracle_near_the_lines(spec):
+    # a tolerance of 1e-12 on D_s called the angles nearest 0 classical and
+    # those nearest 90 critical, and their bounds rows failed
+    ks = range(1, 51)
+    assert classify(spec) == classify_regime(spec, UNIT_CTX).regime == regime_oracle(spec)
+    assert {row.regime for row in uncertainty_table(spec, UNIT_CTX, 3)} == {regime_oracle(spec)}
+    report = verify_bounds(spec, UNIT_CTX, ks)
+    assert report.all_passed == all(bounds_oracle(spec, UNIT_CTX, k)[1] for k in ks)
+    assert report.all_passed, spec.name
+
+
 # the float gamma of a continuous D_s underflowed to 0.0 from k = 360 and
 # read as a violation of the sub regime; these k reach past that
 DEEP_KS = [1, 2, 50, 359, 360, 361, 480, 599, 600]
@@ -340,7 +378,7 @@ def test_integer_generator_realises_every_pair(pair, ks, ctx):
     n, rho = pair
     spec = integer_generator(n, rho)
     assert (spec.n, spec.rho) == (n, rho)
-    regime = classify_ds(spec.ds)
+    regime = classify(spec)
     assert (regime == "classical") == (n == rho)
     assert (regime == "critical") == (n == rho * rho)
     report = verify_bounds(spec, ctx, DEEP_KS + ks)
@@ -398,7 +436,7 @@ def test_table_rows_pinned_to_k2000(name):
     # at rho = 3), where dx_k underflows toward 0 and peano's L_k is null
     spec, ctx = TABLE_SPECS[name], C06_CTX
     bundle = serialize.analysis_to_dict(
-        spec, ctx, classify_regime(spec.ds, ctx), scale_table(spec, ctx.L0, ctx.dt, 2000),
+        spec, ctx, classify_regime(spec, ctx), scale_table(spec, ctx.L0, ctx.dt, 2000),
         uncertainty_table(spec, ctx, 2000), None)
     digests = tuple(hashlib.sha256(serialize.json_text(bundle[key]).encode()).hexdigest()
                     for key in ("scales", "uncertainty"))
@@ -640,6 +678,20 @@ def test_tables_match_exact_oracle(name, k, l0, m, dt):
     if k >= 1:
         bounds = verify_bounds(spec, ctx, range(max(1, k - 3), k + 1)).rows
         assert all(row.product == unc[row.k].dP_k for row in bounds)
+
+
+def test_uncertainty_table_forms_no_exact_pass_decision(monkeypatch):
+    # k = 1 of N = 4, rho = 2 lies on the critical endpoint gamma = 1/2,
+    # which only the exact gamma decides; the table reads no pass flag, and
+    # its bounds settle every float, so it forms no exact value
+    def refused(*args):
+        raise AssertionError("an exact value was formed")
+
+    monkeypatch.setattr(measures, "_exact", refused)
+    rows = uncertainty_table(integer_generator(4, 2), UNIT_CTX, 3)
+    assert [(row.dV_k, row.dP_k, row.regime) for row in rows] == [
+        (0.0, 0.0, "critical"), (0.5, 0.5, "critical"), (0.75, 0.75, "critical"),
+        (0.875, 0.875, "critical")]
 
 
 def test_uncertainty_table_rows():

@@ -12,15 +12,13 @@ from fractalkin.kinematics import ParticleContext, uncertainty_table, verify_bou
 from fractalkin.measures import (
     ScaleRow,
     _exact,
-    classify_ds,
+    classify,
     gammas,
     ratios,
     regime_interval,
     resolution,
     scale_table,
 )
-
-LOG3_4 = math.log(4.0) / math.log(3.0)
 
 # conditioned test specs: gamma and the dA identities involve the
 # difference (N/rho)^k - 1, so float checks at 1e-12 need D_s far enough
@@ -330,38 +328,56 @@ def test_delta_area_examples():
     assert row.product == float(Fraction(7, 81))
 
 
+def test_rows_past_the_float64_range_share_one_inf_and_one_zero():
+    # a fresh float per settle made every row hold its own inf (and 0.0):
+    # about 18 MiB over koch's 100,001 rows
+    rows = scale_table(builtin("koch"), 1.0, 1.0, 1000)
+    infs = [row.N_k for row in rows if row.N_k == math.inf]
+    zeros = [row.dx_k for row in rows if row.dx_k == 0.0]
+    assert infs and zeros
+    assert all(x is math.inf for x in infs)
+    assert len({id(x) for x in zeros}) == 1
+
+
 # ---------------------------------------------------------------------------
 # regime table
 
 
 def test_regime_interval_shapes():
-    crit = regime_interval(2.0, 0.5)
+    crit = regime_interval("critical", 0.5)
     assert (crit.regime, crit.lower, crit.upper) == ("critical", 0.5, 1.0)
     assert (crit.lower_strict, crit.upper_strict) == (False, True)
 
-    classical = regime_interval(1.0, 2.0)
+    classical = regime_interval("classical", 2.0)
     assert (classical.regime, classical.lower, classical.upper) == ("classical", 0.0, 0.0)
     assert classical.contains(0.0) and not classical.contains(1e-9)
 
-    sub = regime_interval(LOG3_4, 0.5)
+    sub = regime_interval("sub", 0.5)
     assert (sub.regime, sub.lower, sub.upper) == ("sub", 0.0, 1.0)
     assert sub.lower_strict and sub.upper_strict
 
-    sup = regime_interval(2.5, 0.5)
+    sup = regime_interval("super", 0.5)
     assert (sup.regime, sup.lower) == ("super", 0.5)
     assert math.isinf(sup.upper)
     assert sup.contains(1e12) and not sup.contains(0.5)
 
-    exact = regime_interval(2.0, Fraction(1, 2))
+    exact = regime_interval("critical", Fraction(1, 2))
     assert (exact.lower, exact.upper) == (Fraction(1, 2), 1)
     assert exact.contains(1 - Fraction(1, 3**50))
 
 
-def test_regime_tolerance_and_rejection():
-    assert classify_ds(2.0 + 5e-13) == "critical"
-    assert classify_ds(1.0 - 5e-13) == "classical"
+def test_regime_is_exact_and_rejection():
+    # D_s within 1e-12 of 1 or 2 decides nothing: only N = rho and N = rho^2
+    # are the classical and critical lines
+    assert [classify(integer_generator(n, 3)) for n in (3, 4, 9, 10)] == [
+        "classical", "sub", "critical", "super"]
+    near_line = builtin("cesaro", angle_deg=1e-4)
+    near_critical = builtin("cesaro", angle_deg=89.99999999999999)
+    assert abs(near_line.ds - 1) < 1e-12 and abs(near_critical.ds - 2) < 1e-12
+    assert classify(near_line) == classify(near_critical) == "sub"
+    assert classify(builtin("cesaro", angle_deg=1e-300)) == "classical"  # rho rounds to 4.0
     with pytest.raises(ValueError):
-        regime_interval(0.99, 0.5)
+        regime_interval("hyper", 0.5)
 
 
 # ---------------------------------------------------------------------------
