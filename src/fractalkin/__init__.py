@@ -16,7 +16,6 @@ from .geometry import (
     builtin,
     integer_generator,
     refine,
-    similarity_dimension,
 )
 from .kinematics import (
     BoundsReport,

@@ -158,8 +158,8 @@ def grid_count(poly: Polyline, cell: float) -> int:
     float64 no longer holds every integer, and where one chunk of
     segments crosses more than `DEFAULT_VERTEX_CAP` gridlines.
     """
-    if not cell > 0.0:
-        raise ValueError("cell must be positive")
+    if not 0.0 < cell < math.inf:
+        raise ValueError(f"cell must be positive and finite, got {cell!r}")
     v = poly.vertices
     reach = max(-float(v.min()), float(v.max()))  # max |coordinate|, no copy
     if reach / cell >= 2.0**53:
@@ -256,17 +256,22 @@ def divider_count(poly: Polyline, step: float) -> float:
     The count cannot exceed arc length / step, so a step under arc length /
     `DEFAULT_VERTEX_CAP` raises ValueError before any stepping.
     """
-    if not step > 0.0:
-        raise ValueError("step must be positive")
-    arc = poly.arc_length()
-    if arc / step > DEFAULT_VERTEX_CAP:
-        raise ValueError(
-            f"step {step!r} is too short: a curve of length {arc!r} would take "
-            f"more than {DEFAULT_VERTEX_CAP} steps"
-        )
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     # count in units of 2^e, the step's binade: the scaling is exact for
-    # normal floats, and the chord quadratic's terms stay near 1 at any scale
+    # normal floats, and the chord quadratic's terms stay near 1 at any scale.
+    # The cap's arc / step is taken there too, so a curve whose length alone
+    # overflows float64 is counted; d is freed before the scaled copy v
     e = math.frexp(step)[1]
+    d = np.diff(poly.vertices, axis=0)
+    with np.errstate(over="ignore"):  # an overflow here only ends in a refusal
+        arc = float(np.hypot(*np.ldexp(d, -e, out=d).T).sum())
+        del d
+        if arc / math.ldexp(step, -e) > DEFAULT_VERTEX_CAP:
+            raise ValueError(
+                f"step {step!r} is too short: a curve of length {poly.arc_length()!r} "
+                f"would take more than {DEFAULT_VERTEX_CAP} steps"
+            )
     v = np.ldexp(poly.vertices, -e)
     step = math.ldexp(step, -e)
     x, y = v.T

@@ -67,7 +67,8 @@ class GeneratorSpec:
 
     @property
     def ds(self) -> float:
-        return similarity_dimension(self)
+        """The similarity dimension ln N / ln rho."""
+        return math.log(self.n) / math.log(self.rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,11 +160,6 @@ def _check_k(k) -> int:
     if k > K_MAX:
         raise ValueError(f"k must be <= {K_MAX}")
     return k
-
-
-def similarity_dimension(spec: GeneratorSpec) -> float:
-    """ln N / ln rho for a generator with N children at scale factor rho."""
-    return math.log(spec.n) / math.log(spec.rho)
 
 
 def refine(base: Polyline, spec: GeneratorSpec, k: int) -> Polyline:

@@ -32,8 +32,8 @@ class ParticleContext:
 
     def __post_init__(self) -> None:
         for label, value in (("m", self.m), ("dt", self.dt), ("L0", self.L0)):
-            if not value > 0.0:
-                raise ValueError(f"{label} must be positive, got {value}")
+            if not 0.0 < value < math.inf:  # inf has no exact ratio for eta0_exact
+                raise ValueError(f"{label} must be positive and finite, got {value}")
         # JSON holds no inf, and the critical regime ends at 2 eta0; eta0 is
         # correctly rounded and doubling is exact, so 2 * eta0 overflows
         # exactly where the correctly rounded 2 eta0 does
@@ -149,7 +149,7 @@ def verify_bounds(
         raise ValueError("bound checking applies to k >= 1 only")
     bound = classify_regime(spec, ctx)
     rows = [BoundsRow(k=k, product=product, lower=bound.lower, upper=bound.upper, passed=passed)
-            for k, (product,), passed in gammas(spec, ks, (2 * ctx.eta0_exact(),))]
+            for k, product, passed in gammas(spec, ks, 2 * ctx.eta0_exact())]
     return BoundsReport(
         spec_name=spec.name,
         ds=spec.ds,

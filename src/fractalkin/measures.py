@@ -10,9 +10,10 @@ names all its terms at once, each distinct power among rho^-k, N^k,
 (N/rho)^k, (N/rho^2)^k and 1^k is walked once as 60-digit decimal bounds
 (`_bounds`), each term is settled from them (`_settle`), and the exact
 rational (`_exact`) is formed only where the bounds round to two floats.
-`gammas` adds to that one pass only the exact decision whether gamma(k)
-lies in the regime table, read from the same bounds.  No decimal bound
-leaves this module, and none outlives the call that formed it.
+`gammas` settles c gamma(k) for one constant c and adds to that one pass
+only the exact decision whether gamma(k) lies in the regime table, read
+from the same bounds.  No decimal bound leaves this module, and none
+outlives the call that formed it.
 
 The rows of an empirical measurement (`MeasurementRow`, `DimensionFit`,
 `MeasurementResult`) are declared here too, and re-exported by
@@ -133,8 +134,6 @@ def _exact(
     denominator > 0).  The one place an exact value is formed: with thousands
     of digits at deep k, it is formed only where the bounds cannot settle a
     float or a bound check."""
-    if minus == plus:  # the classical line N = rho, where gamma(k) = 0
-        return 0, 1
     n, d = plus[0] ** k, plus[1] ** k
     if minus is not None:
         n2, d2 = minus[0] ** k, minus[1] ** k
@@ -234,35 +233,35 @@ def _settled(
 
 
 def gammas(
-    spec: GeneratorSpec, ks: Iterable[int], cs: Iterable[Fraction | int]
-) -> Iterator[tuple[int, list[float], bool]]:
-    """(k, [c gamma(k) for c in cs], passed) for each k of `ks`, gamma(k) =
-    (N/rho^2)^k - rho^-k being dA_k0 in units of L0^2: each value settled by
-    `_settled`, and `passed` exact: whether gamma(k) lies in the table of
-    the regime `classify` decides once per call, in units of 1/2.  It is
-    decided from the bounds `_settled` walked on both powers: `passed` when,
-    for each finite endpoint c, (N/rho^2)^k - c lies strictly above or below
-    rho^-k at both ends (bounds on gamma(k) itself would cancel to 1 on the
+    spec: GeneratorSpec, ks: Iterable[int], c: Fraction | int
+) -> Iterator[tuple[int, float, bool]]:
+    """(k, c gamma(k), passed) for each k of `ks`, gamma(k) = (N/rho^2)^k -
+    rho^-k being dA_k0 in units of L0^2: the value settled by `_settled`,
+    and `passed` exact: whether gamma(k) lies in the table of the regime
+    `classify` decides once per call, in units of 1/2.  It is decided from
+    the bounds `_settled` walked on both powers: `passed` when, for each
+    finite endpoint e, (N/rho^2)^k - e lies strictly above or below rho^-k
+    at both ends (bounds on gamma(k) itself would cancel to 1 on the
     critical line N = rho^2), and from the exact gamma(k) where they admit
-    gamma(k) = c.  On the classical line N = rho, gamma(k) = 0 and no bound
-    is read.  Raises ValueError, as the
-    tables do, on a k that is not an integer >= 0."""
+    gamma(k) = e.  On the classical line N = rho, gamma(k) = 0 and no bound
+    is read.  Raises ValueError, as the tables do, on a k that is not an
+    integer >= 0."""
     ks = [_check_k(k) for k in ks]
     res, _, area = ratios(spec)
     regime = classify(spec)
     table = regime_interval(regime, Decimal("0.5"))
-    ends = tuple(c for c in (table.lower, table.upper) if c != math.inf)
+    ends = tuple(e for e in (table.lower, table.upper) if e != math.inf)
     sub_dn, sub_up = DOWN.subtract, UP.subtract
-    for k, bounds, values in _settled(ks, [(c, area, res) for c in cs]):
+    for k, bounds, (value,) in _settled(ks, [(c, area, res)]):
         if regime == REGIME_CLASSICAL:  # N = rho, where gamma(k) = 0 exactly
             passed = table.contains(0)
         else:
             (a_lo, a_hi), (r_lo, r_hi) = bounds
             passed = True
-            for inside_above, c in zip((True, False), ends):
-                if sub_dn(a_lo, c) > r_hi:
+            for inside_above, e in zip((True, False), ends):
+                if sub_dn(a_lo, e) > r_hi:
                     above = True
-                elif sub_up(a_hi, c) < r_lo:
+                elif sub_up(a_hi, e) < r_lo:
                     above = False
                 else:
                     n, d = _exact(k, 1, area, res)  # 2 n in the table in units of d
@@ -271,7 +270,7 @@ def gammas(
                 if above != inside_above:
                     passed = False
                     break
-        yield k, values, passed
+        yield k, value, passed
 
 
 def resolution(k: int, dx0: float, rho: float) -> float:

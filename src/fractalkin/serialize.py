@@ -402,10 +402,6 @@ def _read_rows(slab: bytes, out) -> bool:
 # measures
 
 
-def scale_rows_to_records(rows: Sequence[ScaleRow]) -> list[dict]:
-    return [_record(r) for r in rows]
-
-
 def scale_rows_to_csv(rows: Sequence[ScaleRow]) -> str:
     return _csv(ScaleRow, rows)
 
@@ -465,7 +461,7 @@ def analysis_to_dict(
             "V0": ctx.V0, "E0": ctx.E0, "eta0": ctx.eta0,
         },
         "regime": _record(regime),
-        "scales": scale_rows_to_records(scale_rows),
+        "scales": [_record(r) for r in scale_rows],
         "uncertainty": [_record(r) for r in uncertainty],
         "bounds": None if bounds is None else bounds_report_to_dict(bounds),
     }

@@ -17,15 +17,20 @@ from click.testing import CliRunner
 from fractalkin.cli import main as cli_main
 from fractalkin.estimator import brownian_path, measure_polyline
 from fractalkin.geometry import base_segment, builtin, integer_generator, refine
-from fractalkin.kinematics import ParticleContext, uncertainty_table, verify_bounds
+from fractalkin.kinematics import (
+    ParticleContext,
+    classify_regime,
+    uncertainty_table,
+    verify_bounds,
+)
 from fractalkin.measures import classify, scale_table
 from fractalkin.serialize import (
+    analysis_to_dict,
     bounds_report_to_dict,
     measurement_from_dict,
     measurement_to_dict,
     polyline_from_dict,
     polyline_to_dict,
-    scale_rows_to_records,
     spec_from_dict,
     spec_to_dict,
 )
@@ -240,9 +245,10 @@ def test_c10_determinism_and_round_trip(tmp_path):
         assert spec_back.rho == spec.rho
         assert np.array_equal(spec_back.displacements, spec.displacements)
 
-        rows = scale_table(builtin("koch"), 1.0, 1.0, 20)
-        assert json.loads(json.dumps(scale_rows_to_records(rows))) == [
-            dataclasses.asdict(r) for r in rows]
+        koch = builtin("koch")
+        rows = scale_table(koch, 1.0, 1.0, 20)
+        bundle = analysis_to_dict(koch, UNIT_CTX, classify_regime(koch, UNIT_CTX), rows, [], None)
+        assert json.loads(json.dumps(bundle))["scales"] == [dataclasses.asdict(r) for r in rows]
 
         meas = measure_polyline(poly, range(1, 5), rho=3.0)
         assert measurement_from_dict(

@@ -16,13 +16,12 @@ from click.testing import CliRunner
 import fractalkin
 from fractalkin import estimator, render
 from fractalkin.cli import main
-from fractalkin.geometry import base_segment, builtin, refine
+from fractalkin.geometry import Polyline, base_segment, builtin, refine
 from fractalkin.measures import scale_table
 from fractalkin.serialize import (
     json_text,
     polyline_to_dict,
     scale_rows_to_csv,
-    scale_rows_to_records,
 )
 
 LOG3_4 = math.log(4.0) / math.log(3.0)
@@ -121,6 +120,23 @@ def test_measure_csv_computes_no_fit(runner, tmp_path):
     assert res.exit_code == 0
     assert len(res.output.splitlines()) == 3
     assert res.output == invoke(runner, args + ["--no-fit"]).output
+
+
+def test_divider_counts_a_curve_whose_length_overflows(tmp_path):
+    # the extent is finite, the arc length is not: the cap's arc / step
+    # overflowed to inf and refused every step, with a numpy warning
+    vertices = [[0, 0], [1e308, 0], [0, 1], [1e308, 1], [0, 2]]
+    src = tmp_path / "zigzag.json"
+    src.write_text(json.dumps({"vertices": vertices}))
+    proc = run_cli(["measure", "--input", str(src), "--method", "divider", "--scales", "1..3",
+                    "--no-fit"])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    rows = json.loads(proc.stdout)["rows"]
+    # the same curve and steps scaled by 2^-1000, where the length is finite
+    scaled = Polyline(np.ldexp(np.array(vertices, dtype=float), -1000))
+    assert [r["count"] for r in rows] == [
+        estimator.divider_count(scaled, math.ldexp(r["dx"], -1000)) for r in rows]
+    assert [r["count"] for r in rows] == [12.0, 36.0, 106.0]
 
 
 @pytest.mark.parametrize("args,message", [
@@ -321,7 +337,8 @@ def test_analyze_overflowed_counts_are_standard_json(runner):
 
     scales = json.loads(invoke(runner, args).output, parse_constant=reject)["scales"]
     assert [r["k"] for r in scales if r["N_k"] is None] == list(range(324, 331))
-    assert scale_rows_to_records(scale_table(builtin("peano"), 1.0, 1.0, 330)) == scales
+    assert scales == [{name: None if v == math.inf else v for name, v in vars(row).items()}
+                      for row in scale_table(builtin("peano"), 1.0, 1.0, 330)]
     last = invoke(runner, args + ["--format", "csv"]).output.strip().split("\n")[-1]
     assert last.split(",")[2] == "inf"
 

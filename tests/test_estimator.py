@@ -44,8 +44,9 @@ def test_grid_count_single_cell():
 
 def test_grid_count_validation():
     seg = Polyline(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        grid_count(seg, 0.0)
+    for cell in (0.0, math.inf):  # inf counted 1 cell, with a RuntimeWarning
+        with pytest.raises(ValueError, match=f"^cell must be positive and finite, got {cell}$"):
+            grid_count(seg, cell)
 
 
 def test_grid_count_corner_touch():
@@ -269,8 +270,9 @@ def test_divider_degenerate_step_larger_than_diameter():
 
 def test_divider_validation():
     seg = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        divider_count(seg, -1.0)
+    for step in (-1.0, math.inf):  # inf counted 0.0 steps
+        with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step}$"):
+            divider_count(seg, step)
 
 
 def test_divider_refuses_steps_past_the_cap():

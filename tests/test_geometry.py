@@ -12,7 +12,6 @@ from fractalkin.geometry import (
     base_segment,
     builtin,
     refine,
-    similarity_dimension,
 )
 
 LOG3_4 = math.log(4.0) / math.log(3.0)
@@ -26,7 +25,7 @@ DEPTH_BUDGET = {"line": 10, "koch": 10, "peano": 6}
     [("line", 1.0), ("koch", LOG3_4), ("peano", 2.0)],
 )
 def test_similarity_dimension_builtins(name, expected):
-    assert similarity_dimension(builtin(name)) == pytest.approx(expected, abs=1e-12)
+    assert builtin(name).ds == pytest.approx(expected, abs=1e-12)
 
 
 def test_line_spec_shape():

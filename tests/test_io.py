@@ -47,7 +47,6 @@ from fractalkin.serialize import (
     polyline_to_dict,
     read_polyline_json,
     scale_rows_to_csv,
-    scale_rows_to_records,
     spec_from_dict,
     spec_to_dict,
     write_polyline_json,
@@ -63,6 +62,12 @@ def wire(row) -> dict:
     return {"pass" if name == "passed" else name:
             None if isinstance(v, float) and math.isinf(v) else v
             for name, v in dataclasses.asdict(row).items()}
+
+
+def scale_records(spec: GeneratorSpec, rows) -> list[dict]:
+    """The ``scales`` records of the `analyze` bundle of `rows`, read back from its JSON text."""
+    bundle = analysis_to_dict(spec, UNIT_CTX, classify_regime(spec, UNIT_CTX), rows, [], None)
+    return json.loads(json_text(bundle))["scales"]
 
 
 def test_fnum_round_trips_floats():
@@ -322,8 +327,7 @@ def test_spec_from_dict_refuses_displacements_of_the_wrong_shape(displacements):
 
 def test_scale_rows_round_trip_and_csv():
     rows = scale_table(builtin("koch"), 1.0, 1.0, 5)
-    records = scale_rows_to_records(rows)
-    assert json.loads(json.dumps(records)) == [wire(r) for r in rows]
+    assert scale_records(builtin("koch"), rows) == [wire(r) for r in rows]
     csv_text = scale_rows_to_csv(rows)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "k,dx_k,N_k,L_k,A_k,v_k,gamma,dA_k0,dL_k"
@@ -459,7 +463,7 @@ def test_bounds_report_product_past_float_range():
 def test_scale_table_past_float_range_round_trips():
     # peano's L_k = 3^k passes float64 at k = 647: null in JSON, inf in CSV
     rows = scale_table(builtin("peano"), 1.0, 1.0, 650)
-    records = json.loads(json_text(scale_rows_to_records(rows)))
+    records = scale_records(builtin("peano"), rows)
     for field in ("L_k", "v_k", "dL_k"):
         assert [r[field] is None for r in records[645:]] == [False, False, True, True, True, True]
     assert records == [wire(r) for r in rows]
@@ -480,7 +484,7 @@ def test_super_regime_tables_past_float_range_round_trip():
     # JSON, and read back as inf
     spec = super_2_5()
     rows = scale_table(spec, 1.0, 1.0, 3300)
-    records = json.loads(json_text(scale_rows_to_records(rows)))
+    records = scale_records(spec, rows)
     for field in ("A_k", "gamma", "dA_k0"):
         assert [r[field] is None for r in records[3179:3183]] == [False, False, True, True]
         assert math.isinf(getattr(rows[-1], field))

@@ -82,11 +82,14 @@ def test_context_derived_quantities():
     assert ctx.eta0_exact() == Fraction(16)
 
 
-@pytest.mark.parametrize("bad", [dict(m=0), dict(dt=-1), dict(L0=0)])
+# inf passed the positivity check, then eta0_exact raised OverflowError
+@pytest.mark.parametrize("bad", [dict(m=0), dict(dt=-1), dict(L0=0),
+                                 dict(m=math.inf), dict(dt=math.inf), dict(L0=math.inf)])
 def test_context_validation(bad):
     kwargs = dict(m=1.0, dt=1.0, L0=1.0)
     kwargs.update(bad)
-    with pytest.raises(ValueError):
+    ((label, value),) = bad.items()
+    with pytest.raises(ValueError, match=f"^{label} must be positive and finite, got {value}$"):
         ParticleContext(**kwargs)
 
 

@@ -244,16 +244,33 @@ def exact_gammas(spec, ks):
     """gamma(k) for each k of `ks` as an exact Fraction, from the exact value
     of the ratios whose powers `gammas` bounds, after checking it against
     (N/rho^2)^k - rho^-k in Fractions and the floats of `gammas` against it:
-    gamma(k) and 3 gamma(k), each correctly rounded."""
+    gamma(k) and 3 gamma(k), one walk per constant, each correctly rounded."""
     rho = Fraction(spec.rho)
     res, _, area = ratios(spec)
     out = []
-    for k, settled, _ in gammas(spec, ks, (1, 3)):
+    for (k, once, _), (_, thrice, _) in zip(gammas(spec, ks, 1), gammas(spec, ks, 3)):
         g = Fraction(*_exact(k, 1, area, res))
         assert g == Fraction(spec.n) ** k / rho ** (2 * k) - rho**-k, (spec.name, k)
-        assert settled == [float(g), float(3 * g)], (spec.name, k)
+        assert (once, thrice) == (float(g), float(3 * g)), (spec.name, k)
         out.append(g)
     return out
+
+
+def test_classical_line_forms_no_exact_value(monkeypatch):
+    # on N = rho, gamma(k) = 0 is settled from equal powers and its bound
+    # check read from the regime: the tables and the bounds never reach _exact
+    def refuse(*args):
+        raise AssertionError(f"_exact{args} formed on the classical line")
+
+    monkeypatch.setattr(measures, "_exact", refuse)
+    line, ctx = builtin("line"), ParticleContext(1.0, 1.0, 1.0)
+    rows = scale_table(line, 1.0, 1.0, 3000)
+    assert {(row.gamma, row.dA_k0) for row in rows} == {(0.0, 0.0)}
+    table = uncertainty_table(line, ctx, 3000)
+    assert {(row.dV_k, row.dP_k) for row in table} == {(0.0, 0.0)}
+    report = verify_bounds(line, ctx, range(1, 3001))
+    assert report.all_passed
+    assert {row.product for row in report.rows} == {0.0}
 
 
 def test_gamma_classical_is_exact_zero():
@@ -288,9 +305,9 @@ def test_gammas_refuses_a_k_that_is_not_an_integer_ge_0():
     # a negative k must not reach a negative power of a ratio
     koch = builtin("koch")
     with pytest.raises(ValueError, match="k must be >= 0"):
-        list(gammas(koch, [-1], (1,)))
+        list(gammas(koch, [-1], 1))
     with pytest.raises(ValueError, match="k must be an integer"):
-        list(gammas(koch, [2.5], (1,)))
+        list(gammas(koch, [2.5], 1))
     assert exact_gammas(koch, [0]) == [0]
 
 
@@ -428,7 +445,7 @@ def test_gamma_sub_vanishes(rho, extra):
     # below 1e-9; k* reaches ~2,000 at N = 99, rho = 10
     n = rho + 1 + extra % (rho * rho - rho - 1)
     k_star = math.ceil(math.log(1e-9) / math.log(n / rho**2)) + 1
-    ((_, (g,), _),) = gammas(integer_generator(n, rho), [k_star], (1,))
+    ((_, g, _),) = gammas(integer_generator(n, rho), [k_star], 1)
     assert 0.0 < g < 1e-9
 
 
