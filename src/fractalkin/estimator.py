@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_VERTEX_CAP, K_MAX, Polyline, _check_k
+from .geometry import DEFAULT_VERTEX_CAP, K_MAX, Polyline, _check_k, _check_positive
 from .measures import DimensionFit, MeasurementResult, MeasurementRow, resolution
 
 #: PRNG contract for brownian_path, recorded in output metadata.
@@ -158,8 +158,7 @@ def grid_count(poly: Polyline, cell: float) -> int:
     float64 no longer holds every integer, and where one chunk of
     segments crosses more than `DEFAULT_VERTEX_CAP` gridlines.
     """
-    if not 0.0 < cell < math.inf:
-        raise ValueError(f"cell must be positive and finite, got {cell!r}")
+    cell = _check_positive("cell", cell)
     v = poly.vertices
     reach = max(-float(v.min()), float(v.max()))  # max |coordinate|, no copy
     if reach / cell >= 2.0**53:
@@ -256,8 +255,7 @@ def divider_count(poly: Polyline, step: float) -> float:
     The count cannot exceed arc length / step, so a step under arc length /
     `DEFAULT_VERTEX_CAP` raises ValueError before any stepping.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step!r}")
+    step = _check_positive("step", step)
     # count in units of 2^e, the step's binade: the scaling is exact for
     # normal floats, and the chord quadratic's terms stay near 1 at any scale.
     # The cap's arc / step is taken there too, so a curve whose length alone
@@ -395,7 +393,8 @@ def measure_polyline(
 ) -> MeasurementResult:
     """Run a resolution-ladder sweep dx_k = L0 / rho^k, correctly rounded, over the polyline.
 
-    L0 defaults to the largest axis-aligned extent of the polyline.  The
+    L0 defaults to the largest axis-aligned extent of the polyline, which
+    `Polyline` holds finite; `rho` is checked by `resolution` alone.  The
     indices `ks` are read in one lazy pass, in the caller's order: each is
     checked (`_check_k`, which bounds it by `K_MAX`), a repeat is skipped,
     and the first whose dx underflows to 0 is refused, so a long range ends
@@ -408,14 +407,7 @@ def measure_polyline(
     """
     if method not in (GRID_METHOD, DIVIDER_METHOD):
         raise ValueError(f"unknown method {method!r}")
-    if not rho > 1.0:
-        raise ValueError("rho must be > 1")
-    l0 = poly.diameter() if base_length is None else float(base_length)
-    if not l0 > 0.0:
-        raise ValueError("base length must be positive")
-    if l0 == math.inf:
-        raise ValueError("base length must be finite" if base_length is not None
-                         else "the polyline's extent overflows float64")
+    l0 = poly.diameter() if base_length is None else _check_positive("base length", base_length)
     zero = _first_underflow(l0, rho)  # dx_k > 0 for every k < zero
     scales = {}
     for k in map(_check_k, ks):
@@ -450,11 +442,11 @@ def brownian_path(n: int, seed: int, step_std: float = 1.0) -> Polyline:
         raise ValueError("n must be an integer >= 2")
     if n > DEFAULT_VERTEX_CAP:
         raise ValueError(f"a walk of {int(n)} vertices is above the cap of {DEFAULT_VERTEX_CAP}")
-    if not step_std > 0.0:
-        raise ValueError("step_std must be positive")
+    step_std = _check_positive("step_std", step_std)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    steps = rng.standard_normal((int(n) - 1, 2)) * step_std
-    verts = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+    with np.errstate(over="ignore", invalid="ignore"):  # Polyline refuses what overflows
+        steps = rng.standard_normal((int(n) - 1, 2)) * step_std
+        verts = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
     return Polyline(verts, level=None)
 
 

@@ -8,6 +8,7 @@ yields the level-k trajectory polyline.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -76,9 +77,10 @@ class Polyline:
     """An ordered list of 2D vertices, optionally tagged with its level.
 
     `vertices` must be a numeric (integer or float, not bool) array of
-    shape (n, 2), n >= 2, finite, with no two consecutive vertices equal;
-    it is kept as a read-only C-ordered float64 copy.  Decoded JSON is
-    checked before it gets here (`serialize._vertex_array`).
+    shape (n, 2), n >= 2, finite, with no two consecutive vertices equal
+    and an extent (`diameter`) that fits float64; it is kept as a
+    read-only C-ordered float64 copy.  Decoded JSON is checked before it
+    gets here (`serialize._vertex_array`).
     """
 
     vertices: np.ndarray  # (n, 2) float
@@ -103,6 +105,8 @@ class Polyline:
             raise ValueError("consecutive vertices must be distinct")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+        if self.diameter() == math.inf:  # every measure is taken against it
+            raise ValueError("the polyline's extent overflows float64")
 
     @property
     def n_vertices(self) -> int:
@@ -117,7 +121,8 @@ class Polyline:
         import numpy as np
 
         d = np.diff(self.vertices, axis=0)
-        return float(np.hypot(d[:, 0], d[:, 1]).sum())
+        with np.errstate(over="ignore"):  # a length past float64 is inf
+            return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the vertex set."""
@@ -137,9 +142,16 @@ class Polyline:
 
 def base_segment(l0: float = 1.0) -> Polyline:
     """The level-0 trajectory: one segment from (0, 0) to (l0, 0)."""
-    if not l0 > 0.0:
-        raise ValueError("l0 must be positive")
-    return Polyline([[0.0, 0.0], [l0, 0.0]], level=0)
+    return Polyline([[0.0, 0.0], [_check_positive("l0", l0), 0.0]], level=0)
+
+
+def _check_positive(name: str, value) -> float:
+    """A positive real that float64 holds, as a float: the one check of
+    every length, step, time, mass and width.  nan, inf and an int past
+    float64 fail it."""
+    if not 0.0 < value <= sys.float_info.max:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 def _check_k(k) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .geometry import GeneratorSpec, _check_k
+from .geometry import GeneratorSpec, _check_k, _check_positive
 from .measures import RegimeBound, _rounded, _settled, classify, gammas, ratios, regime_interval
 
 
@@ -31,9 +31,8 @@ class ParticleContext:
     L0: float
 
     def __post_init__(self) -> None:
-        for label, value in (("m", self.m), ("dt", self.dt), ("L0", self.L0)):
-            if not 0.0 < value < math.inf:  # inf has no exact ratio for eta0_exact
-                raise ValueError(f"{label} must be positive and finite, got {value}")
+        for label in ("m", "dt", "L0"):  # inf has no exact ratio for eta0_exact
+            _check_positive(label, getattr(self, label))
         # JSON holds no inf, and the critical regime ends at 2 eta0; eta0 is
         # correctly rounded and doubling is exact, so 2 * eta0 overflows
         # exactly where the correctly rounded 2 eta0 does

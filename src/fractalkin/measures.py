@@ -28,7 +28,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Dec
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import GeneratorSpec, _check_k
+from .geometry import GeneratorSpec, _check_k, _check_positive
 
 REGIME_SUPER = "super"
 REGIME_CRITICAL = "critical"
@@ -276,10 +276,8 @@ def gammas(
 def resolution(k: int, dx0: float, rho: float) -> float:
     """Minimum detectable length at ladder index k: dx0 / rho^k."""
     k = _check_k(k)
-    # +inf passes a bare positivity check but has no exact ratio
-    if not 0.0 < dx0 < math.inf:
-        raise ValueError(f"dx0 must be positive and finite, got {dx0}")
-    if not 1.0 < rho < math.inf:
+    dx0 = _check_positive("dx0", dx0)  # +inf has no exact ratio
+    if not 1.0 < rho < math.inf:  # the one check of a ladder's rho
         raise ValueError(f"rho must be > 1 and finite, got {rho}")
     step = (1 / Fraction(rho)).as_integer_ratio()
     ((_, _, (dx,)),) = _settled([k], [(Fraction(dx0), step, None)])
@@ -327,13 +325,9 @@ def scale_table(
     float correctly rounded from its exact closed form, N_k = N^k inf past
     the float64 range: one `_settled` pass over the fields of `ScaleRow`."""
     k_max = _check_k(k_max)
-    if not 0.0 < l0 < math.inf:
-        raise ValueError(f"l0 must be positive and finite, got {l0}")
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    x = Fraction(_check_positive("l0", l0))
+    per_area, per_speed = x * x, x / Fraction(_check_positive("dt", dt))
     res, length, area = ratios(spec)
-    x = Fraction(l0)
-    per_area, per_speed = x * x, x / Fraction(dt)
     # in ScaleRow's field order; dL_k = L0 ((N/rho)^k - 1^k)
     terms = [(x, res, None), (1, (spec.n, 1), None), (x, length, None), (per_area, area, None),
              (per_speed, length, None), (1, area, res), (per_area, area, res),

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .geometry import Polyline
+from .geometry import DEFAULT_VERTEX_CAP, Polyline, _check_positive
 from .serialize import _blocks, _vertex_text, fnum
 
 _PANEL_GAP = 10.0
@@ -35,20 +35,18 @@ class RenderOptions:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("width and height must be positive")
-        if not self.stroke_width > 0.0:
-            raise ValueError("stroke width must be positive")
-        if self.grid_step is not None and not self.grid_step > 0.0:
-            raise ValueError("grid_step must be positive")
+        _check_positive("stroke_width", self.stroke_width)
+        if self.grid_step is not None:
+            _check_positive("grid_step", self.grid_step)
 
 
 class _Viewport:
-    """World-to-pixel mapping with aspect preserved and y flipped."""
+    """World-to-pixel mapping with aspect preserved and y flipped; refuses a
+    scale that is not finite and an overlay of over `DEFAULT_VERTEX_CAP` lines."""
 
     def __init__(self, poly: Polyline, opts: RenderOptions):
         x0, y0, x1, y1 = poly.bounds()
         extent = max(x1 - x0, y1 - y0)
-        if extent == 0.0:
-            raise ValueError("degenerate polyline: zero extent in both axes")
         pad = _MARGIN * extent
         # a straight-line bbox has zero height; pad flat axes so the
         # viewport keeps a finite span
@@ -73,6 +71,15 @@ class _Viewport:
                 f"polyline extent {extent!r} cannot be drawn: "
                 "its pixel scale is not a finite positive number"
             )
+        step = opts.grid_step
+        if step is not None:
+            # floor(hi / step) - ceil(lo / step) + 1 lines per axis, in floats:
+            # a count past float64 is inf or nan, never an OverflowError
+            lines = sum(hi / step // 1.0 + -lo / step // 1.0 + 1.0
+                        for lo, hi in ((self.wx0, self.wx1), (self.wy0, self.wy1)))
+            if not lines <= DEFAULT_VERTEX_CAP:
+                raise ValueError(f"grid_step {step!r} is too fine: the overlay would draw "
+                                 f"more than {DEFAULT_VERTEX_CAP} lines")
 
     def to_px(self, x, y):
         """Pixel coordinates of world floats or of numpy arrays of them."""
@@ -89,9 +96,8 @@ def _path_d(poly: Polyline, view: _Viewport) -> Iterator[str]:
     yield from _vertex_text(px, "L%s %s", "%.17g")
 
 
-def _grid_lines(view: _Viewport, step: float, stroke_width: float) -> list[str]:
-    """The vertical gridlines, then the horizontal ones, across the view."""
-    lines = []
+def _grid_lines(view: _Viewport, step: float, stroke_width: float) -> Iterator[str]:
+    """The vertical gridlines, then the horizontal ones, across the view, one at a time."""
     width = stroke_width * 0.5
     for lo, hi, ends in (
         (view.wx0, view.wx1, lambda c: ((c, view.wy0), (c, view.wy1))),
@@ -99,11 +105,8 @@ def _grid_lines(view: _Viewport, step: float, stroke_width: float) -> list[str]:
     ):
         for i in range(math.ceil(lo / step), math.floor(hi / step) + 1):
             (x0, y0), (x1, y1) = (view.to_px(*p) for p in ends(i * step))
-            lines.append(
-                f'<line x1="{fnum(x0)}" y1="{fnum(y0)}" x2="{fnum(x1)}" y2="{fnum(y1)}" '
-                f'stroke="#bbbbbb" stroke-width="{fnum(width)}"/>'
-            )
-    return lines
+            yield (f'<line x1="{fnum(x0)}" y1="{fnum(y0)}" x2="{fnum(x1)}" y2="{fnum(y1)}" '
+                   f'stroke="#bbbbbb" stroke-width="{fnum(width)}"/>')
 
 
 def _panel(poly: Polyline, view: _Viewport, opts: RenderOptions) -> Iterator[str]:

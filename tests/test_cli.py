@@ -627,6 +627,23 @@ def test_brownian_svg_out_is_a_drawing(runner, tmp_path):
     assert invoke(runner, args).output == (ROOT / "tests/data/brownian_n50_seed7.json").read_text()
 
 
+@pytest.mark.parametrize("seed,std,message", [
+    ("1", "1e308", "vertices must be finite"),
+    ("5", "1e307", "the polyline's extent overflows float64"),
+], ids=["not-finite", "extent-overflow"])
+@pytest.mark.parametrize("suffix", [".json", ".svg"])
+def test_brownian_refuses_a_walk_past_float64_with_one_line(tmp_path, seed, std, message, suffix):
+    # 1e308 printed three numpy RuntimeWarnings before its Error line; 1e307
+    # exited 0 and wrote a walk that measure refused (and an .svg said
+    # "cannot be drawn"): a fresh interpreter shows every warning printed
+    out = tmp_path / f"walk{suffix}"
+    proc = run_cli(["brownian", "--n", "100", "--seed", seed, "--step-std", std,
+                    "--out", str(out)])
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == f"Error: {message}\n".encode()
+    assert not out.exists()
+
+
 def test_brownian_n1_usage_error(runner):
     res = runner.invoke(main, ["brownian", "--n", "1"])
     assert res.exit_code == 2

@@ -601,19 +601,20 @@ def test_measure_polyline_validation():
         measure_polyline(poly, [], rho=3.0)
     with pytest.raises(ValueError):
         measure_polyline(poly, [-1, 0], rho=3.0)
-    with pytest.raises(ValueError):
+    # refused by resolution, the one rho check, which names the value
+    with pytest.raises(ValueError, match=r"^rho must be > 1 and finite, got 1\.0$"):
         measure_polyline(poly, [1, 2, 3], rho=1.0)
     with pytest.raises(ValueError):
         measure_polyline(poly, [1, 2, 3], method="laser")
 
 
 def test_measure_polyline_refuses_a_base_length_that_is_not_finite():
-    # each raised OverflowError: cannot convert Infinity to integer ratio
-    with pytest.raises(ValueError, match="^base length must be finite$"):
+    # each raised OverflowError: cannot convert Infinity to integer ratio;
+    # a polyline whose extent overflows is now refused as it is built
+    with pytest.raises(ValueError, match="^base length must be positive and finite, got inf$"):
         measure_polyline(koch_level(2), [1, 2], base_length=math.inf, fit=False)
-    wide = Polyline(np.array([[-1e308, 0.0], [1e308, 0.0]]))
     with pytest.raises(ValueError, match="^the polyline's extent overflows float64$"):
-        measure_polyline(wide, [1, 2], fit=False)
+        Polyline(np.array([[-1e308, 0.0], [1e308, 0.0]]))
 
 
 def test_measure_polyline_rejects_fractional_scale_indices():

@@ -1,18 +1,24 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractalkin.estimator import brownian_path, divider_count, grid_count, measure_polyline
 from fractalkin.geometry import (
     K_MAX,
     GeneratorSpec,
     Polyline,
     _check_k,
+    _check_positive,
     base_segment,
     builtin,
     refine,
 )
+from fractalkin.kinematics import ParticleContext
+from fractalkin.measures import resolution, scale_table
+from fractalkin.render import RenderOptions
 
 LOG3_4 = math.log(4.0) / math.log(3.0)
 
@@ -265,6 +271,33 @@ def test_polyline_rejects_non_finite_vertices(bad):
         Polyline(np.array([[0.0, 0.0], [bad, 1.0], [2.0, 0.0]]))
 
 
+MAX_FLOAT = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("vertices", [
+    [[-1e308, 0.0], [1e308, 0.0]],
+    [[0.0, MAX_FLOAT], [1.0, -MAX_FLOAT]],
+    [[0.0, 0.0], [MAX_FLOAT, 1.0], [-1e300, 2.0]],
+], ids=["x", "y", "past-max"])
+def test_polyline_refuses_an_extent_past_float64(vertices):
+    # grid_count counted 2 cells for a segment that crosses 21, and only
+    # measure_polyline refused such a set
+    with pytest.raises(ValueError, match="^the polyline's extent overflows float64$"):
+        Polyline(np.array(vertices))
+
+
+def test_polyline_takes_an_extent_of_float_max():
+    assert Polyline(np.array([[-MAX_FLOAT / 2, 0.0], [MAX_FLOAT / 2, 1.0]])).diameter() == MAX_FLOAT
+    assert Polyline(np.array([[0.0, 0.0], [MAX_FLOAT, 1.0]])).diameter() == MAX_FLOAT
+
+
+def test_arc_length_past_float64_is_inf_without_a_warning():
+    # it warned "overflow encountered in reduce", which the suite's
+    # error::RuntimeWarning filter turns into a failure
+    zigzag = Polyline(np.array([[0, 0], [1e308, 0], [0, 1], [1e308, 1], [0, 2]]))
+    assert zigzag.arc_length() == math.inf
+
+
 def test_polyline_is_immutable():
     poly = base_segment(1.0)
     with pytest.raises(ValueError):
@@ -277,3 +310,42 @@ def test_polyline_geometry_helpers():
     assert poly.bounds() == (0.0, 0.0, 3.0, 5.0)
     assert poly.diameter() == 5.0
     assert poly.n_segments == 2
+
+
+KOCH = builtin("koch")
+
+#: every positive, finite real the library takes: the name its refusal
+#: gives, and a call that passes a value to it
+POSITIVE_INPUTS = {
+    "base_segment": ("l0", lambda x: base_segment(x)),
+    "resolution": ("dx0", lambda x: resolution(1, x, 3.0)),
+    "scale_table-l0": ("l0", lambda x: scale_table(KOCH, x, 1.0, 2)),
+    "scale_table-dt": ("dt", lambda x: scale_table(KOCH, 1.0, x, 2)),
+    "ParticleContext-m": ("m", lambda x: ParticleContext(m=x, dt=1.0, L0=1.0)),
+    "ParticleContext-dt": ("dt", lambda x: ParticleContext(m=1.0, dt=x, L0=1.0)),
+    "ParticleContext-L0": ("L0", lambda x: ParticleContext(m=1.0, dt=1.0, L0=x)),
+    "grid_count": ("cell", lambda x: grid_count(base_segment(1.0), x)),
+    "divider_count": ("step", lambda x: divider_count(base_segment(1.0), x)),
+    "brownian_path": ("step_std", lambda x: brownian_path(10, 0, x)),
+    "measure_polyline": ("base length",
+                         lambda x: measure_polyline(base_segment(1.0), [1], base_length=x, fit=False)),
+    "RenderOptions-stroke_width": ("stroke_width", lambda x: RenderOptions(stroke_width=x)),
+    "RenderOptions-grid_step": ("grid_step", lambda x: RenderOptions(grid_step=x)),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("name,call", POSITIVE_INPUTS.values(), ids=POSITIVE_INPUTS)
+def test_every_positive_input_is_refused_by_one_check(name, call, value):
+    # three wordings before; base_segment and brownian_path let inf on to
+    # "vertices must be finite", and RenderOptions into the SVG as "inf"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be positive and finite, "
+                                         f"got {value}$"):
+        call(value)
+
+
+def test_check_positive_returns_a_float():
+    assert _check_positive("x", 3) == 3.0 and type(_check_positive("x", 3)) is float
+    assert type(_check_positive("x", np.float64(0.5))) is float
+    with pytest.raises(ValueError, match="^x must be positive and finite, got 1000"):
+        _check_positive("x", 10**400)  # an int past float64

@@ -93,6 +93,15 @@ def test_polyline_metadata_block():
 CHUNK = serialize._CHUNK
 MAX_FLOAT = 1.7976931348623157e308
 EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT, 1.0, -7.0, 1e16, 2.0**53)
+#: the edge values one polyline can hold together: float max and its
+#: negation span more than float64, and `Polyline` refuses that extent
+POLYLINE_EDGES = [x for x in EDGE_FLOATS if x != -MAX_FLOAT]
+
+
+def fitting(pool: list[float]) -> list[float]:
+    """`pool`, halved where its spread overflows float64, so that any
+    polyline drawn from it has an extent that `Polyline` takes."""
+    return pool if max(pool) - min(pool) < math.inf else [x / 2 for x in pool]
 
 
 @settings(deadline=None, max_examples=30)
@@ -101,7 +110,7 @@ EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT, 1.0, -7.0, 1e1
     pool=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
                             st.floats(allow_nan=False, allow_infinity=False),
                             st.integers(-2**60, 2**60).map(float)),
-                  min_size=2, max_size=40),
+                  min_size=2, max_size=40).map(fitting),
     seed=st.integers(0, 2**32 - 1),
     level=st.one_of(st.none(), st.integers(0, 12)),
     metadata=st.one_of(st.none(), st.dictionaries(
@@ -109,8 +118,9 @@ EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT, 1.0, -7.0, 1e1
                                        st.text(max_size=8), st.lists(st.integers(), max_size=3)),
         max_size=4)),
 )
-@example(n=CHUNK + 1, pool=list(EDGE_FLOATS), seed=0, level=None,
+@example(n=CHUNK + 1, pool=POLYLINE_EDGES, seed=0, level=None,
          metadata={"vertices": [], "seed": 7})
+@example(n=CHUNK + 1, pool=[-x for x in POLYLINE_EDGES], seed=0, level=None, metadata=None)
 def test_streamed_polyline_json_matches_json_text(n, pool, seed, level, metadata):
     # vertex counts at either side of every chunk seam, coordinates drawn
     # from a pool of edge values (signed zero, subnormal, float max, integral)
@@ -182,7 +192,7 @@ def _layouts(poly: Polyline, metadata: dict | None) -> dict[str, str]:
     n=st.integers(2, 60),
     pool=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
                             st.floats(allow_nan=False, allow_infinity=False)),
-                  min_size=2, max_size=20),
+                  min_size=2, max_size=20).map(fitting),
     seed=st.integers(0, 2**32 - 1),
     level=st.one_of(st.none(), st.integers(-3, 12)),
     metadata=st.one_of(st.none(), st.dictionaries(
@@ -194,8 +204,9 @@ def _layouts(poly: Polyline, metadata: dict | None) -> dict[str, str]:
     slab=st.one_of(st.integers(1, 400), st.just(serialize._SLAB)),
 )
 @example(n=2, pool=[0.0, 1.0], seed=0, level=None, metadata=None, slab=1)
-@example(n=60, pool=list(EDGE_FLOATS), seed=1, level=3,
+@example(n=60, pool=POLYLINE_EDGES, seed=1, level=3,
          metadata={"vertices": "],", "x": "\n  ]", "y": [1.0]}, slab=1)
+@example(n=60, pool=[-x for x in POLYLINE_EDGES], seed=1, level=None, metadata=None, slab=1)
 def test_read_polyline_json_reads_any_layout_as_the_whole_document(
         n, pool, seed, level, metadata, slab):
     # slabs of 1 to 400 bytes cut the block after every row or every few
@@ -742,16 +753,17 @@ def test_render_options_validation():
         RenderOptions(grid_step=-1.0)
 
 
-def test_render_rejects_degenerate_extent():
-    # a valid Polyline always has positive extent somewhere, so exercise
-    # the guard through the viewport with a stub carrying equal vertices
+def test_render_refuses_a_zero_extent_as_a_scale_that_is_not_finite():
+    # a valid Polyline always has positive extent somewhere, so a stub with
+    # equal vertices stands in: its zero spans make the pixel scale inf,
+    # which the one scale check refuses, with no guard of its own
     class Stub:
         vertices = np.zeros((2, 2))
 
         def bounds(self):
             return (0.0, 0.0, 0.0, 0.0)
 
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="^polyline extent 0.0 cannot be drawn"):
         render_svg(Stub())
 
 
@@ -766,6 +778,59 @@ def test_render_refuses_a_scale_that_is_not_finite(l0, level):
         render_svg(poly)
     with pytest.raises(ValueError, match="cannot be drawn"):
         render_panels([base_segment(1.0), poly])
+
+
+def test_render_refuses_a_grid_overlay_past_the_line_cap(monkeypatch):
+    # one <line> per multiple of the step, with no bound; Koch L1 draws
+    # exactly 100 lines at step 0.015 and 299 at step 0.005
+    koch1 = refine(base_segment(1.0), builtin("koch"), 1)
+    exact = render_svg(koch1, RenderOptions(grid_step=0.015))
+    assert exact.count("<line ") == 100
+    monkeypatch.setattr(render, "DEFAULT_VERTEX_CAP", 100)
+    assert render_svg(koch1, RenderOptions(grid_step=0.015)) == exact
+    message = "^grid_step 0.005 is too fine: the overlay would draw more than 100 lines$"
+    with pytest.raises(ValueError, match=message):
+        render_svg(koch1, RenderOptions(grid_step=0.005))
+    with pytest.raises(ValueError, match=message):
+        render_panels([koch1], RenderOptions(grid_step=0.005))
+
+
+def test_write_svg_holds_one_overlay_line_at_a_time():
+    # every <line> was built into one list before the first was written:
+    # 744,339 lines at step 2e-6 peaked at 140 MB traced
+    koch1 = refine(base_segment(1.0), builtin("koch"), 1)
+    opts = RenderOptions(grid_step=2e-4)
+    with open(os.devnull, "w") as fp:
+        peak = _traced_peak(render.write_svg, koch1, fp, opts)
+    assert render_svg(koch1, opts).count("<line ") == 7445
+    assert peak < 100_000
+
+
+def _limit_memory() -> None:
+    """Cap the address space of a child at 2 GiB: an unbounded overlay
+    then ends in MemoryError, not in the host's memory."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the child on Linux")
+@pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+def test_render_refuses_a_grid_overlay_too_fine_to_count(step):
+    # 1e-300 built lines on without end and 5e-324 raised OverflowError
+    # from math.ceil; a fresh interpreter with a timeout and a memory cap,
+    # so that an unbounded overlay fails the test instead of hanging it
+    code = ("from fractalkin.geometry import base_segment, builtin, refine\n"
+            "from fractalkin.render import RenderOptions, render_svg\n"
+            "koch1 = refine(base_segment(1.0), builtin('koch'), 1)\n"
+            f"render_svg(koch1, RenderOptions(grid_step={step}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        f"ValueError: grid_step {step} is too fine: the overlay would draw more than "
+        "100000000 lines")
 
 
 @pytest.mark.parametrize("l0", [1e308, 1e-300])
