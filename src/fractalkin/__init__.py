@@ -1,50 +1,30 @@
 """Self-similar trajectories: construction, multiscale measures,
 uncertainty-product bounds, and empirical dimension estimation.
 
-The closed-form layer (`geometry`, `measures`, `kinematics`, `serialize`,
-`cli`) loads without numpy.  The array layer's exports (`estimator`,
-`render`) are imported on first use, so that `--help` and `analyze` never
-load it.
+Every export is imported on first use, from the module `_LAZY` lists for
+it, so that each command loads only the modules it runs: `--help` loads
+`cli` and `geometry` alone, and only the commands that build, measure or
+draw a polyline load numpy.
 """
 
 import importlib
 
-from .geometry import (
-    GeneratorSpec,
-    Polyline,
-    base_segment,
-    builtin,
-    integer_generator,
-    refine,
-)
-from .kinematics import (
-    BoundsReport,
-    BoundsRow,
-    ParticleContext,
-    UncertaintyRow,
-    classify_regime,
-    uncertainty_table,
-    verify_bounds,
-)
-from .measures import (
-    DimensionFit,
-    MeasurementResult,
-    MeasurementRow,
-    RegimeBound,
-    ScaleRow,
-    classify,
-    resolution,
-    scale_table,
-)
-
 __version__ = "0.1.0"
 
-#: array-layer exports and the module each comes from
+#: every export and the module it comes from
 _LAZY = {
+    **dict.fromkeys(("GeneratorSpec", "Polyline", "base_segment", "builtin",
+                     "integer_generator", "refine"), "geometry"),
+    **dict.fromkeys(("BoundsReport", "BoundsRow", "ParticleContext", "UncertaintyRow",
+                     "classify_regime", "uncertainty_table", "verify_bounds"), "kinematics"),
+    **dict.fromkeys(("DimensionFit", "MeasurementResult", "MeasurementRow", "RegimeBound",
+                     "ScaleRow", "classify", "resolution", "scale_table"), "measures"),
     **dict.fromkeys(("BROWNIAN_PRNG", "brownian_metadata", "brownian_path", "divider_count",
                      "estimate_dimension", "grid_count", "measure_polyline"), "estimator"),
     **dict.fromkeys(("RenderOptions", "render_panels", "render_svg"), "render"),
 }
+
+__all__ = [*_LAZY, "__version__"]
 
 
 def __getattr__(name: str):
@@ -55,3 +35,7 @@ def __getattr__(name: str):
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

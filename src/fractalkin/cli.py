@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import errno
 import functools
-import json
 import math
 import os
 import stat
@@ -17,9 +16,8 @@ from pathlib import Path
 
 import click
 
-# numpy loads with `estimator` and `render`, which the commands that use
-# them import; --help, analyze and usage errors run without it
-from . import __version__, kinematics, measures, serialize
+# each command imports the modules it runs: --help loads `geometry` alone
+from . import __version__
 from .geometry import BUILTIN_NAMES, base_segment, builtin, refine
 
 
@@ -27,6 +25,8 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     """Make a JSON config file the command's defaults; explicit flags win."""
     if path is None:
         return
+    import json
+
     try:  # UTF-8 (or -16, -32) whatever the locale, as json.loads reads bytes
         data = json.loads(Path(path).read_bytes())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -130,11 +130,13 @@ _OUT = _OutFile()
 def _write_polyline(poly, out, metadata: dict | None = None) -> None:
     """Write `poly` to `out`: an SVG drawing where its name ends in .svg,
     polyline JSON with `metadata` otherwise."""
-    from . import render
-
     if out.name.endswith(".svg"):
+        from . import render
+
         render.write_svg(poly, out)
     else:
+        from . import serialize
+
         serialize.write_polyline_json(poly, out, metadata)
 
 
@@ -192,6 +194,8 @@ def generate(generator, angle, level, l0, out):
 @_runtime_errors
 def analyze(generator, angle, k_max, mass, dt, l0, fmt, out):
     """Scale table, uncertainty products, regime, and bound checks."""
+    from . import kinematics, measures, serialize
+
     spec = _spec_from_flags(generator, angle)
     if fmt == "csv":  # CSV writes no eta0, E0 or V0, so it needs no context
         text = serialize.scale_rows_to_csv(measures.scale_table(spec, l0, dt, k_max))
@@ -243,6 +247,7 @@ def _parse_scales(text: str) -> range | list[int]:
 @_runtime_errors
 def measure(input_path, scales, rho, method, fit, fmt, out):
     """Cell-count or divider-step an arbitrary polyline over a ladder."""
+    from . import serialize  # before estimator: the grid stage then peaks ~1 MB lower
     from . import estimator
 
     ks = _parse_scales(scales)

@@ -444,9 +444,11 @@ def brownian_path(n: int, seed: int, step_std: float = 1.0) -> Polyline:
         raise ValueError(f"a walk of {int(n)} vertices is above the cap of {DEFAULT_VERTEX_CAP}")
     step_std = _check_positive("step_std", step_std)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    verts = np.zeros((int(n), 2))  # the origin, then the walk built in place
     with np.errstate(over="ignore", invalid="ignore"):  # Polyline refuses what overflows
-        steps = rng.standard_normal((int(n) - 1, 2)) * step_std
-        verts = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+        rng.standard_normal(out=verts[1:])
+        verts[1:] *= step_std
+        np.cumsum(verts[1:], axis=0, out=verts[1:])
     return Polyline(verts, level=None)
 
 

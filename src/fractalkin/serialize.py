@@ -45,11 +45,13 @@ import json
 import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
 from .geometry import GeneratorSpec, Polyline
-from .kinematics import BoundsReport, ParticleContext, UncertaintyRow
-from .measures import DimensionFit, MeasurementResult, MeasurementRow, RegimeBound, ScaleRow
+
+if TYPE_CHECKING:  # the writers that build rows import their classes
+    from .kinematics import BoundsReport, ParticleContext, UncertaintyRow
+    from .measures import DimensionFit, MeasurementResult, MeasurementRow, RegimeBound, ScaleRow
 
 #: vertices formatted per block by `_vertex_text`
 _CHUNK = 8192
@@ -403,6 +405,8 @@ def _read_rows(slab: bytes, out) -> bool:
 
 
 def scale_rows_to_csv(rows: Sequence[ScaleRow]) -> str:
+    from .measures import ScaleRow
+
     return _csv(ScaleRow, rows)
 
 
@@ -419,6 +423,8 @@ def measurement_to_dict(result: MeasurementResult) -> dict:
 
 
 def measurement_from_dict(data: dict) -> MeasurementResult:
+    from .measures import DimensionFit, MeasurementResult, MeasurementRow
+
     rows = tuple(_from_record(MeasurementRow, r) for r in data["rows"])
     fit = data.get("fit")
     if fit is not None:
@@ -427,6 +433,8 @@ def measurement_from_dict(data: dict) -> MeasurementResult:
 
 
 def measurement_to_csv(result: MeasurementResult) -> str:
+    from .measures import MeasurementRow
+
     return _csv(MeasurementRow, result.rows)
 
 

@@ -885,10 +885,22 @@ def test_out_to_a_device_still_works(out):
 
 
 # `python -m fractalkin ARGS` in a fresh interpreter that writes, last on
-# stderr, whether numpy was loaded by the time it exited
-NUMPY_PROBE = ("import atexit, runpy, sys\n"
-               "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
-               "runpy.run_module('fractalkin', run_name='__main__', alter_sys=True)\n")
+# stderr, the library modules and the heavy dependencies it had loaded by
+# the time it exited
+MODULE_PROBE = ("import atexit, runpy, sys\n"
+                "atexit.register(lambda: print(' '.join(sorted(\n"
+                "    n for n in sys.modules if n.partition('.')[0] == 'fractalkin'\n"
+                "    or n in ('decimal', 'fractions', 'json', 'numpy'))), file=sys.stderr))\n"
+                "runpy.run_module('fractalkin', run_name='__main__', alter_sys=True)\n")
+
+
+def loaded_modules(args, code=0, cwd=None) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize("args,code", [
@@ -898,12 +910,33 @@ NUMPY_PROBE = ("import atexit, runpy, sys\n"
     (["analyze", "--generator", "koch", "--k-max", "-1"], 2),
 ], ids=["help", "analyze-json", "analyze-csv", "usage-error"])
 def test_closed_form_commands_leave_numpy_unloaded(args, code):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == code, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "False"
+    assert "numpy" not in loaded_modules(args, code)
+
+
+_CORE = {"fractalkin", "fractalkin.cli", "fractalkin.geometry"}
+_WRITE = _CORE | {"fractalkin.serialize", "json", "numpy"}
+_MEASURE = _WRITE | {"fractalkin.estimator", "fractalkin.measures", "decimal", "fractions"}
+_ANALYZE = _CORE | {"fractalkin.kinematics", "fractalkin.measures", "fractalkin.serialize",
+                    "decimal", "fractions", "json"}
+KOCH = ["--generator", "koch"]
+
+
+@pytest.mark.parametrize("args,code,expected", [
+    (["--help"], 0, _CORE),
+    (["analyze", *KOCH, "--k-max", "-1"], 2, _CORE),
+    (["generate", *KOCH, "--level", "2"], 0, _WRITE),
+    (["generate", *KOCH, "--level", "2", "--out", "k.svg"], 0, _WRITE | {"fractalkin.render"}),
+    (["generate", "--config", "config.json", "--out", "k.json"], 0, _WRITE),
+    (["measure", "--input", "koch2.json", "--scales", "1..3"], 0, _MEASURE),
+    (["brownian", "--n", "10"], 0, _MEASURE),
+    (["analyze", *KOCH, "--k-max", "12"], 0, _ANALYZE),
+    (["analyze", *KOCH, "--k-max", "12", "--format", "csv"], 0, _ANALYZE),
+], ids=["help", "usage-error", "generate-json", "generate-svg", "generate-config", "measure",
+        "brownian", "analyze-json", "analyze-csv"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, code, expected):
+    koch_input(tmp_path, 2)
+    (tmp_path / "config.json").write_text('{"generator": "koch", "level": 2}')
+    assert loaded_modules(args, code, tmp_path) == expected
 
 
 def test_array_layer_exports_resolve_on_use():
@@ -912,7 +945,19 @@ def test_array_layer_exports_resolve_on_use():
     assert measure_polyline is estimator.measure_polyline
     assert render_svg is render.render_svg
     assert refine(base_segment(1.0), builtin("koch"), 1).n_vertices == 5
+    for name, module in fractalkin._LAZY.items():
+        assert getattr(fractalkin, name) is getattr(
+            sys.modules[f"fractalkin.{module}"], name), name
     # resolved on every access, never cached into the package namespace
-    assert "measure_polyline" not in vars(fractalkin)
+    assert not set(fractalkin._LAZY) & set(vars(fractalkin))
     with pytest.raises(AttributeError):
         fractalkin.no_such_name
+
+
+def test_the_package_lists_every_export():
+    assert sorted(fractalkin.__all__) == sorted([*fractalkin._LAZY, "__version__"])
+    assert set(fractalkin.__all__) <= set(dir(fractalkin))
+    star = {}
+    exec("from fractalkin import *", star)
+    assert set(star) - {"__builtins__"} == set(fractalkin.__all__)
+    assert not set(fractalkin._LAZY) & set(vars(fractalkin))

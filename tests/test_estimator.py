@@ -724,6 +724,25 @@ def test_brownian_refuses_past_vertex_cap(monkeypatch):
         brownian_path(51, seed=0)
 
 
+@pytest.mark.parametrize("n,seed,step_std", [(10**5, 7, 1.0), (3000, 1, 0.37), (10, 5, 1e-300)])
+def test_brownian_walk_is_built_in_one_buffer(n, seed, step_std):
+    # the walk is sampled, scaled and summed in place: the scaled steps,
+    # their cumsum and the stacked copy traced 3.2x the walk's bytes
+    brownian_path(2, seed=0)  # numpy's first-use allocations are not the walk's
+    tracemalloc.start()
+    try:
+        walk = brownian_path(n, seed, step_std)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if n >= 10**5:
+        assert peak < 2.5 * walk.vertices.nbytes
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    steps = rng.standard_normal((n - 1, 2)) * step_std
+    expected = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+    assert walk.vertices.tobytes() == expected.tobytes()
+
+
 def test_brownian_metadata_block():
     meta = brownian_metadata(100, 7, 0.5)
     assert set(meta) == {"seed", "n", "step_std", "prng"}
