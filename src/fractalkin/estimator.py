@@ -248,19 +248,29 @@ def divider_count(poly: Polyline, step: float) -> float:
     All chord arithmetic is plain float64, one rounding per operation:
     no fused multiply-add and no BLAS dot product, so the count is the
     same on every CPU and numpy build.  It runs on the vertices and step
-    scaled by the power of two that brings the step into [1/2, 1), so a
-    curve and step scaled together by a power of two count the same, bit
-    for bit, while every coordinate stays a normal float.
+    scaled by 2^-e, e being the step's binade, which brings the step into
+    [1/2, 1), so a curve and step scaled together by a power of two count
+    the same, bit for bit.  The scaled copy is always exact: where scaling
+    up would overflow the largest |coordinate|, or scaling down would round
+    a nonzero coordinate out of the normal range, e stops short of it.
 
     The count cannot exceed arc length / step, so a step under arc length /
     `DEFAULT_VERTEX_CAP` raises ValueError before any stepping.
     """
     step = _check_positive("step", step)
-    # count in units of 2^e, the step's binade: the scaling is exact for
-    # normal floats, and the chord quadratic's terms stay near 1 at any scale.
-    # The cap's arc / step is taken there too, so a curve whose length alone
-    # overflows float64 is counted; d is freed before the scaled copy v
+    # count in units of 2^e, the step's binade, so the chord quadratic's
+    # terms stay near 1 at any scale.  The cap's arc / step is taken in these
+    # units too, so a curve whose length alone overflows float64 is counted;
+    # each temporary is freed before the next
     e = math.frexp(step)[1]
+    if e < 0:  # scaling up rounds nothing: keep the largest |coordinate| finite
+        x0, y0, x1, y1 = poly.bounds()
+        e = max(e, math.frexp(max(-x0, -y0, x1, y1))[1] - 1024)
+    elif e > 0:  # scaling down: keep the smallest nonzero |coordinate| >= 2^-1022
+        size = np.abs(poly.vertices)
+        tiny = float(size.min(where=size > 0.0, initial=math.inf))
+        del size
+        e = min(e, max(math.frexp(tiny)[1] + 1021, 0))
     d = np.diff(poly.vertices, axis=0)
     with np.errstate(over="ignore"):  # an overflow here only ends in a refusal
         arc = float(np.hypot(*np.ldexp(d, -e, out=d).T).sum())

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .geometry import GeneratorSpec, _check_k, _check_positive
-from .measures import RegimeBound, _rounded, _settled, classify, gammas, ratios, regime_interval
+from .measures import RegimeBound, _rounded, _settled, classify, holds_from, ratios, regime_interval
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,9 @@ class BoundsRow:
 class BoundsReport:
     """Machine check of the regime inequality for a range of scales.
 
-    `rho_ge_2` flags whether the eta0 lower bound of the super/critical
-    regimes is actually in force (it needs rho >= 2 on top of k >= 1).
+    `rho_ge_2` flags the domain on which the eta0 lower bound of the
+    super/critical regimes is claimed for every k >= 1: with rho < 2, row
+    k = 1 of a super generator can fail (`measures.holds_from`).
     """
 
     spec_name: str
@@ -127,7 +128,7 @@ def uncertainty_table(
     c = 2 * ctx.eta0_exact()  # dP_k = m dV_k = 2 eta0 gamma(k)
     terms = [(c / Fraction(ctx.m), area, res), (c, area, res)]
     return [UncertaintyRow(k=k, dV_k=dv_k, dP_k=dp_k, regime=regime)
-            for k, _, (dv_k, dp_k) in _settled(range(k_max + 1), terms)]
+            for k, (dv_k, dp_k) in _settled(range(k_max + 1), terms)]
 
 
 def verify_bounds(
@@ -136,10 +137,10 @@ def verify_bounds(
     """Check the regime inequality for every k in `k_range` (all k >= 1).
 
     Violations are reported as data, not raised.  The product is the
-    correctly rounded 2 eta0 gamma(k), inf past the float64 range, and
-    `passed` is exact: eta0 > 0 cancels out of the regime inequality, so a
-    row passes when gamma(k) lies in the regime table in units of 1/2.
-    Both come from one walk of `measures.gammas`.
+    correctly rounded 2 eta0 gamma(k), inf past the float64 range, settled
+    in one `_settled` pass, and `passed` is exact: eta0 > 0 cancels out of
+    the regime inequality, so a row passes when gamma(k) lies in the regime
+    table in units of 1/2, which is when k >= `measures.holds_from(spec)`.
     """
     ks = sorted(set(_check_k(k) for k in k_range))
     if not ks:
@@ -147,8 +148,10 @@ def verify_bounds(
     if ks[0] < 1:
         raise ValueError("bound checking applies to k >= 1 only")
     bound = classify_regime(spec, ctx)
-    rows = [BoundsRow(k=k, product=product, lower=bound.lower, upper=bound.upper, passed=passed)
-            for k, product, passed in gammas(spec, ks, 2 * ctx.eta0_exact())]
+    k0 = holds_from(spec)
+    res, _, area = ratios(spec)
+    rows = [BoundsRow(k=k, product=product, lower=bound.lower, upper=bound.upper, passed=k >= k0)
+            for k, (product,) in _settled(ks, [(2 * ctx.eta0_exact(), area, res)])]
     return BoundsReport(
         spec_name=spec.name,
         ds=spec.ds,

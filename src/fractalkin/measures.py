@@ -10,10 +10,10 @@ names all its terms at once, each distinct power among rho^-k, N^k,
 (N/rho)^k, (N/rho^2)^k and 1^k is walked once as 60-digit decimal bounds
 (`_bounds`), each term is settled from them (`_settle`), and the exact
 rational (`_exact`) is formed only where the bounds round to two floats.
-`gammas` settles c gamma(k) for one constant c and adds to that one pass
-only the exact decision whether gamma(k) lies in the regime table, read
-from the same bounds.  No decimal bound leaves this module, and none
-outlives the call that formed it.
+No decimal bound leaves this module, and none outlives the call that
+formed it.  Whether gamma(k) lies in its regime table needs no bound at
+all: it holds for every k >= `holds_from(spec)`, read from the closed
+form once per generator.
 
 The rows of an empirical measurement (`MeasurementRow`, `DimensionFit`,
 `MeasurementResult`) are declared here too, and re-exported by
@@ -67,9 +67,9 @@ class RegimeBound:
     """An interval bound for one similarity-dimension regime.
 
     `lower`/`upper` delimit the admissible values of the bounded quantity
-    (dx_k * dp_k in action units, or gamma(k) itself);
-    strictness flags say whether each endpoint is excluded.  The classical
-    regime degenerates to the single point 0.
+    (dx_k * dp_k in action units); strictness flags say whether each
+    endpoint is excluded.  The classical regime degenerates to the single
+    point 0.
     """
 
     regime: str
@@ -81,14 +81,6 @@ class RegimeBound:
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-
-    def contains(self, value) -> bool:
-        """Interval membership; works for floats and exact ints or Fractions."""
-        above = value > self.lower if self.lower_strict else value >= self.lower
-        if self.upper == math.inf:
-            return above
-        below = value < self.upper if self.upper_strict else value <= self.upper
-        return above and below
 
 
 @dataclass(frozen=True)
@@ -133,7 +125,7 @@ def _exact(
     (numerator, denominator) pairs, as an unreduced integer pair (numerator,
     denominator > 0).  The one place an exact value is formed: with thousands
     of digits at deep k, it is formed only where the bounds cannot settle a
-    float or a bound check."""
+    float (`_settle`)."""
     n, d = plus[0] ** k, plus[1] ** k
     if minus is not None:
         n2, d2 = minus[0] ** k, minus[1] ** k
@@ -201,14 +193,13 @@ def ratios(spec: GeneratorSpec) -> tuple[tuple[int, int], tuple[int, int], tuple
 def _settled(
     ks: Sequence[int],
     terms: Sequence[tuple[Fraction | int, tuple[int, int], tuple[int, int] | None]],
-) -> Iterator[tuple[int, tuple[tuple[Decimal, Decimal], ...], list[float]]]:
-    """(k, bounds, values) for each k of `ks` (each an integer >= 0): the one
-    place a closed-form float is formed.  A term (c, plus, minus) stands for
+) -> Iterator[tuple[int, list[float]]]:
+    """(k, values) for each k of `ks` (each an integer >= 0): the one place
+    a closed-form float is formed.  A term (c, plus, minus) stands for
     c (plus^k - minus^k), or c plus^k where `minus` is None, the ratios given
     as (numerator, denominator) pairs, and `values` holds each term
     correctly rounded (`_settle`), in the order of `terms`.  Each distinct
-    ratio is walked once (`_bounds`), and `bounds` holds its bounds at k in
-    the order the terms first name it.  A term's bounds are those on plus^k,
+    ratio is walked once (`_bounds`).  A term's bounds are those on plus^k,
     less those on minus^k, times those on c, every lower bound rounded down
     and every upper bound up; where minus is plus the term is 0 exactly."""
     powers = list(dict.fromkeys(r for _, *pair in terms for r in pair if r is not None))
@@ -229,48 +220,7 @@ def _settled(
             elif minus is not None:  # minus is plus
                 lo = hi = zero
             values.append(_settle(mul_dn(lo, c_lo), mul_up(hi, c_hi), k, c, plus, minus))
-        yield k, bounds, values
-
-
-def gammas(
-    spec: GeneratorSpec, ks: Iterable[int], c: Fraction | int
-) -> Iterator[tuple[int, float, bool]]:
-    """(k, c gamma(k), passed) for each k of `ks`, gamma(k) = (N/rho^2)^k -
-    rho^-k being dA_k0 in units of L0^2: the value settled by `_settled`,
-    and `passed` exact: whether gamma(k) lies in the table of the regime
-    `classify` decides once per call, in units of 1/2.  It is decided from
-    the bounds `_settled` walked on both powers: `passed` when, for each
-    finite endpoint e, (N/rho^2)^k - e lies strictly above or below rho^-k
-    at both ends (bounds on gamma(k) itself would cancel to 1 on the
-    critical line N = rho^2), and from the exact gamma(k) where they admit
-    gamma(k) = e.  On the classical line N = rho, gamma(k) = 0 and no bound
-    is read.  Raises ValueError, as the tables do, on a k that is not an
-    integer >= 0."""
-    ks = [_check_k(k) for k in ks]
-    res, _, area = ratios(spec)
-    regime = classify(spec)
-    table = regime_interval(regime, Decimal("0.5"))
-    ends = tuple(e for e in (table.lower, table.upper) if e != math.inf)
-    sub_dn, sub_up = DOWN.subtract, UP.subtract
-    for k, bounds, (value,) in _settled(ks, [(c, area, res)]):
-        if regime == REGIME_CLASSICAL:  # N = rho, where gamma(k) = 0 exactly
-            passed = table.contains(0)
-        else:
-            (a_lo, a_hi), (r_lo, r_hi) = bounds
-            passed = True
-            for inside_above, e in zip((True, False), ends):
-                if sub_dn(a_lo, e) > r_hi:
-                    above = True
-                elif sub_up(a_hi, e) < r_lo:
-                    above = False
-                else:
-                    n, d = _exact(k, 1, area, res)  # 2 n in the table in units of d
-                    passed = regime_interval(regime, d).contains(2 * n)
-                    break
-                if above != inside_above:
-                    passed = False
-                    break
-        yield k, value, passed
+        yield k, values
 
 
 def resolution(k: int, dx0: float, rho: float) -> float:
@@ -280,7 +230,7 @@ def resolution(k: int, dx0: float, rho: float) -> float:
     if not 1.0 < rho < math.inf:  # the one check of a ladder's rho
         raise ValueError(f"rho must be > 1 and finite, got {rho}")
     step = (1 / Fraction(rho)).as_integer_ratio()
-    ((_, _, (dx,)),) = _settled([k], [(Fraction(dx0), step, None)])
+    ((_, (dx,)),) = _settled([k], [(Fraction(dx0), step, None)])
     return dx
 
 
@@ -305,8 +255,8 @@ def regime_interval(regime: str, unit) -> RegimeBound:
     sub (rho < N < rho^2):    0 < x < 2 unit
     classical (N = rho):      x = 0
     `unit` may be a float, an int or an exact Fraction; the finite
-    endpoints keep its type.  The lower bounds of the first two regimes assume k >= 1 and
-    rho >= 2.  Any other `regime` raises ValueError.
+    endpoints keep its type.  gamma(k) lies in the table in units of 1/2
+    for every k >= `holds_from(spec)`.  Any other `regime` raises ValueError.
     """
     zero, full = 0 * unit, 2 * unit
     if regime == REGIME_SUPER:
@@ -316,6 +266,28 @@ def regime_interval(regime: str, unit) -> RegimeBound:
     if regime == REGIME_SUB:
         return RegimeBound(regime, zero, full, True, True)
     return RegimeBound(regime, zero, zero, False, False)
+
+
+def holds_from(spec: GeneratorSpec) -> int:
+    """k0, the first k >= 1 at which gamma(k) lies in the table of its
+    regime (`regime_interval`) in units of 1/2; it lies there at every
+    k >= k0, so no row needs a decision of its own.
+
+    With a = N/rho^2 and b = 1/rho < 1, gamma(k) = a^k - b^k:
+    - classical (N = rho): a = b, so gamma(k) = 0 at every k.
+    - sub (rho < N < rho^2): b < a < 1, so 0 < gamma(k) < a^k < 1.
+    - critical (N = rho^2): rho is a rational whose square is an integer,
+      so an integer >= 2, and gamma(k) = 1 - rho^-k lies in [1/2, 1).
+    - super (N > rho^2): a > 1 > b, so gamma(k) strictly increases.  With
+      x = rho^-2 in (1/N, 1), gamma(2) = x (N^2 x - 1) > (N - 1)/N >= 1/2,
+      so every k >= 2 holds, and k = 1 holds iff gamma(1) = N/rho^2 - 1/rho
+      > 1/2, that is iff 2 (N - rho) > rho^2.
+    So k0 is 2 for a super generator with 2 (N - rho) <= rho^2, which needs
+    rho < 2 and N <= 3, and 1 for every other; decided once, in exact
+    Fractions, with no search over k.
+    """
+    rho = Fraction(spec.rho)
+    return 2 if classify(spec) == REGIME_SUPER and 2 * (spec.n - rho) <= rho * rho else 1
 
 
 def scale_table(
@@ -332,4 +304,4 @@ def scale_table(
     terms = [(x, res, None), (1, (spec.n, 1), None), (x, length, None), (per_area, area, None),
              (per_speed, length, None), (1, area, res), (per_area, area, res),
              (x, length, (1, 1))]
-    return [ScaleRow(k, *values) for k, _, values in _settled(range(k_max + 1), terms)]
+    return [ScaleRow(k, *values) for k, values in _settled(range(k_max + 1), terms)]

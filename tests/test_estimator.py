@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fractalkin import estimator, measures
 from fractalkin.estimator import (
@@ -350,6 +350,9 @@ def divider_oracle(poly: Polyline, step: float) -> float:
     seg_index=st.integers(min_value=0),
     stretch=st.sampled_from([None, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-12, 0.5]),
 )
+# step 2.25, whose binade scaling by 1/4 rounded the subnormal coordinate
+@example(points=[(0.0, -0.25), (-0.25, 0.0), (2.0, 0.0), (2.2250738585e-313, -0.25)],
+         closed=False, step=1.0, seg_index=1, stretch=1.0)
 def test_divider_matches_oracle(points, closed, step, seg_index, stretch):
     v = np.array(points + points[:1] if closed else points, dtype=float)
     v = v[np.r_[True, np.any(v[1:] != v[:-1], axis=1)]]
@@ -427,6 +430,14 @@ def test_divider_segment_shorter_than_underflow(vertices, steps):
     for step in steps:
         count = divider_count(poly, step)
         assert count == divider_oracle(poly, step) == divider_count(without, step), step
+
+
+def test_divider_counts_a_curve_far_from_the_origin():
+    # scaling by 2^34..2^44, the steps' binades, overflowed every x to inf: nan counts
+    poly = Polyline(np.array([[1e300, 0], [1e300, 1e-10], [1e300, 3e-10]]))
+    for k in range(1, 5):
+        step = resolution(k, poly.diameter(), 10.0)
+        assert divider_count(poly, step) == divider_oracle(poly, step), k
 
 
 # coordinates that keep every bit under the scalings below: zero, or of

@@ -319,6 +319,15 @@ def rho_and_n(draw):
 @example(rn=(math.sqrt(5), 5), ks=[1, 10, 100, 1000, 3000], ctx=C06_CTX)
 @example(rn=(math.sqrt(6), 6), ks=[1, 10, 100, 1000, 3000], ctx=C06_CTX)
 @example(rn=(math.sqrt(12), 12), ks=[1, 10, 100, 1000, 3000], ctx=C06_CTX)
+# super with rho < 2, where row k = 1 fails: 2 (N - rho) <= rho^2
+@example(rn=(1.3, 2), ks=[1, 2, 3, 100], ctx=C06_CTX)
+@example(rn=(1.7, 3), ks=[1, 2, 3, 100], ctx=UNIT_CTX)
+# rho just below sqrt(2N + 1) - 1, where row k = 1 passes by a hair
+@example(rn=(math.nextafter(math.sqrt(5) - 1, 0), 2), ks=[1, 2, 1000], ctx=C06_CTX)
+@example(rn=(math.nextafter(math.sqrt(7) - 1, 0), 3), ks=[1, 2, 1000], ctx=UNIT_CTX)
+# rho just below sqrt(N), where a = N/rho^2 -> 1+ and gamma(2) -> (N - 1)/N
+@example(rn=(math.nextafter(math.sqrt(2), 0), 2), ks=[1, 2, 3, 1000], ctx=UNIT_CTX)
+@example(rn=(math.nextafter(math.sqrt(3), 0), 3), ks=[1, 2, 3, 1000], ctx=C06_CTX)
 def test_verify_bounds_matches_fraction_oracle(rn, ks, ctx):
     spec = spec_for(*rn)
     report = verify_bounds(spec, ctx, ks)
@@ -327,6 +336,28 @@ def test_verify_bounds_matches_fraction_oracle(rn, ks, ctx):
         p, passed = bounds_oracle(spec, ctx, row.k)
         assert row.passed == passed, (spec.name, row.k)
         assert row.product == oracle_float(p), (spec.name, row.k)
+
+
+@st.composite
+def near_k1_edges(draw):
+    """(rho, N) within a few million ulps of a super generator's k = 1
+    edges, for N = 2 and 3, the only N at which row k = 1 can fail: rho
+    near sqrt(2N + 1) - 1, where row k = 1 starts to pass, and near
+    sqrt(N), where a = N/rho^2 -> 1+."""
+    n = draw(st.sampled_from([2, 3]))
+    edge = draw(st.sampled_from([math.sqrt(2 * n + 1) - 1, math.sqrt(n)]))
+    return edge + draw(st.integers(-2**22, 2**22)) * math.ulp(edge), n
+
+
+@settings(deadline=None, max_examples=150)
+@given(rn=st.one_of(rho_and_n(), near_k1_edges()))
+@example(rn=(1.3, 2))
+@example(rn=(2.0, 5))
+def test_holds_from_is_the_first_k_the_oracle_passes(rn):
+    spec = spec_for(*rn)
+    first = next(k for k in range(1, 10) if bounds_oracle(spec, UNIT_CTX, k)[1])
+    assert measures.holds_from(spec) == first, spec.name
+    assert all(bounds_oracle(spec, UNIT_CTX, k)[1] for k in range(first, first + 3))
 
 
 @st.composite
@@ -529,22 +560,17 @@ def exact_route_ks(monkeypatch):
 @pytest.fixture
 def fallbacks(monkeypatch):
     """One flag per `measures._settle` call, in call order: whether the
-    bounds left the float to the exact value.  An exact value formed
-    outside `_settle`, for a bound check's pass flag, flags nothing."""
-    flags, settling = [], []
+    bounds left the float to the exact value.  `_settle` is the only
+    caller of `_exact`: no pass flag forms an exact value."""
+    flags = []
     settle, seam = measures._settle, measures._exact
 
     def recorded(*args):
         flags.append(False)
-        settling.append(True)
-        try:
-            return settle(*args)
-        finally:
-            settling.pop()
+        return settle(*args)
 
     def formed(*args):
-        if settling:  # settle's own call of the seam
-            flags[-1] = True
+        flags[-1] = True
         return seam(*args)
 
     monkeypatch.setattr(measures, "_exact", formed)
@@ -594,9 +620,10 @@ def test_verify_bounds_takes_exact_route_only_where_bounds_cannot_settle(exact_r
         for spec in (builtin("cesaro", angle_deg=85.0), spec_for(2.0, 5)):
             assert verify_bounds(spec, ctx, range(1, 3001)).all_passed
     assert ks == []
-    # 2 gamma(1) = 1 exactly for rho = 2, N = 4: the critical lower endpoint
+    # 2 gamma(1) = 1 exactly for rho = 2, N = 4: the critical lower endpoint,
+    # passed by the closed form, and a product its bounds settle
     report = verify_bounds(integer_generator(4, 2), UNIT_CTX, [1])
-    assert ks == [1]
+    assert ks == []
     assert report.all_passed
     assert report.rows[0].product == UNIT_CTX.eta0
 
@@ -685,8 +712,8 @@ def test_tables_match_exact_oracle(name, k, l0, m, dt):
 
 def test_uncertainty_table_forms_no_exact_pass_decision(monkeypatch):
     # k = 1 of N = 4, rho = 2 lies on the critical endpoint gamma = 1/2,
-    # which only the exact gamma decides; the table reads no pass flag, and
-    # its bounds settle every float, so it forms no exact value
+    # which no decimal bound can place on either side; the table reads no
+    # pass flag, and its bounds settle every float, so it forms no exact value
     def refused(*args):
         raise AssertionError("an exact value was formed")
 
