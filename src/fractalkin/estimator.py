@@ -192,6 +192,13 @@ _DIVIDER_SLICE = 16
 _DIVIDER_MARGIN = 1e-6
 
 
+#: the scaled step stays below 2^_DIVIDER_SPAN.  Every chord term is a product of
+#: two lengths of at most the arc length, which is at most `DEFAULT_VERTEX_CAP`
+#: (< 2^27) steps, and the discriminant multiplies two terms, so it stays below
+#: about 2^(4 * (27 + 128) + 4) = 2^624 and never overflows
+_DIVIDER_SPAN = 128
+
+
 def _far_vertex(xy: memoryview, x: np.ndarray, y: np.ndarray, lo: int, ax: float,
                 ay: float, far2: float) -> int:
     """Index of the first vertex at or after `lo` whose squared distance from
@@ -250,9 +257,12 @@ def divider_count(poly: Polyline, step: float) -> float:
     same on every CPU and numpy build.  It runs on the vertices and step
     scaled by 2^-e, e being the step's binade, which brings the step into
     [1/2, 1), so a curve and step scaled together by a power of two count
-    the same, bit for bit.  The scaled copy is always exact: where scaling
-    up would overflow the largest |coordinate|, or scaling down would round
-    a nonzero coordinate out of the normal range, e stops short of it.
+    the same, bit for bit.  Where scaling up would overflow the largest
+    |coordinate|, or scaling down would round a nonzero coordinate out of
+    the normal range, e stops short of it, so the scaled copy is exact.
+    Scaling down stops at most `_DIVIDER_SPAN` (128) binades short of the
+    step's, so the chord arithmetic stays finite: a coordinate under about
+    2^-1150 times the step is then rounded, as at the step's binade.
 
     The count cannot exceed arc length / step, so a step under arc length /
     `DEFAULT_VERTEX_CAP` raises ValueError before any stepping.
@@ -263,15 +273,17 @@ def divider_count(poly: Polyline, step: float) -> float:
     # units too, so a curve whose length alone overflows float64 is counted;
     # each temporary is freed before the next
     e = math.frexp(step)[1]
+    v = poly.vertices
     if e < 0:  # scaling up rounds nothing: keep the largest |coordinate| finite
-        x0, y0, x1, y1 = poly.bounds()
-        e = max(e, math.frexp(max(-x0, -y0, x1, y1))[1] - 1024)
-    elif e > 0:  # scaling down: keep the smallest nonzero |coordinate| >= 2^-1022
-        size = np.abs(poly.vertices)
+        reach = max(-float(v.min()), float(v.max()))  # max |coordinate|, no copy
+        e = max(e, math.frexp(reach)[1] - 1024)
+    elif e > 0:  # scaling down: keep the smallest nonzero |coordinate| >= 2^-1022,
+        # unless that leaves the scaled step at or above 2^_DIVIDER_SPAN
+        size = np.abs(v)
         tiny = float(size.min(where=size > 0.0, initial=math.inf))
         del size
-        e = min(e, max(math.frexp(tiny)[1] + 1021, 0))
-    d = np.diff(poly.vertices, axis=0)
+        e = min(e, max(math.frexp(tiny)[1] + 1021, 0, e - _DIVIDER_SPAN))
+    d = np.diff(v, axis=0)
     with np.errstate(over="ignore"):  # an overflow here only ends in a refusal
         arc = float(np.hypot(*np.ldexp(d, -e, out=d).T).sum())
         del d
@@ -280,7 +292,7 @@ def divider_count(poly: Polyline, step: float) -> float:
                 f"step {step!r} is too short: a curve of length {poly.arc_length()!r} "
                 f"would take more than {DEFAULT_VERTEX_CAP} steps"
             )
-    v = np.ldexp(poly.vertices, -e)
+    v = np.ldexp(v, -e)
     step = math.ldexp(step, -e)
     x, y = v.T
     # v is C-contiguous float64, so vertex i is xy[2i], xy[2i+1]

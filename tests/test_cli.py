@@ -139,17 +139,23 @@ def test_divider_counts_a_curve_whose_length_overflows(tmp_path):
     assert [r["count"] for r in rows] == [12.0, 36.0, 106.0]
 
 
-def test_divider_counts_a_curve_far_from_the_origin(tmp_path):
+@pytest.mark.parametrize("vertices,scales,counts", [
     # scaling to the step's binade overflowed every coordinate to inf: the
     # counts were nan, written with exit 0 and a numpy warning
+    ([[1e300, 0], [1e300, 1e-10], [1e300, 3e-10]], "1..4", [10, 100, 1000, 10000]),
+    # keeping 1e-300 normal left the scaled step so large that the chord
+    # quadratic overflowed
+    ([[0, 1e-300], [1e300, 0], [1e300, 1e300]], "1..2", [20, 200]),
+])
+def test_divider_counts_a_curve_far_from_the_origin(tmp_path, vertices, scales, counts):
     src = tmp_path / "far.json"
-    src.write_text(json.dumps({"vertices": [[1e300, 0], [1e300, 1e-10], [1e300, 3e-10]]}))
-    proc = run_cli(["measure", "--input", str(src), "--method", "divider", "--scales", "1..4",
+    src.write_text(json.dumps({"vertices": vertices}))
+    proc = run_cli(["measure", "--input", str(src), "--method", "divider", "--scales", scales,
                     "--rho", "10", "--format", "csv"])
     assert (proc.returncode, proc.stderr) == (0, b"")
-    counts = [float(line.split(",")[2]) for line in proc.stdout.decode().splitlines()[1:]]
-    assert all(math.isfinite(c) for c in counts)
-    assert [round(c) for c in counts] == [10, 100, 1000, 10000]
+    got = [float(line.split(",")[2]) for line in proc.stdout.decode().splitlines()[1:]]
+    assert all(math.isfinite(c) for c in got)
+    assert [round(c) for c in got] == counts
 
 
 @pytest.mark.parametrize("args,message", [

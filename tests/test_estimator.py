@@ -440,6 +440,31 @@ def test_divider_counts_a_curve_far_from_the_origin():
         assert divider_count(poly, step) == divider_oracle(poly, step), k
 
 
+def test_divider_keeps_a_tiny_coordinate_that_the_steps_binade_would_round():
+    # e stops at 2^25, where 1e-300 stays normal: at the steps' binades, 2^30 and 2^34,
+    # it lost bits.  At 1e10 the curve is shorter than the step, so its count is
+    # the end chord 1e-300 over the step
+    v = np.array([[0, 0], [3e9, 0], [3e9, 3e9], [1e-300, 0]])
+    poly, up = Polyline(v), Polyline(np.ldexp(v, 40))
+    for step in (1e10, 1e9, 7.3e8):
+        count = divider_count(poly, step)
+        assert count == divider_oracle(poly, step) == divider_count(up, math.ldexp(step, 40)), step
+
+
+def test_divider_keeps_the_scaled_step_within_its_span():
+    # keeping 1e-300 normal would scale a step of 1e299 by only 2^-25, where the
+    # chord quadratic overflows and the count falls back to the end chord over the
+    # step (14.1, 141.4).  e stops 128 binades short of the step's instead, and
+    # rounds 1e-300 to 0, as a copy scaled by 2^-994 does
+    v = np.array([[0, 1e-300], [1e300, 0], [1e300, 1e300]])
+    poly, down = Polyline(v), Polyline(np.ldexp(v, -994))
+    for k in (1, 2):
+        step = resolution(k, poly.diameter(), 10.0)
+        count = divider_count(poly, step)
+        assert count == divider_count(down, math.ldexp(step, -994)), k
+        assert round(count) == 2 * 10**k, k
+
+
 # coordinates that keep every bit under the scalings below: zero, or of
 # magnitude >= 2^-20, so that they and their differences stay normal floats
 # at 2^-900 (subnormal ones have already lost bits: Koch L3 scaled by 1e-310
